@@ -28,7 +28,9 @@ func (b Bucket) CyclesPerTuple() float64 {
 }
 
 // History is an approximated performance history. The zero value is not
-// usable; construct with New or NewSize.
+// usable; construct with New or NewSize. The bucket slice grows on demand
+// up to the budget: most instances of a short query record a handful of
+// calls and never need the full 12 KiB.
 type History struct {
 	max     int
 	span    int // calls per full bucket (2^k)
@@ -44,7 +46,7 @@ func NewSize(maxBuckets int) *History {
 	if maxBuckets < 2 || maxBuckets%2 != 0 {
 		panic("aph.NewSize: bucket budget must be an even number >= 2")
 	}
-	return &History{max: maxBuckets, span: 1, buckets: make([]Bucket, 0, maxBuckets)}
+	return &History{max: maxBuckets, span: 1}
 }
 
 // Add records one primitive call.
@@ -59,6 +61,10 @@ func (h *History) Add(tuples int, cycles float64) {
 	}
 	if n == h.max {
 		h.merge()
+	} else if n == cap(h.buckets) {
+		grown := make([]Bucket, n, min(max(2*n, 8), h.max))
+		copy(grown, h.buckets)
+		h.buckets = grown
 	}
 	h.buckets = append(h.buckets, Bucket{Calls: 1, Tuples: int64(tuples), Cycles: cycles})
 }

@@ -226,3 +226,36 @@ func TestNewSizeValidation(t *testing.T) {
 		}()
 	}
 }
+
+// TestHistoryGrowMatchesPresized: a history that grows its bucket slice on
+// demand is indistinguishable, bucket for bucket, from one that allocated
+// its whole budget up front — across several merge rounds — and never holds
+// more capacity than the budget.
+func TestHistoryGrowMatchesPresized(t *testing.T) {
+	for _, budget := range []int{2, 6, 8, DefaultBuckets} {
+		grown := NewSize(budget)
+		sized := &History{max: budget, span: 1, buckets: make([]Bucket, 0, budget)}
+		for i := 0; i < budget*9; i++ { // > 3 merge rounds
+			grown.Add(100+i%7, float64(i)*1.5)
+			sized.Add(100+i%7, float64(i)*1.5)
+			if cap(grown.buckets) > budget {
+				t.Fatalf("budget %d: capacity %d after %d calls", budget, cap(grown.buckets), i+1)
+			}
+			if grown.Span() != sized.Span() || len(grown.Buckets()) != len(sized.Buckets()) {
+				t.Fatalf("budget %d call %d: span/len %d/%d, want %d/%d", budget, i,
+					grown.Span(), len(grown.Buckets()), sized.Span(), len(sized.Buckets()))
+			}
+		}
+		if grown.Span() < 8 {
+			t.Fatalf("budget %d: span %d, test must cross >= 3 merges", budget, grown.Span())
+		}
+		for i, b := range grown.Buckets() {
+			if b != sized.Buckets()[i] {
+				t.Fatalf("budget %d bucket %d = %+v, want %+v", budget, i, b, sized.Buckets()[i])
+			}
+		}
+	}
+	if h := New(); cap(h.buckets) != 0 {
+		t.Errorf("a fresh history holds %d buckets of capacity, want 0", cap(h.buckets))
+	}
+}

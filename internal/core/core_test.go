@@ -233,9 +233,6 @@ func TestExecCtxStageAccounting(t *testing.T) {
 	if ctx.TotalCycles() != 0 {
 		t.Error("reset failed")
 	}
-	if ctx.LLC == nil {
-		t.Error("LLC simulator missing")
-	}
 }
 
 func TestCallLiveAndDensity(t *testing.T) {

@@ -188,12 +188,11 @@ func (d *Dictionary) NumFlavors(sig string) int {
 }
 
 // ExecCtx carries per-query virtual-hardware state: the machine profile the
-// query "runs on", the shared last-level-cache simulator, and the cycle
-// accounting that the experiment harness reads back (Table 1's stage
-// breakdown and all per-primitive measurements).
+// query "runs on" and the cycle accounting the experiment harness reads back
+// (Table 1's stage breakdown and all per-primitive measurements). Cache
+// residency is priced by the cost functions (hw.MissRatio), not simulated.
 type ExecCtx struct {
 	Machine *hw.Machine
-	LLC     *hw.Cache
 
 	// Cycle accounting, by stage (Table 1 of the paper).
 	PreCycles      float64 // query preprocessing (plan build, resolution)
@@ -202,14 +201,8 @@ type ExecCtx struct {
 	PostCycles     float64 // result delivery
 }
 
-// NewExecCtx builds an execution context for the machine, including a
-// last-level-cache simulator of the machine's LLC size.
-func NewExecCtx(m *hw.Machine) *ExecCtx {
-	return &ExecCtx{
-		Machine: m,
-		LLC:     hw.NewCache(m.LLCBytes, m.CacheLine, 8),
-	}
-}
+// NewExecCtx builds an execution context for the machine.
+func NewExecCtx(m *hw.Machine) *ExecCtx { return &ExecCtx{Machine: m} }
 
 // ExecuteCycles is the total execute-stage cost (primitives + operators).
 func (ctx *ExecCtx) ExecuteCycles() float64 { return ctx.PrimCycles + ctx.OperatorCycles }
@@ -219,7 +212,7 @@ func (ctx *ExecCtx) TotalCycles() float64 {
 	return ctx.PreCycles + ctx.ExecuteCycles() + ctx.PostCycles
 }
 
-// ResetCycles zeroes the stage accounting (the LLC state is kept).
+// ResetCycles zeroes the stage accounting.
 func (ctx *ExecCtx) ResetCycles() {
 	ctx.PreCycles, ctx.PrimCycles, ctx.OperatorCycles, ctx.PostCycles = 0, 0, 0, 0
 }

@@ -39,11 +39,10 @@ type Session struct {
 	Machine    *hw.Machine
 	VectorSize int
 	Ctx        *ExecCtx
-	Rand       *rand.Rand
 
 	newChooser     ChooserFactory
 	newInstChooser InstanceChooserFactory
-	defaultPolicy  bool // newChooser is the built-in default (owns s.Rand)
+	defaultPolicy  bool // newChooser is the built-in default, over the session's own stream
 	instances      []*Instance
 	byLabel        map[string]*Instance
 	decisions      []*Decision
@@ -80,10 +79,7 @@ func WithInstanceChooser(f InstanceChooserFactory) SessionOption {
 
 // WithSeed sets the session's deterministic random seed (default 1).
 func WithSeed(seed int64) SessionOption {
-	return func(s *Session) {
-		s.seed = seed
-		s.Rand = rand.New(rand.NewSource(seed))
-	}
+	return func(s *Session) { s.seed = seed }
 }
 
 // WithParallelism sets the pipeline parallelism P: partitionable plans
@@ -110,7 +106,6 @@ func NewSession(dict *Dictionary, m *hw.Machine, opts ...SessionOption) *Session
 		Machine:    m,
 		VectorSize: 1024,
 		Ctx:        NewExecCtx(m),
-		Rand:       rand.New(rand.NewSource(1)),
 		byLabel:    make(map[string]*Instance),
 		decByLabel: make(map[string]*Decision),
 		seed:       1,
@@ -120,12 +115,33 @@ func NewSession(dict *Dictionary, m *hw.Machine, opts ...SessionOption) *Session
 		o(s)
 	}
 	if s.newChooser == nil {
-		p := DefaultVWParams()
-		s.newChooser = func(n int) Chooser { return NewVWGreedy(n, p, s.Rand) }
+		p, rng := DefaultVWParams(), NewLazyRand(s.seed)
+		s.newChooser = func(n int) Chooser { return NewVWGreedy(n, p, rng) }
 		s.defaultPolicy = true
 	}
 	return s
 }
+
+// lazySource is rand.NewSource(seed) built on the first draw: seeding fills
+// a 607-word state, and most choosers of a served query never draw.
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func (l *lazySource) real() rand.Source64 {
+	if l.src == nil {
+		l.src = rand.NewSource(l.seed).(rand.Source64)
+	}
+	return l.src
+}
+func (l *lazySource) Int63() int64    { return l.real().Int63() }
+func (l *lazySource) Uint64() uint64  { return l.real().Uint64() }
+func (l *lazySource) Seed(seed int64) { l.seed, l.src = seed, nil }
+
+// NewLazyRand is rand.New(rand.NewSource(seed)), draw for draw, seeded
+// lazily; every session and per-chooser random stream is built with it.
+func NewLazyRand(seed int64) *rand.Rand { return rand.New(&lazySource{seed: seed}) }
 
 // Parallelism returns the session's pipeline-parallelism setting (>= 1).
 func (s *Session) Parallelism() int {

@@ -58,8 +58,8 @@ func TestFragmentSessions(t *testing.T) {
 	if f0.Parallelism() != 1 {
 		t.Error("fragments must not fan out further")
 	}
-	if f0.Rand == s.Rand || f0.Rand == f1.Rand {
-		t.Error("fragments must own their random streams")
+	if f0.seed == s.seed || f0.seed == f1.seed {
+		t.Error("fragments must seed their own random streams")
 	}
 	i0 := f0.Instance("p", "node")
 	i1 := f1.Instance("p", "node")

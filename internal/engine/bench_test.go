@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"microadapt/internal/core"
@@ -26,9 +27,29 @@ func benchTable() *Table {
 		[]*vector.Vector{vector.FromI32(a), vector.FromI64(v)})
 }
 
+// The benchmarks build their dictionary once, outside the timed loop: a
+// dictionary is process-wide state (tens of milliseconds to register), while
+// a session — which every iteration needs afresh, its instances learn — is
+// microseconds.
+var (
+	benchDictAll      = sync.OnceValue(func() *core.Dictionary { return primitive.NewDictionary(primitive.Everything()) })
+	benchDictDefaults = sync.OnceValue(func() *core.Dictionary { return primitive.NewDictionary(primitive.Defaults()) })
+	benchSink         *core.Session
+)
+
 func benchEngSession() *core.Session {
-	return core.NewSession(primitive.NewDictionary(primitive.Everything()),
-		hw.Machine1(), core.WithVectorSize(1024), core.WithSeed(4))
+	return core.NewSession(benchDictAll(), hw.Machine1(), core.WithVectorSize(1024), core.WithSeed(4))
+}
+
+// BenchmarkSessionBuild measures the fixed cost every query pays before its
+// first batch: one session at the service's configuration.
+func BenchmarkSessionBuild(b *testing.B) {
+	d, m := benchDictAll(), hw.Machine1()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = core.NewSession(d, m, core.WithVectorSize(128), core.WithSeed(int64(i)))
+	}
 }
 
 // BenchmarkPipelineScanSelectAggAdaptive measures end-to-end operator
@@ -36,6 +57,8 @@ func benchEngSession() *core.Session {
 func BenchmarkPipelineScanSelectAggAdaptive(b *testing.B) {
 	tab := benchTable()
 	b.SetBytes(int64(tab.Rows() * 12))
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := benchEngSession()
 		sel := NewSelect(s, NewScan(s, tab), "b", CmpVal(0, "<", 500))
@@ -57,6 +80,8 @@ func BenchmarkPipelineHashJoin(b *testing.B) {
 			vector.FromI64(seq64(1000)),
 		})
 	b.SetBytes(int64(tab.Rows() * 12))
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := benchEngSession()
 		j := NewHashJoin(s, NewScan(s, build), NewScan(s, tab), "j", "k", "a",
@@ -102,9 +127,10 @@ func BenchmarkHashJoinProbeNext(b *testing.B) {
 		vector.Schema{{Name: "k", Type: vector.I32}},
 		[]*vector.Vector{vector.FromI32(seq(1024))})
 	b.SetBytes(int64(n * 4))
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := core.NewSession(primitive.NewDictionary(primitive.Defaults()),
-			hw.Machine1(), core.WithVectorSize(64), core.WithSeed(4))
+		s := core.NewSession(benchDictDefaults(), hw.Machine1(), core.WithVectorSize(64), core.WithSeed(4))
 		j := NewHashJoin(s, NewScan(s, buildTab), NewScan(s, probeTab), "j",
 			"k", "key", nil, WithKind(SemiJoin))
 		if err := j.Open(); err != nil {
@@ -130,9 +156,10 @@ func BenchmarkHashJoinProbeNext(b *testing.B) {
 func BenchmarkMaterializeDrain(b *testing.B) {
 	tab := benchTable()
 	b.SetBytes(int64(tab.Rows() * 12))
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := core.NewSession(primitive.NewDictionary(primitive.Defaults()),
-			hw.Machine1(), core.WithVectorSize(128), core.WithSeed(4))
+		s := core.NewSession(benchDictDefaults(), hw.Machine1(), core.WithVectorSize(128), core.WithSeed(4))
 		sel := NewSelect(s, NewScan(s, tab), "b", CmpVal(0, "<", 500))
 		if _, err := Materialize(sel); err != nil {
 			b.Fatal(err)

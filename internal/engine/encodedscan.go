@@ -96,6 +96,11 @@ type EncodedScan struct {
 	scratch  []*vector.Vector // per-conjunct decode scratch
 	selA     []int32
 	selB     []int32
+
+	out   vector.Batch             // the batch every Next re-fills; out.Sel aliases selA/selB
+	views []vector.Vector          // windows of the flat output columns
+	call  core.Call                // reused for every primitive call
+	args  primitive.DecompressArgs // reused Call.Aux
 }
 
 // NewEncodedScan builds an encoded scan of the named columns (all when
@@ -171,11 +176,15 @@ func (s *EncodedScan) Open() error {
 		s.selInsts[i] = s.sess.Instance(sig, labelf("%s/%s#%d", s.pushLabel, sig, i))
 	}
 	s.decInsts = make([]*core.Instance, len(s.cols))
+	s.views = make([]vector.Vector, len(s.cols))
+	s.out.Cols = make([]*vector.Vector, len(s.cols))
 	for j, ci := range s.cols {
 		enc := s.table.Enc.Cols[ci]
 		if storage.Unwrap(enc) != nil {
-			continue // flat columns stream zero-copy, no decode instance
+			s.out.Cols[j] = &s.views[j] // flat columns stream zero-copy, no decode instance
+			continue
 		}
+		s.out.Cols[j] = vector.New(enc.Type(), s.sess.VectorSize)
 		sig := primitive.DecompressSig(enc.Type())
 		s.decInsts[j] = s.sess.Instance(sig, labelf("%s/%s#%d", s.label, sig, j))
 	}
@@ -204,50 +213,36 @@ func (s *EncodedScan) Next() (*vector.Batch, error) {
 		if sel != nil && len(sel) == 0 {
 			break
 		}
-		call := &core.Call{
-			N:      n,
-			Sel:    sel,
-			In:     []*vector.Vector{s.rhs[i]},
-			SelOut: cur,
-			Aux:    &primitive.DecompressArgs{Col: s.encPred[i], Lo: lo, Scratch: s.scratch[i]},
-		}
+		s.args = primitive.DecompressArgs{Col: s.encPred[i], Lo: lo, Scratch: s.scratch[i]}
+		call := &s.call
+		*call = core.Call{N: n, Sel: sel, In: s.rhs[i : i+1], SelOut: cur, Aux: &s.args}
 		call.Feat = core.Features{Valid: true, Selectivity: call.Density(),
 			Encoding: s.encPred[i].Encoding().String()}
 		k := s.selInsts[i].Run(s.sess.Ctx, call)
 		sel = cur[:k]
 		cur, spare = spare, cur
 	}
-	_ = spare
 
-	cols := make([]*vector.Vector, len(s.cols))
 	for j, ci := range s.cols {
 		enc := s.table.Enc.Cols[ci]
 		if fv := storage.Unwrap(enc); fv != nil {
-			cols[j] = fv.Slice(lo, lo+n)
+			fv.SliceInto(&s.views[j], lo, lo+n)
 			continue
 		}
-		res := vector.New(enc.Type(), n)
+		res := s.out.Cols[j]
 		res.SetLen(n)
 		if sel == nil || len(sel) > 0 {
-			call := &core.Call{
-				N:   n,
-				Sel: sel,
-				Res: res,
-				Aux: &primitive.DecompressArgs{Col: enc, Lo: lo},
-			}
+			s.args = primitive.DecompressArgs{Col: enc, Lo: lo}
+			call := &s.call
+			*call = core.Call{N: n, Sel: sel, Res: res, Aux: &s.args}
 			call.Feat = core.Features{Valid: true, Selectivity: call.Density(),
 				Encoding: enc.Encoding().String()}
 			s.decInsts[j].Run(s.sess.Ctx, call)
 		}
-		cols[j] = res
 	}
-
-	var outSel vector.Sel
-	if sel != nil {
-		outSel = append([]int32{}, sel...)
-	}
+	s.out.N, s.out.Sel = n, sel
 	chargeOp(s.sess, perBatchOverhead)
-	return &vector.Batch{N: n, Sel: outSel, Cols: cols}, nil
+	return &s.out, nil
 }
 
 // Close implements Operator.

@@ -59,7 +59,7 @@ type HashAgg struct {
 
 	// first-value capture for group columns and AggFirst specs
 	firstGroup []capture
-	firstAgg   map[int]*capture
+	firstAgg   []*capture // per aggregate; nil unless the spec is AggFirst
 }
 
 // capture stores first-seen per-group values of one column.
@@ -222,7 +222,7 @@ func (h *HashAgg) build() error {
 	h.accI64 = make([]*primitive.AccI64, len(h.aggs))
 	h.accF64 = make([]*primitive.AccF64, len(h.aggs))
 	avgCount := make([]*primitive.AccI64, len(h.aggs))
-	h.firstAgg = make(map[int]*capture)
+	h.firstAgg = make([]*capture, len(h.aggs))
 	aggInsts := make([]*core.Instance, len(h.aggs))
 	avgCntInsts := make([]*core.Instance, len(h.aggs))
 	for ai, a := range h.aggs {
@@ -262,6 +262,14 @@ func (h *HashAgg) build() error {
 	keyScratch := vector.New(vector.I64, vecSize)
 	gidVec := vector.New(vector.I32, vecSize)
 	widenScratch := vector.New(vector.I64, vecSize)
+	// Reused for every batch: the call record and its input array, and the
+	// string vectors a composite key is packed through.
+	var (
+		call    core.Call
+		args    [2]*vector.Vector
+		strKeys = make([]*vector.Vector, len(h.groupCols))
+		packed  = make([]*vector.Vector, len(h.groupCols))
+	)
 
 	for {
 		b, err := h.child.Next()
@@ -288,38 +296,36 @@ func (h *HashAgg) build() error {
 		switch keyKind {
 		case "none":
 			gids = nil
-		case "i64":
-			primitive.WidenToI64(b.Cols[h.groupCols[0]], b.Sel, b.N, keyScratch)
-			call := &core.Call{N: b.N, Sel: b.Sel, In: []*vector.Vector{keyScratch}, Res: gidVec, Aux: h.tabI64}
-			insertInst.Run(h.sess.Ctx, call)
-			gids = gidVec
-			groups = h.tabI64.Groups()
-		case "pack2":
-			h.pack2(b, keyScratch)
-			call := &core.Call{N: b.N, Sel: b.Sel, In: []*vector.Vector{keyScratch}, Res: gidVec, Aux: h.tabI64}
-			insertInst.Run(h.sess.Ctx, call)
-			gids = gidVec
-			groups = h.tabI64.Groups()
-		case "str":
-			call := &core.Call{N: b.N, Sel: b.Sel, In: []*vector.Vector{b.Cols[h.groupCols[0]]}, Res: gidVec, Aux: h.tabStr}
-			insertInst.Run(h.sess.Ctx, call)
-			gids = gidVec
-			groups = h.tabStr.Groups()
-		case "multi":
-			keyCol := h.stringify(b, h.groupCols[0])
-			for ki := 1; ki < len(h.groupCols); ki++ {
-				next := h.stringify(b, h.groupCols[ki])
-				if len(concatInsts) < ki {
-					concatInsts = append(concatInsts, h.sess.Instance("map_concat_str_col_str_col",
-						labelf("%s/map_concat_str_col_str_col#%d", h.label, ki-1)))
-				}
-				res := vector.New(vector.Str, b.N)
-				call := &core.Call{N: b.N, Sel: b.Sel, In: []*vector.Vector{keyCol, next}, Res: res}
-				concatInsts[ki-1].Run(h.sess.Ctx, call)
-				keyCol = res
+		case "i64", "pack2":
+			if keyKind == "i64" {
+				primitive.WidenToI64(b.Cols[h.groupCols[0]], b.Sel, b.N, keyScratch)
+			} else {
+				h.pack2(b, keyScratch)
 			}
-			call := &core.Call{N: b.N, Sel: b.Sel, In: []*vector.Vector{keyCol}, Res: gidVec, Aux: h.tabStr}
-			insertInst.Run(h.sess.Ctx, call)
+			args[0] = keyScratch
+			call = core.Call{N: b.N, Sel: b.Sel, In: args[:1], Res: gidVec, Aux: h.tabI64}
+			insertInst.Run(h.sess.Ctx, &call)
+			gids = gidVec
+			groups = h.tabI64.Groups()
+		case "str", "multi":
+			keyCol := b.Cols[h.groupCols[0]]
+			if keyKind == "multi" {
+				keyCol = h.stringify(b, 0, strKeys)
+				for ki := 1; ki < len(h.groupCols); ki++ {
+					if len(concatInsts) < ki {
+						concatInsts = append(concatInsts, h.sess.Instance("map_concat_str_col_str_col",
+							labelf("%s/map_concat_str_col_str_col#%d", h.label, ki-1)))
+					}
+					packed[ki] = vector.Reuse(packed[ki], vector.Str, b.N)
+					args[0], args[1] = keyCol, h.stringify(b, ki, strKeys)
+					call = core.Call{N: b.N, Sel: b.Sel, In: args[:], Res: packed[ki]}
+					concatInsts[ki-1].Run(h.sess.Ctx, &call)
+					keyCol = packed[ki]
+				}
+			}
+			args[0] = keyCol
+			call = core.Call{N: b.N, Sel: b.Sel, In: args[:1], Res: gidVec, Aux: h.tabStr}
+			insertInst.Run(h.sess.Ctx, &call)
 			gids = gidVec
 			groups = h.tabStr.Groups()
 		}
@@ -352,21 +358,23 @@ func (h *HashAgg) build() error {
 				}
 				acc.Grow(groups, init)
 			}
-			var call *core.Call
+			args[1] = gids
+			call = core.Call{N: b.N, Sel: b.Sel, In: args[:]}
 			switch {
 			case a.Fn == AggCount:
-				call = &core.Call{N: b.N, Sel: b.Sel, In: []*vector.Vector{nil, gids}, Aux: h.accI64[ai]}
+				args[0], call.Aux = nil, h.accI64[ai]
 			case h.accF64[ai] != nil:
-				call = &core.Call{N: b.N, Sel: b.Sel, In: []*vector.Vector{b.Cols[a.Col], gids}, Aux: h.accF64[ai]}
+				args[0], call.Aux = b.Cols[a.Col], h.accF64[ai]
 			default:
 				primitive.WidenToI64(b.Cols[a.Col], b.Sel, b.N, widenScratch)
-				call = &core.Call{N: b.N, Sel: b.Sel, In: []*vector.Vector{widenScratch, gids}, Aux: h.accI64[ai]}
+				args[0], call.Aux = widenScratch, h.accI64[ai]
 			}
-			aggInsts[ai].Run(h.sess.Ctx, call)
+			aggInsts[ai].Run(h.sess.Ctx, &call)
 			if a.Fn == AggAvg {
 				avgCount[ai].Grow(groups, 0)
-				cntCall := &core.Call{N: b.N, Sel: b.Sel, In: []*vector.Vector{nil, gids}, Aux: avgCount[ai]}
-				avgCntInsts[ai].Run(h.sess.Ctx, cntCall)
+				args[0] = nil
+				call = core.Call{N: b.N, Sel: b.Sel, In: args[:], Aux: avgCount[ai]}
+				avgCntInsts[ai].Run(h.sess.Ctx, &call)
 			}
 		}
 		chargeOp(h.sess, perBatchOverhead)
@@ -454,7 +462,7 @@ func (h *HashAgg) captureFirst(b *vector.Batch, gids *vector.Vector, groups int)
 			}
 		}
 		for ai, cp := range h.firstAgg {
-			if int(g) == cp.len() {
+			if cp != nil && int(g) == cp.len() {
 				cp.add(b.Cols[h.aggs[ai].Col], i)
 			}
 		}
@@ -494,14 +502,16 @@ func (h *HashAgg) pack2(b *vector.Batch, res *vector.Vector) {
 	h.sess.Ctx.OperatorCycles += 2 * float64(b.Live())
 }
 
-// stringify converts a column to strings for composite keys (plain Go:
-// key packing is not part of the paper's flavor sets).
-func (h *HashAgg) stringify(b *vector.Batch, col int) *vector.Vector {
-	src := b.Cols[col]
+// stringify converts group column gi to strings for composite keys (plain
+// Go: key packing is not part of the paper's flavor sets), into the reused
+// vector scratch[gi].
+func (h *HashAgg) stringify(b *vector.Batch, gi int, scratch []*vector.Vector) *vector.Vector {
+	src := b.Cols[h.groupCols[gi]]
 	if src.Type() == vector.Str {
 		return src
 	}
-	out := vector.New(vector.Str, b.N)
+	scratch[gi] = vector.Reuse(scratch[gi], vector.Str, b.N)
+	out := scratch[gi]
 	s := out.Str()
 	conv := func(i int32) {
 		switch src.Type() {
@@ -520,7 +530,6 @@ func (h *HashAgg) stringify(b *vector.Batch, col int) *vector.Vector {
 			conv(int32(i))
 		}
 	}
-	out.SetLen(b.N)
 	h.sess.Ctx.OperatorCycles += 8 * float64(b.Live())
 	return out
 }

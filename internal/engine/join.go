@@ -86,6 +86,12 @@ type Join struct {
 	rowScratch  *vector.Vector
 	selA, selB  []int32
 	probeKeyIdx int // probe-side key column, resolved once in Open
+
+	out          vector.Batch     // the batch every Next re-fills; out.Sel aliases selB
+	fetchRes     []*vector.Vector // per-payload result vectors
+	emptyPayload []*vector.Vector // zero-length payload columns, built on the first empty batch
+	call         core.Call        // reused for every primitive call
+	in           [2]*vector.Vector
 }
 
 // JoinOption configures a Join.
@@ -247,6 +253,7 @@ func (h *Join) Open() error {
 	if h.kind == InnerJoin {
 		h.fetchInsts = make([]*core.Instance, len(h.payload))
 		h.payloadIdx = make([]int, len(h.payload))
+		h.fetchRes = make([]*vector.Vector, len(h.payload))
 		for i, name := range h.payload {
 			idx := tab.Sch.MustIndexOf(name)
 			h.payloadIdx[i] = idx
@@ -254,6 +261,7 @@ func (h *Join) Open() error {
 			h.fetchInsts[i] = h.sess.Instance(fsig, labelf("%s/%s#%d", h.label, fsig, i))
 		}
 	}
+	h.out.Cols = make([]*vector.Vector, len(h.Schema()))
 
 	vs := h.sess.VectorSize
 	h.keyScratch = vector.New(vector.I64, vs)
@@ -281,16 +289,17 @@ func (h *Join) Next() (*vector.Batch, error) {
 	if err != nil || b == nil {
 		return nil, err
 	}
+	np := copy(h.out.Cols, b.Cols)
 	if b.Live() == 0 {
-		cols := make([]*vector.Vector, 0, len(h.Schema()))
-		cols = append(cols, b.Cols...)
-		if h.kind == InnerJoin {
+		if h.emptyPayload == nil {
 			for _, idx := range h.payloadIdx {
-				cols = append(cols, vector.New(h.buildTab.Sch[idx].Type, 0))
+				h.emptyPayload = append(h.emptyPayload, vector.New(h.buildTab.Sch[idx].Type, 0))
 			}
 		}
+		copy(h.out.Cols[np:], h.emptyPayload)
+		h.out.N, h.out.Sel = b.N, h.selB[:0]
 		chargeOp(h.sess, perBatchOverhead)
-		return &vector.Batch{N: b.N, Sel: []int32{}, Cols: cols}, nil
+		return &h.out, nil
 	}
 	if b.N > len(h.selA) {
 		// Probe batches wider than the session's vector size (a child fed
@@ -305,30 +314,31 @@ func (h *Join) Next() (*vector.Batch, error) {
 	h.probeTuples += b.Live()
 
 	sel := b.Sel
+	call := &h.call
+	h.in[0] = h.keyScratch
 	if h.filter != nil {
-		call := &core.Call{N: b.N, Sel: sel, In: []*vector.Vector{h.keyScratch}, SelOut: h.selA, Aux: h.filter}
+		*call = core.Call{N: b.N, Sel: sel, In: h.in[:1], SelOut: h.selA, Aux: h.filter}
 		k := h.bloomInst.Run(h.sess.Ctx, call)
 		sel = h.selA[:k]
 	}
-	call := &core.Call{N: b.N, Sel: sel, In: []*vector.Vector{h.keyScratch}, SelOut: h.selB, Res: h.rowScratch, Aux: h.probeAux()}
+	*call = core.Call{N: b.N, Sel: sel, In: h.in[:1], SelOut: h.selB, Res: h.rowScratch, Aux: h.probeAux()}
 	k := h.lookupInst.Run(h.sess.Ctx, call)
-	outSel := make([]int32, k)
-	copy(outSel, h.selB[:k])
+	outSel := h.selB[:k]
 
-	cols := make([]*vector.Vector, 0, len(h.Schema()))
-	cols = append(cols, b.Cols...)
 	if h.kind == InnerJoin {
+		h.in[0] = h.rowScratch
 		for i, idx := range h.payloadIdx {
 			src := h.buildTab.Cols[idx]
-			res := vector.New(src.Type(), b.N)
-			res.SetLen(b.N)
-			fc := &core.Call{N: b.N, Sel: outSel, In: []*vector.Vector{h.rowScratch, src}, Res: res}
-			h.fetchInsts[i].Run(h.sess.Ctx, fc)
-			cols = append(cols, res)
+			h.fetchRes[i] = vector.Reuse(h.fetchRes[i], src.Type(), b.N)
+			h.in[1] = src
+			*call = core.Call{N: b.N, Sel: outSel, In: h.in[:], Res: h.fetchRes[i]}
+			h.fetchInsts[i].Run(h.sess.Ctx, call)
+			h.out.Cols[np+i] = h.fetchRes[i]
 		}
 	}
+	h.out.N, h.out.Sel = b.N, outSel
 	chargeOp(h.sess, perBatchOverhead)
-	return &vector.Batch{N: b.N, Sel: outSel, Cols: cols}, nil
+	return &h.out, nil
 }
 
 // Close implements Operator: the decisions learn here, once the chosen

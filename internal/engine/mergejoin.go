@@ -33,6 +33,11 @@ type MergeJoin struct {
 	fetchSide []bool // true = left
 	fetchIdx  []int
 	done      bool
+
+	out        vector.Batch  // the batch every Next re-fills
+	lIdx, rIdx vector.Vector // windows of the kernel's match positions
+	call       core.Call     // reused for every primitive call
+	in         [2]*vector.Vector
 }
 
 // NewMergeJoin builds a merge join emitting leftOut columns from the left
@@ -92,6 +97,7 @@ func (m *MergeJoin) Open() error {
 		m.fetchSide = append(m.fetchSide, false)
 		m.fetchIdx = append(m.fetchIdx, idx)
 	}
+	m.out.Cols = make([]*vector.Vector, len(m.fetchInst))
 	m.done = false
 	return nil
 }
@@ -102,7 +108,8 @@ func (m *MergeJoin) Next() (*vector.Batch, error) {
 		return nil, nil
 	}
 	vs := m.sess.VectorSize
-	call := &core.Call{N: vs, Aux: m.state}
+	call := &m.call
+	*call = core.Call{N: vs, Aux: m.state}
 	produced := m.joinInst.Run(m.sess.Ctx, call)
 	if m.state.Done() {
 		m.done = true
@@ -111,26 +118,26 @@ func (m *MergeJoin) Next() (*vector.Batch, error) {
 		if m.done {
 			return nil, nil
 		}
-		return &vector.Batch{N: 0}, nil
+		m.out.N = 0
+		return &m.out, nil
 	}
 
-	lIdx := vector.FromI32(m.state.LOut[:produced])
-	rIdx := vector.FromI32(m.state.ROut[:produced])
-	cols := make([]*vector.Vector, len(m.fetchInst))
+	m.lIdx = *vector.FromI32(m.state.LOut[:produced])
+	m.rIdx = *vector.FromI32(m.state.ROut[:produced])
 	for i := range m.fetchInst {
-		srcTab, idxVec := m.rtab, rIdx
+		srcTab, idxVec := m.rtab, &m.rIdx
 		if m.fetchSide[i] {
-			srcTab, idxVec = m.ltab, lIdx
+			srcTab, idxVec = m.ltab, &m.lIdx
 		}
 		src := srcTab.Cols[m.fetchIdx[i]]
-		res := vector.New(src.Type(), produced)
-		res.SetLen(produced)
-		fc := &core.Call{N: produced, Cap: vs, In: []*vector.Vector{idxVec, src}, Res: res}
-		m.fetchInst[i].Run(m.sess.Ctx, fc)
-		cols[i] = res
+		m.out.Cols[i] = vector.Reuse(m.out.Cols[i], src.Type(), produced)
+		m.in[0], m.in[1] = idxVec, src
+		*call = core.Call{N: produced, Cap: vs, In: m.in[:], Res: m.out.Cols[i]}
+		m.fetchInst[i].Run(m.sess.Ctx, call)
 	}
+	m.out.N = produced
 	chargeOp(m.sess, perBatchOverhead)
-	return &vector.Batch{N: produced, Cols: cols}, nil
+	return &m.out, nil
 }
 
 // Close implements Operator.

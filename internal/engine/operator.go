@@ -25,6 +25,16 @@ type Operator interface {
 	Open() error
 	// Next returns the next batch or nil at end of stream. Returned
 	// batches may carry a selection vector.
+	//
+	// The batch — its header, its Cols slice, its selection vector and
+	// every vector it points to — belongs to the operator (or to the table
+	// or child it forwards from) and is valid only until the next call to
+	// Next or Close on this operator: operators reuse that storage for the
+	// following batch, which is what keeps a steady-state Next free of
+	// heap allocation. A caller that keeps data across calls copies it out
+	// first (CompactInto, Materialize, the exchange's rebatcher) and never
+	// writes through the batch. Unselected positions of computed columns
+	// hold stale values from earlier batches, not zeros.
 	Next() (*vector.Batch, error)
 	// Close releases resources; it must be called exactly once.
 	Close()
@@ -68,14 +78,15 @@ func Drain(op Operator, yield func(*vector.Batch) error) error {
 
 // Run drains an operator, returning its batches compacted (selection
 // applied, one vector.Batch.CompactInto(nil) each). Because every batch is
-// retained, each one needs its own storage — callers that only stream over
-// the output should use Drain (raw batches) or Materialize (gathers live
-// tuples straight into growing columns) instead, which allocate no fresh
-// vectors per batch.
+// retained, each one is copied into its own storage whether or not it
+// carries a selection — the operator reuses what it handed out. Callers
+// that only stream over the output should use Drain (raw batches) or
+// Materialize (gathers live tuples straight into growing columns) instead,
+// which allocate no fresh vectors per batch.
 func Run(op Operator) ([]*vector.Batch, error) {
 	var out []*vector.Batch
 	err := Drain(op, func(b *vector.Batch) error {
-		out = append(out, b.Compact())
+		out = append(out, b.CompactInto(nil))
 		return nil
 	})
 	if err != nil {

@@ -27,6 +27,10 @@ type Project struct {
 
 	sch vector.Schema
 	ev  *expr.Evaluator
+
+	out   vector.Batch     // the batch every Next re-fills
+	bcast []*vector.Vector // per-expression broadcast of a constant result
+	empty []*vector.Vector // zero-length columns emitted for empty batches, built on the first
 }
 
 // NewProject builds a Project over child producing exactly exprs.
@@ -51,6 +55,8 @@ func (p *Project) Open() error {
 		return err
 	}
 	p.ev = expr.NewEvaluator(p.sess, p.child.Schema(), p.label)
+	p.out.Cols = make([]*vector.Vector, len(p.exprs))
+	p.bcast = make([]*vector.Vector, len(p.exprs))
 	return nil
 }
 
@@ -62,28 +68,29 @@ func (p *Project) Next() (*vector.Batch, error) {
 		return nil, err
 	}
 	if b.Live() == 0 {
-		sch := p.Schema()
-		cols := make([]*vector.Vector, len(sch))
-		for i, c := range sch {
-			cols[i] = vector.New(c.Type, 0)
+		if p.empty == nil {
+			for _, c := range p.Schema() {
+				p.empty = append(p.empty, vector.New(c.Type, 0))
+			}
 		}
+		copy(p.out.Cols, p.empty)
+		p.out.N, p.out.Sel = 0, nil
 		chargeOp(p.sess, perBatchOverhead)
-		return &vector.Batch{N: 0, Cols: cols}, nil
+		return &p.out, nil
 	}
-	cols := make([]*vector.Vector, len(p.exprs))
 	for i, e := range p.exprs {
 		v := e.Expr.Eval(p.ev, b)
 		if v.Len() == 1 && b.N != 1 {
 			// Broadcast a constant across the batch.
-			bc := vector.New(v.Type(), b.N)
-			bc.SetLen(b.N)
-			broadcast(v, bc, b.N)
-			v = bc
+			p.bcast[i] = vector.Reuse(p.bcast[i], v.Type(), b.N)
+			broadcast(v, p.bcast[i], b.N)
+			v = p.bcast[i]
 		}
-		cols[i] = v
+		p.out.Cols[i] = v
 	}
+	p.out.N, p.out.Sel = b.N, b.Sel
 	chargeOp(p.sess, perBatchOverhead)
-	return &vector.Batch{N: b.N, Sel: b.Sel, Cols: cols}, nil
+	return &p.out, nil
 }
 
 func broadcast(src, dst *vector.Vector, n int) {

@@ -75,6 +75,10 @@ type Select struct {
 	rhs   []*vector.Vector // constant vectors per pred
 	selA  []int32
 	selB  []int32
+
+	out  vector.Batch // the batch every Next re-fills; out.Sel aliases selA/selB
+	call core.Call    // reused for every primitive call
+	in   [2]*vector.Vector
 }
 
 // NewSelect builds a Select. label prefixes the primitive-instance names.
@@ -144,7 +148,8 @@ func (s *Select) Next() (*vector.Batch, error) {
 	}
 	if b.Live() == 0 {
 		chargeOp(s.sess, perBatchOverhead)
-		return &vector.Batch{N: b.N, Sel: []int32{}, Cols: b.Cols}, nil
+		s.out = vector.Batch{N: b.N, Sel: s.selA[:0], Cols: b.Cols}
+		return &s.out, nil
 	}
 	if b.N > len(s.selA) {
 		// A child may hand over batches wider than this session's vector
@@ -160,11 +165,12 @@ func (s *Select) Next() (*vector.Batch, error) {
 		if sel != nil && len(sel) == 0 {
 			break
 		}
-		in := []*vector.Vector{b.Cols[p.Col], s.rhs[i]}
+		s.in[0], s.in[1] = b.Cols[p.Col], s.rhs[i]
 		if p.RHSCol >= 0 {
-			in[1] = b.Cols[p.RHSCol]
+			s.in[1] = b.Cols[p.RHSCol]
 		}
-		call := &core.Call{N: b.N, Sel: sel, In: in, SelOut: cur}
+		call := &s.call
+		*call = core.Call{N: b.N, Sel: sel, In: s.in[:], SelOut: cur}
 		// Per-batch context: the incoming selection density — what earlier
 		// conjuncts (or the child) left alive — known before the call runs,
 		// unlike this predicate's own selectivity.
@@ -173,11 +179,9 @@ func (s *Select) Next() (*vector.Batch, error) {
 		sel = cur[:k]
 		cur, spare = spare, cur
 	}
-	_ = spare
-	out := make([]int32, len(sel))
-	copy(out, sel)
 	chargeOp(s.sess, perBatchOverhead)
-	return &vector.Batch{N: b.N, Sel: out, Cols: b.Cols}, nil
+	s.out = vector.Batch{N: b.N, Sel: sel, Cols: b.Cols}
+	return &s.out, nil
 }
 
 // Close implements Operator.

@@ -153,6 +153,8 @@ type Limit struct {
 	child Operator
 	n     int
 	seen  int
+
+	out vector.Batch // header of the truncated last batch; the child's is never modified
 }
 
 // NewLimit builds a Limit.
@@ -181,16 +183,17 @@ func (l *Limit) Next() (*vector.Batch, error) {
 	live := b.Live()
 	if l.seen+live > l.n {
 		want := l.n - l.seen
+		l.out = vector.Batch{N: b.N, Cols: b.Cols}
 		if b.Sel != nil {
-			b.Sel = b.Sel[:want]
+			l.out.Sel = b.Sel[:want]
 		} else {
-			sel := make([]int32, want)
-			for i := range sel {
-				sel[i] = int32(i)
+			// Once per stream: the batch that crosses the limit is the last.
+			l.out.Sel = make([]int32, want)
+			for i := range l.out.Sel {
+				l.out.Sel[i] = int32(i)
 			}
-			b.Sel = sel
 		}
-		live = want
+		b, live = &l.out, want
 	}
 	l.seen += live
 	return b, nil

@@ -105,6 +105,9 @@ type Scan struct {
 	sch    vector.Schema
 	lo, hi int // row range [lo, hi)
 	pos    int
+
+	out   vector.Batch    // the batch every Next re-fills
+	views []vector.Vector // per-column windows out.Cols points at
 }
 
 // NewScan builds a scan of the named columns (all columns when empty).
@@ -146,6 +149,11 @@ func (s *Scan) Schema() vector.Schema { return s.sch }
 // Open implements Operator.
 func (s *Scan) Open() error {
 	s.pos = s.lo
+	s.views = make([]vector.Vector, len(s.cols))
+	s.out.Cols = make([]*vector.Vector, len(s.cols))
+	for i := range s.views {
+		s.out.Cols[i] = &s.views[i]
+	}
 	return nil
 }
 
@@ -160,12 +168,12 @@ func (s *Scan) Next() (*vector.Batch, error) {
 		hi = s.hi
 	}
 	s.pos = hi
-	cols := make([]*vector.Vector, len(s.cols))
 	for i, ci := range s.cols {
-		cols[i] = s.table.Cols[ci].Slice(lo, hi)
+		s.table.Cols[ci].SliceInto(&s.views[i], lo, hi)
 	}
+	s.out.N = hi - lo
 	chargeOp(s.sess, perBatchOverhead)
-	return &vector.Batch{N: hi - lo, Cols: cols}, nil
+	return &s.out, nil
 }
 
 // Close implements Operator.

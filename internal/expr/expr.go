@@ -15,7 +15,8 @@ import (
 
 // Node is a typed expression over a batch's columns. Eval returns a vector
 // of length batch.N whose live positions (batch.Sel) hold the results;
-// positions outside the selection are undefined (Figure 7 left).
+// positions outside the selection are undefined (Figure 7 left). The vector
+// belongs to the evaluator and is overwritten by the node's next Eval.
 type Node interface {
 	// Type returns the result type under the given input schema.
 	Type(s vector.Schema) vector.Type
@@ -39,7 +40,13 @@ type ConstI64 struct{ V int64 }
 func (c *ConstI64) Type(vector.Schema) vector.Type { return vector.I64 }
 
 // Eval implements Node.
-func (c *ConstI64) Eval(*Evaluator, *vector.Batch) *vector.Vector { return vector.ConstI64(c.V) }
+func (c *ConstI64) Eval(ev *Evaluator, _ *vector.Batch) *vector.Vector {
+	st := ev.node(c)
+	if st.res == nil {
+		st.res = vector.ConstI64(c.V)
+	}
+	return st.res
+}
 
 // ConstI32 is an int32 literal.
 type ConstI32 struct{ V int32 }
@@ -48,7 +55,13 @@ type ConstI32 struct{ V int32 }
 func (c *ConstI32) Type(vector.Schema) vector.Type { return vector.I32 }
 
 // Eval implements Node.
-func (c *ConstI32) Eval(*Evaluator, *vector.Batch) *vector.Vector { return vector.ConstI32(c.V) }
+func (c *ConstI32) Eval(ev *Evaluator, _ *vector.Batch) *vector.Vector {
+	st := ev.node(c)
+	if st.res == nil {
+		st.res = vector.ConstI32(c.V)
+	}
+	return st.res
+}
 
 // ConstF64 is a float64 literal.
 type ConstF64 struct{ V float64 }
@@ -57,7 +70,13 @@ type ConstF64 struct{ V float64 }
 func (c *ConstF64) Type(vector.Schema) vector.Type { return vector.F64 }
 
 // Eval implements Node.
-func (c *ConstF64) Eval(*Evaluator, *vector.Batch) *vector.Vector { return vector.ConstF64(c.V) }
+func (c *ConstF64) Eval(ev *Evaluator, _ *vector.Batch) *vector.Vector {
+	st := ev.node(c)
+	if st.res == nil {
+		st.res = vector.ConstF64(c.V)
+	}
+	return st.res
+}
 
 // isConst reports whether a node is a literal (evaluates to a 1-tuple
 // vector used as a _val parameter).
@@ -96,19 +115,22 @@ func (n *BinOp) Eval(ev *Evaluator, b *vector.Batch) *vector.Vector {
 	t := n.Type(ev.Schema)
 	lv := n.L.Eval(ev, b)
 	rv := n.R.Eval(ev, b)
-	shape := "col_col"
-	switch {
-	case isConst(n.R):
-		shape = "col_val"
-	case isConst(n.L):
-		shape = "val_col"
+	st := ev.node(n)
+	if st.inst == nil {
+		shape := "col_col"
+		switch {
+		case isConst(n.R):
+			shape = "col_val"
+		case isConst(n.L):
+			shape = "val_col"
+		}
+		st.inst = ev.instance(primitive.MapSig(n.Op, t, shape))
 	}
-	sig := primitive.MapSig(n.Op, t, shape)
-	inst := ev.instance(n, sig)
-	res := ev.scratch(t, b.N)
-	call := &core.Call{N: b.N, Sel: b.Sel, In: []*vector.Vector{lv, rv}, Res: res}
-	inst.Run(ev.Sess.Ctx, call)
-	return res
+	st.res = vector.Reuse(st.res, t, b.N)
+	st.in[0], st.in[1] = lv, rv
+	st.call = core.Call{N: b.N, Sel: b.Sel, In: st.in[:], Res: st.res}
+	st.inst.Run(ev.Sess.Ctx, &st.call)
+	return st.res
 }
 
 // Widen converts an integer column to I64 (a cast map primitive in
@@ -127,7 +149,7 @@ func (w *Widen) Eval(ev *Evaluator, b *vector.Batch) *vector.Vector {
 	if in.Type() == vector.I64 {
 		return in
 	}
-	res := ev.scratch(vector.I64, b.N)
+	res := ev.scratch(w, vector.I64, b.N)
 	primitive.WidenToI64(in, b.Sel, b.N, res)
 	ev.Sess.Ctx.OperatorCycles += 0.5 * float64(b.Live())
 	return res
@@ -148,12 +170,17 @@ func (n *CaseInStr) Type(vector.Schema) vector.Type { return vector.I64 }
 // Eval implements Node.
 func (n *CaseInStr) Eval(ev *Evaluator, b *vector.Batch) *vector.Vector {
 	in := n.Col.Eval(ev, b).Str()
-	res := ev.scratch(vector.I64, b.N)
-	out := res.I64()
-	set := make(map[string]bool, len(n.Values))
-	for _, v := range n.Values {
-		set[v] = true
+	st := ev.node(n)
+	if st.set == nil {
+		st.set = make(map[string]bool, len(n.Values))
+		for _, v := range n.Values {
+			st.set[v] = true
+		}
 	}
+	set := st.set
+	st.res = vector.Reuse(st.res, vector.I64, b.N)
+	res := st.res
+	out := res.I64()
 	eval1 := func(i int32) {
 		if set[in[i]] {
 			out[i] = n.Then
@@ -175,40 +202,60 @@ func (n *CaseInStr) Eval(ev *Evaluator, b *vector.Batch) *vector.Vector {
 	return res
 }
 
-// Evaluator evaluates expressions for one operator. It owns the primitive
-// instances of its expression nodes (one instance per node, labelled
-// uniquely within the query) and a small scratch-vector arena.
+// Evaluator evaluates expressions for one operator. It owns, per
+// expression node, the node's primitive instance (labelled uniquely within
+// the query) and the storage the node's Eval reuses from batch to batch.
+// Nodes themselves stay stateless: the partitions of a parallel plan
+// evaluate the same tree concurrently, each through its own Evaluator.
 type Evaluator struct {
 	Sess   *core.Session
 	Schema vector.Schema
 	Prefix string // label prefix, e.g. "Q1/project0"
 
-	insts  map[Node]*core.Instance
+	nodes  map[Node]*nodeState
 	nextID int
+}
+
+// nodeState is what one expression node keeps across batches.
+type nodeState struct {
+	inst *core.Instance    // BinOp: the node's primitive instance
+	res  *vector.Vector    // the node's result vector (a literal's 1-tuple vector)
+	call core.Call         // BinOp: the call record passed to inst.Run
+	in   [2]*vector.Vector // BinOp: backing array of call.In
+	set  map[string]bool   // CaseInStr: membership set of Values
 }
 
 // NewEvaluator builds an evaluator for the operator named by prefix.
 func NewEvaluator(sess *core.Session, schema vector.Schema, prefix string) *Evaluator {
-	return &Evaluator{Sess: sess, Schema: schema, Prefix: prefix, insts: make(map[Node]*core.Instance)}
+	return &Evaluator{Sess: sess, Schema: schema, Prefix: prefix, nodes: make(map[Node]*nodeState)}
 }
 
-// instance memoizes the primitive instance of an expression node.
-func (ev *Evaluator) instance(n Node, sig string) *core.Instance {
-	if inst, ok := ev.insts[n]; ok {
-		return inst
+// node returns n's state, creating it on first use.
+func (ev *Evaluator) node(n Node) *nodeState {
+	st := ev.nodes[n]
+	if st == nil {
+		st = &nodeState{}
+		ev.nodes[n] = st
 	}
+	return st
+}
+
+// instance creates the primitive instance of the next expression node.
+func (ev *Evaluator) instance(sig string) *core.Instance {
 	label := fmt.Sprintf("%s/%s#%d", ev.Prefix, sig, ev.nextID)
 	ev.nextID++
-	inst := ev.Sess.Instance(sig, label)
-	ev.insts[n] = inst
-	return inst
+	return ev.Sess.Instance(sig, label)
 }
 
-// scratch allocates a result vector. Vectors are small (vector-size), so a
-// fresh allocation per call keeps aliasing rules trivial; the virtual cost
-// model is unaffected.
-func (ev *Evaluator) scratch(t vector.Type, n int) *vector.Vector {
-	v := vector.New(t, n)
-	v.SetLen(n)
-	return v
+// scratch returns n's result vector sized for a batch of size tuples. The
+// vector is reused from batch to batch, so it is valid only until n is
+// evaluated again (the engine.Operator.Next contract) and the positions a
+// node does not write — everything outside the batch's selection — hold
+// stale values from earlier batches. A node shared by two expressions of
+// one operator is evaluated twice per batch into the same vector, with the
+// same inputs and so the same live results.
+func (ev *Evaluator) scratch(n Node, t vector.Type, size int) *vector.Vector {
+	st := ev.node(n)
+	st.res = vector.Reuse(st.res, t, size)
+	return st.res
 }

@@ -188,3 +188,39 @@ func TestTypeResolution(t *testing.T) {
 		t.Error("const types wrong")
 	}
 }
+
+// TestEvalAllocFree: once every node has its state, evaluating a tree of
+// every node kind over a batch allocates nothing — result vectors, call
+// records, literal vectors and the CASE membership set are all reused.
+func TestEvalAllocFree(t *testing.T) {
+	sch := vector.Schema{{Name: "x", Type: vector.I64}, {Name: "d", Type: vector.I32}, {Name: "s", Type: vector.Str}}
+	_, ev := testEval(t, sch)
+	b := vector.NewBatch(
+		vector.FromI64([]int64{4, 5, 6, 7}),
+		vector.FromI32([]int32{1, 2, 3, 4}),
+		vector.FromStr([]string{"ab", "cd", "ab", "ef"}))
+	b.Sel = []int32{0, 2, 3}
+	x, d, s := &Col{Idx: 0}, &Col{Idx: 1}, &Col{Idx: 2}
+	nodes := []Node{
+		Div(Mul(Add(x, &ConstI64{V: 3}), Sub(&ConstI64{V: 9}, x)), x),
+		Mul(d, &ConstI32{V: 2}),
+		Mul(CastF64(x), &ConstF64{V: 0.5}),
+		&MapI64{Child: ToI64(d), Fn: func(v int64) int64 { return v + 1 }},
+		&Substr{Child: s, From: 0, Len: 1},
+		&CaseInStr{Col: s, Values: []string{"ab", "zz"}, Then: 1},
+		&CaseEqStr{Col: s, Value: "cd", Then: 1},
+		&CaseLikeStr{Col: s, Pattern: "a%", Then: 1},
+	}
+	eval := func() {
+		for _, n := range nodes {
+			n.Eval(ev, b)
+		}
+	}
+	eval()
+	if got := testing.AllocsPerRun(200, eval); got != 0 {
+		t.Errorf("%v allocations per evaluation of a warmed tree, want 0", got)
+	}
+	if got := nodes[0].Eval(ev, b).I64(); got[0] != 7*5/4 || got[2] != 9*3/6 || got[3] != 10*2/7 {
+		t.Errorf("live results = %v", got)
+	}
+}

@@ -28,7 +28,7 @@ func (n *MapI64) Type(vector.Schema) vector.Type { return vector.I64 }
 // Eval implements Node.
 func (n *MapI64) Eval(ev *Evaluator, b *vector.Batch) *vector.Vector {
 	in := n.Child.Eval(ev, b)
-	res := ev.scratch(vector.I64, b.N)
+	res := ev.scratch(n, vector.I64, b.N)
 	out := res.I64()
 	apply := func(i int32) { out[i] = n.Fn(in.GetI64(int(i))) }
 	if b.Sel != nil {
@@ -63,7 +63,7 @@ func (n *ToF64) Eval(ev *Evaluator, b *vector.Batch) *vector.Vector {
 	if in.Type() == vector.F64 {
 		return in
 	}
-	res := ev.scratch(vector.F64, b.N)
+	res := ev.scratch(n, vector.F64, b.N)
 	out := res.F64()
 	apply := func(i int32) { out[i] = in.GetF64(int(i)) }
 	if b.Sel != nil {
@@ -92,7 +92,7 @@ func (n *Substr) Type(vector.Schema) vector.Type { return vector.Str }
 // Eval implements Node.
 func (n *Substr) Eval(ev *Evaluator, b *vector.Batch) *vector.Vector {
 	in := n.Child.Eval(ev, b).Str()
-	res := ev.scratch(vector.Str, b.N)
+	res := ev.scratch(n, vector.Str, b.N)
 	out := res.Str()
 	apply := func(i int32) {
 		s := in[i]
@@ -133,7 +133,7 @@ func (n *CaseEqStr) Type(vector.Schema) vector.Type { return vector.I64 }
 // Eval implements Node.
 func (n *CaseEqStr) Eval(ev *Evaluator, b *vector.Batch) *vector.Vector {
 	in := n.Col.Eval(ev, b).Str()
-	res := ev.scratch(vector.I64, b.N)
+	res := ev.scratch(n, vector.I64, b.N)
 	out := res.I64()
 	apply := func(i int32) {
 		if in[i] == n.Value {
@@ -173,7 +173,7 @@ func (n *CaseLikeStr) Type(vector.Schema) vector.Type { return vector.I64 }
 // Eval implements Node.
 func (n *CaseLikeStr) Eval(ev *Evaluator, b *vector.Batch) *vector.Vector {
 	in := n.Col.Eval(ev, b).Str()
-	res := ev.scratch(vector.I64, b.N)
+	res := ev.scratch(n, vector.I64, b.N)
 	out := res.I64()
 	match := n.Match
 	if match == nil {

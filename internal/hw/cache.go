@@ -1,17 +1,20 @@
 package hw
 
+import "math/bits"
+
 // Cache is a set-associative LRU cache simulator. It is the substrate used
 // where the paper's effects depend on cache residency that evolves during a
 // query (hash-table growth in Figure 4e) and is available for ad-hoc
 // microarchitecture experiments.
 //
-// Tags are stored per set in LRU order (front = most recent). Associativity
-// is kept small (4-16) so a lookup is a short linear scan.
+// All sets live in one flat array, stride words per set: the set's fill
+// count, then its tags in LRU order (front = most recent). Associativity is
+// kept small (4-16) so a lookup is a short linear scan.
 type Cache struct {
 	lineBits uint
 	setMask  uint64
-	assoc    int
-	sets     [][]uint64
+	stride   int // words per set: 1 fill count + assoc tags
+	ways     []uint64
 
 	accesses uint64
 	misses   uint64
@@ -27,30 +30,14 @@ func NewCache(totalBytes, lineSize, assoc int) *Cache {
 	if assoc <= 0 {
 		panic("hw.NewCache: associativity must be positive")
 	}
-	lineBits := uint(0)
-	for 1<<lineBits < lineSize {
-		lineBits++
-	}
-	numSets := totalBytes / (lineSize * assoc)
-	if numSets < 1 {
-		numSets = 1
-	}
-	// Round down to a power of two.
-	p := 1
-	for p*2 <= numSets {
-		p *= 2
-	}
-	numSets = p
-	c := &Cache{
-		lineBits: lineBits,
+	numSets := max(totalBytes/(lineSize*assoc), 1)
+	numSets = 1 << (bits.Len(uint(numSets)) - 1) // round down to a power of two
+	return &Cache{
+		lineBits: uint(bits.TrailingZeros(uint(lineSize))),
 		setMask:  uint64(numSets - 1),
-		assoc:    assoc,
-		sets:     make([][]uint64, numSets),
+		stride:   assoc + 1,
+		ways:     make([]uint64, numSets*(assoc+1)),
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]uint64, 0, assoc)
-	}
-	return c
 }
 
 // Access touches addr and reports whether it missed. The touched line
@@ -59,8 +46,10 @@ func NewCache(totalBytes, lineSize, assoc int) *Cache {
 func (c *Cache) Access(addr uint64) (miss bool) {
 	c.accesses++
 	tag := addr >> c.lineBits
-	set := c.sets[tag&c.setMask]
-	for i, t := range set {
+	base := int(tag&c.setMask) * c.stride
+	n := int(c.ways[base])
+	set := c.ways[base+1 : base+c.stride]
+	for i, t := range set[:n] {
 		if t == tag {
 			// Hit: move to front.
 			copy(set[1:i+1], set[:i])
@@ -69,12 +58,12 @@ func (c *Cache) Access(addr uint64) (miss bool) {
 		}
 	}
 	c.misses++
-	if len(set) < c.assoc {
-		set = append(set, 0)
+	if n < len(set) {
+		n++
+		c.ways[base] = uint64(n)
 	}
-	copy(set[1:], set)
+	copy(set[1:n], set)
 	set[0] = tag
-	c.sets[tag&c.setMask] = set
 	return true
 }
 
@@ -91,8 +80,6 @@ func (c *Cache) MissRate() float64 {
 
 // Flush empties the cache and zeroes the statistics.
 func (c *Cache) Flush() {
-	for i := range c.sets {
-		c.sets[i] = c.sets[i][:0]
-	}
+	clear(c.ways)
 	c.accesses, c.misses = 0, 0
 }

@@ -48,12 +48,13 @@ const rngStride = 6364136223846793005
 // stream (instead of sharing one *rand.Rand across the factory's
 // choosers) keeps the factory itself safe to invoke from concurrently
 // running sessions; each individual chooser remains single-threaded, as
-// the Chooser contract requires.
+// the Chooser contract requires. Generators seed on first draw
+// (core.NewLazyRand): a chooser that never explores never pays for one.
 func (e Env) rngSeq() func() *rand.Rand {
 	var ctr atomic.Int64
 	base := e.Seed
 	return func() *rand.Rand {
-		return rand.New(rand.NewSource(base + ctr.Add(1)*rngStride))
+		return core.NewLazyRand(base + ctr.Add(1)*rngStride)
 	}
 }
 

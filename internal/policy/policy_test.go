@@ -310,3 +310,36 @@ func TestSnapshotDoesNotEchoPriors(t *testing.T) {
 		}
 	}
 }
+
+// TestLazySourceKeepsChooserStreams: generators seed on first draw, yet
+// emit exactly the eager stream — core.NewLazyRand against
+// rand.New(rand.NewSource(seed)) over mixed Int63/Float64/Uint64 draws
+// (both source methods), again after a re-Seed; and chooser k of a factory
+// still draws the stream of seed + k*rngStride.
+func TestLazySourceKeepsChooserStreams(t *testing.T) {
+	same := func(name string, lazy, eager *rand.Rand) {
+		t.Helper()
+		for i := 0; i < 1000; i++ {
+			if l, e := lazy.Int63(), eager.Int63(); l != e {
+				t.Fatalf("%s draw %d: Int63 %d, want %d", name, i, l, e)
+			}
+			if l, e := lazy.Float64(), eager.Float64(); l != e {
+				t.Fatalf("%s draw %d: Float64 %v, want %v", name, i, l, e)
+			}
+			if l, e := lazy.Uint64(), eager.Uint64(); l != e {
+				t.Fatalf("%s draw %d: Uint64 %d, want %d", name, i, l, e)
+			}
+		}
+	}
+	for _, seed := range []int64{0, 1, -7, rngStride} {
+		lazy, eager := core.NewLazyRand(seed), rand.New(rand.NewSource(seed))
+		same("fresh", lazy, eager)
+		lazy.Seed(seed + 1)
+		eager.Seed(seed + 1)
+		same("re-seeded", lazy, eager)
+	}
+	next := Env{Seed: 41}.rngSeq()
+	for k := int64(1); k <= 3; k++ {
+		same("chooser stream", next(), rand.New(rand.NewSource(41+k*rngStride)))
+	}
+}

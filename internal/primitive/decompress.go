@@ -198,20 +198,6 @@ func makeDecompress(lazy bool, v variant) core.PrimFn {
 	}
 }
 
-// boxConst widens a typed constant for storage.EncodedColumn.SelectConst.
-func boxConst[T ordered](v T) any {
-	switch x := any(v).(type) {
-	case int16:
-		return int64(x)
-	case int32:
-		return int64(x)
-	case int64:
-		return x
-	default:
-		return x // float64, string pass through
-	}
-}
-
 // makeEncSelect builds one encoded-selection flavor: decode-then-compare
 // (onCompressed=false) or compressed-form evaluation with decode fallback.
 func makeEncSelect[T ordered](op string, onCompressed bool, v variant) core.PrimFn {
@@ -249,8 +235,7 @@ func makeEncSelect[T ordered](op string, onCompressed bool, v variant) core.Prim
 	}
 	return func(ctx *core.ExecCtx, c *core.Call) (int, float64) {
 		args := c.Aux.(*DecompressArgs)
-		rhs := sliceOf[T](c.In[0])[0]
-		k, ok := args.Col.SelectConst(args.Lo, args.Lo+c.N, op, boxConst(rhs), c.Sel, c.SelOut)
+		k, ok := args.Col.SelectConst(args.Lo, args.Lo+c.N, op, c.In[0], c.Sel, c.SelOut)
 		if !ok {
 			k, _ = decode(ctx, c)
 		}

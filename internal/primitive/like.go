@@ -11,26 +11,27 @@ import (
 // separated by '%' wildcards ('_' is not supported; the TPC-H predicates
 // this engine runs do not use it).
 func LikeMatch(s, pattern string) bool {
-	parts := strings.Split(pattern, "%")
-	if len(parts) == 1 {
+	// Walks the pattern in place: this runs once per tuple, so splitting
+	// the pattern into segments here would allocate once per tuple.
+	i := strings.IndexByte(pattern, '%')
+	if i < 0 {
 		return s == pattern
 	}
-	if parts[0] != "" {
-		if !strings.HasPrefix(s, parts[0]) {
-			return false
-		}
-		s = s[len(parts[0]):]
+	if !strings.HasPrefix(s, pattern[:i]) {
+		return false
 	}
-	last := parts[len(parts)-1]
-	if last != "" {
-		if !strings.HasSuffix(s, last) {
-			return false
-		}
-		s = s[:len(s)-len(last)]
+	s, pattern = s[i:], pattern[i+1:]
+	j := strings.LastIndexByte(pattern, '%')
+	if !strings.HasSuffix(s, pattern[j+1:]) {
+		return false
 	}
-	for _, mid := range parts[1 : len(parts)-1] {
-		if mid == "" {
-			continue
+	s = s[:len(s)-len(pattern[j+1:])]
+	for mids := pattern[:max(j, 0)]; mids != ""; {
+		mid := mids
+		if k := strings.IndexByte(mids, '%'); k >= 0 {
+			mid, mids = mids[:k], mids[k+1:]
+		} else {
+			mids = ""
 		}
 		idx := strings.Index(s, mid)
 		if idx < 0 {
@@ -98,118 +99,63 @@ func makeSelLike(negate, branching bool, v variant) core.PrimFn {
 	}
 }
 
-// makeSelIn builds select_in_str_col: qualifying tuples are those whose
-// value appears in the In[1] value list (built once per call; the lists
-// are tiny in practice — TPC-H uses 2-8 values).
-func makeSelIn(branching bool, v variant) core.PrimFn {
+// makeSelIn builds select_in_str_col and select_in_sint_col (the IN lists
+// of TPC-H Q12/Q16/Q19/Q22): qualifying tuples are those whose value appears
+// in the In[1] value list. The lists are tiny (2-8 values), so membership is
+// a linear scan — cheaper than the map a call would otherwise build per
+// batch. extraCmp is the per-tuple comparison cost beyond an integer
+// compare (string lists pay likeCostFactor).
+func makeSelIn[T ordered](branching bool, v variant, extraCmp float64) core.PrimFn {
 	return func(ctx *core.ExecCtx, c *core.Call) (int, float64) {
-		col := c.In[0].Str()
-		vals := c.In[1].Str()
-		set := make(map[string]bool, len(vals))
-		for _, s := range vals {
-			set[s] = true
+		col := sliceOf[T](c.In[0])
+		vals := sliceOf[T](c.In[1])
+		in := func(x T) bool {
+			for _, val := range vals {
+				if val == x {
+					return true
+				}
+			}
+			return false
 		}
 		out := c.SelOut
 		k := 0
+		extra := float64(c.Live()) * cmpElem * extraCmp
 		if branching {
 			mispredicts := 0
 			pred := &c.Inst.Pred
+			match := func(i int32) {
+				ok := in(col[i])
+				if pred.Record(ok) {
+					mispredicts++
+				}
+				if ok {
+					out[k] = i
+					k++
+				}
+			}
 			if c.Sel != nil {
 				for _, i := range c.Sel {
-					ok := set[col[i]]
-					if pred.Record(ok) {
-						mispredicts++
-					}
-					if ok {
-						out[k] = i
-						k++
-					}
+					match(i)
 				}
 			} else {
 				for i := 0; i < c.N; i++ {
-					ok := set[col[i]]
-					if pred.Record(ok) {
-						mispredicts++
-					}
-					if ok {
-						out[k] = int32(i)
-						k++
-					}
+					match(int32(i))
 				}
 			}
-			cost := selectionCost(ctx, v, c.Live(), k, mispredicts)
-			cost += float64(c.Live()) * cmpElem * (likeCostFactor - 1)
-			return k, cost
+			return k, selectionCost(ctx, v, c.Live(), k, mispredicts) + extra
 		}
 		if c.Sel != nil {
 			for _, i := range c.Sel {
 				out[k] = i
-				k += b2i(set[col[i]])
+				k += b2i(in(col[i]))
 			}
 		} else {
 			for i := 0; i < c.N; i++ {
 				out[k] = int32(i)
-				k += b2i(set[col[i]])
+				k += b2i(in(col[i]))
 			}
 		}
-		cost := selectionNoBranchCost(ctx, v, c.Live())
-		cost += float64(c.Live()) * cmpElem * (likeCostFactor - 1)
-		return k, cost
-	}
-}
-
-// makeSelInI32 builds select_in_sint_col: the integer IN-list selection
-// (sizes of TPC-H Q16/Q19). Values are In[1] (sint).
-func makeSelInI32(branching bool, v variant) core.PrimFn {
-	return func(ctx *core.ExecCtx, c *core.Call) (int, float64) {
-		col := c.In[0].I32()
-		vals := c.In[1].I32()
-		set := make(map[int32]bool, len(vals))
-		for _, x := range vals {
-			set[x] = true
-		}
-		out := c.SelOut
-		k := 0
-		if branching {
-			mispredicts := 0
-			pred := &c.Inst.Pred
-			if c.Sel != nil {
-				for _, i := range c.Sel {
-					ok := set[col[i]]
-					if pred.Record(ok) {
-						mispredicts++
-					}
-					if ok {
-						out[k] = i
-						k++
-					}
-				}
-			} else {
-				for i := 0; i < c.N; i++ {
-					ok := set[col[i]]
-					if pred.Record(ok) {
-						mispredicts++
-					}
-					if ok {
-						out[k] = int32(i)
-						k++
-					}
-				}
-			}
-			return k, selectionCost(ctx, v, c.Live(), k, mispredicts)
-		}
-		if c.Sel != nil {
-			for _, i := range c.Sel {
-				out[k] = i
-				k += b2i(set[col[i]])
-			}
-		} else {
-			for i := 0; i < c.N; i++ {
-				out[k] = int32(i)
-				k += b2i(set[col[i]])
-			}
-		}
-		return k, selectionNoBranchCost(ctx, v, c.Live())
+		return k, selectionNoBranchCost(ctx, v, c.Live()) + extra
 	}
 }
 
@@ -234,9 +180,9 @@ func registerLike(d *core.Dictionary, o Options) {
 					var fn core.PrimFn
 					switch {
 					case e.inI32:
-						fn = makeSelInI32(br == "branch", v)
+						fn = makeSelIn[int32](br == "branch", v, 0)
 					case e.in:
-						fn = makeSelIn(br == "branch", v)
+						fn = makeSelIn[string](br == "branch", v, likeCostFactor-1)
 					default:
 						fn = makeSelLike(e.negate, br == "branch", v)
 					}

@@ -3,6 +3,7 @@ package primitive
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -624,6 +625,55 @@ func TestLikeMatch(t *testing.T) {
 			t.Errorf("LikeMatch(%q, %q) = %v", c.s, c.pat, c.want)
 		}
 	}
+	// The in-place pattern walk must agree with the segment-splitting
+	// definition on every short string and pattern over {a, b, %}.
+	var words func(alphabet string, n int) []string
+	words = func(alphabet string, n int) []string {
+		out := []string{""}
+		if n > 0 {
+			for _, w := range words(alphabet, n-1) {
+				for _, r := range alphabet {
+					out = append(out, w+string(r))
+				}
+			}
+		}
+		return out
+	}
+	for _, pat := range words("ab%", 5) {
+		for _, str := range words("ab", 4) {
+			if got, want := LikeMatch(str, pat), likeMatchBySplit(str, pat); got != want {
+				t.Fatalf("LikeMatch(%q, %q) = %v, split definition says %v", str, pat, got, want)
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { LikeMatch("a special deal requests more", "%special%requests%") }); a != 0 {
+		t.Errorf("LikeMatch allocates %v objects per tuple, want 0", a)
+	}
+}
+
+// likeMatchBySplit is the reference definition of LikeMatch.
+func likeMatchBySplit(s, pattern string) bool {
+	parts := strings.Split(pattern, "%")
+	if len(parts) == 1 {
+		return s == pattern
+	}
+	if !strings.HasPrefix(s, parts[0]) {
+		return false
+	}
+	s = s[len(parts[0]):]
+	last := parts[len(parts)-1]
+	if !strings.HasSuffix(s, last) {
+		return false
+	}
+	s = s[:len(s)-len(last)]
+	for _, mid := range parts[1 : len(parts)-1] {
+		idx := strings.Index(s, mid)
+		if idx < 0 {
+			return false
+		}
+		s = s[idx+len(mid):]
+	}
+	return true
 }
 
 func TestWidenToI64(t *testing.T) {

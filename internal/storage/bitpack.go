@@ -138,6 +138,6 @@ func (c *bitPackColumn) Gather(lo int, sel []int32, dst *vector.Vector) {
 
 // SelectConst reports false: a packed value must be unpacked to compare, so
 // there is no compressed-form shortcut; callers decode and compare.
-func (c *bitPackColumn) SelectConst(lo, hi int, op string, rhs any, sel []int32, out []int32) (int, bool) {
+func (c *bitPackColumn) SelectConst(lo, hi int, op string, rhs *vector.Vector, sel []int32, out []int32) (int, bool) {
 	return 0, false
 }

@@ -80,9 +80,9 @@ func (c *dictColumn[T]) Gather(lo int, sel []int32, dst *vector.Vector) {
 // SelectConst evaluates the predicate on codes: the sorted dictionary maps
 // the constant to a code interval once (two binary searches), then each row
 // costs one uint16 compare.
-func (c *dictColumn[T]) SelectConst(lo, hi int, op string, rhs any, sel []int32, out []int32) (int, bool) {
-	val, ok := constVal[T](rhs)
-	if !ok || isNaNVal(val) {
+func (c *dictColumn[T]) SelectConst(lo, hi int, op string, rhs *vector.Vector, sel []int32, out []int32) (int, bool) {
+	val := typedSlice[T](rhs)[0]
+	if isNaNVal(val) {
 		// A NaN constant compares false under every operator except != on
 		// real values; code arithmetic cannot express that — fall back.
 		return 0, false

@@ -75,6 +75,6 @@ func (c *flatColumn) Gather(lo int, sel []int32, dst *vector.Vector) {
 
 // SelectConst reports false: flat columns have no compressed form to
 // operate on; callers decode (trivially) and compare.
-func (c *flatColumn) SelectConst(lo, hi int, op string, rhs any, sel []int32, out []int32) (int, bool) {
+func (c *flatColumn) SelectConst(lo, hi int, op string, rhs *vector.Vector, sel []int32, out []int32) (int, bool) {
 	return 0, false
 }

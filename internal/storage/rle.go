@@ -93,12 +93,8 @@ func (c *rleColumn[T]) Gather(lo int, sel []int32, dst *vector.Vector) {
 
 // SelectConst evaluates the predicate once per run and emits whole runs of
 // qualifying positions — O(runs + selected) instead of O(rows).
-func (c *rleColumn[T]) SelectConst(lo, hi int, op string, rhs any, sel []int32, out []int32) (int, bool) {
-	val, ok := constVal[T](rhs)
-	if !ok {
-		return 0, false
-	}
-	cmp := cmpFn[T](op)
+func (c *rleColumn[T]) SelectConst(lo, hi int, op string, rhs *vector.Vector, sel []int32, out []int32) (int, bool) {
+	val := typedSlice[T](rhs)[0]
 	k := 0
 	if sel != nil {
 		if len(sel) == 0 {
@@ -112,7 +108,7 @@ func (c *rleColumn[T]) SelectConst(lo, hi int, op string, rhs any, sel []int32, 
 				r++
 			}
 			if r != lastR {
-				lastR, lastOK = r, cmp(c.values[r], val)
+				lastR, lastOK = r, compare(op, c.values[r], val)
 			}
 			if lastOK {
 				out[k] = p
@@ -127,7 +123,7 @@ func (c *rleColumn[T]) SelectConst(lo, hi int, op string, rhs any, sel []int32, 
 		if end > hi {
 			end = hi
 		}
-		if cmp(c.values[r], val) {
+		if compare(op, c.values[r], val) {
 			for ; i < end; i++ {
 				out[k] = int32(i - lo)
 				k++

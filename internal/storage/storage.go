@@ -82,9 +82,9 @@ type EncodedColumn interface {
 	// restricted to sel (nil = all), appending qualifying batch positions
 	// to out and returning their count. The boolean reports whether the
 	// encoding evaluated the predicate on the compressed form; false means
-	// the caller must decode and compare itself. rhs is int64 for integer
-	// columns, float64 for dbl, string for str.
-	SelectConst(lo, hi int, op string, rhs any, sel []int32, out []int32) (int, bool)
+	// the caller must decode and compare itself. rhs is the constant as a
+	// 1-tuple vector of the column's type.
+	SelectConst(lo, hi int, op string, rhs *vector.Vector, sel []int32, out []int32) (int, bool)
 }
 
 // elem covers every decodable element type.
@@ -128,49 +128,25 @@ func vecTypeOf[T elem]() vector.Type {
 	}
 }
 
-// cmpFn builds the comparison for one operator spelling.
-func cmpFn[T elem](op string) func(a, b T) bool {
+// compare evaluates a <op> b for one operator spelling. (A closure per
+// operator would be a heap allocation per SelectConst call: a func literal
+// in a generic function captures its type dictionary.)
+func compare[T elem](op string, a, b T) bool {
 	switch op {
 	case "<":
-		return func(a, b T) bool { return a < b }
+		return a < b
 	case "<=":
-		return func(a, b T) bool { return a <= b }
+		return a <= b
 	case ">":
-		return func(a, b T) bool { return a > b }
+		return a > b
 	case ">=":
-		return func(a, b T) bool { return a >= b }
+		return a >= b
 	case "==":
-		return func(a, b T) bool { return a == b }
+		return a == b
 	case "!=":
-		return func(a, b T) bool { return a != b }
+		return a != b
 	default:
 		panic("storage: unknown comparison " + op)
-	}
-}
-
-// constVal narrows the boxed rhs constant to the column's element type.
-// Integer constants arrive widened to int64; the narrowing is lossless
-// because predicate constants are built from the column's own type.
-func constVal[T elem](rhs any) (T, bool) {
-	var zero T
-	switch any(zero).(type) {
-	case int16:
-		v, ok := rhs.(int64)
-		return any(int16(v)).(T), ok
-	case int32:
-		v, ok := rhs.(int64)
-		return any(int32(v)).(T), ok
-	case int64:
-		v, ok := rhs.(int64)
-		return any(v).(T), ok
-	case float64:
-		v, ok := rhs.(float64)
-		return any(v).(T), ok
-	case string:
-		v, ok := rhs.(string)
-		return any(v).(T), ok
-	default:
-		return zero, false
 	}
 }
 

@@ -222,7 +222,7 @@ func TestSelectConstMatchesNaive(t *testing.T) {
 			}
 			for _, enc := range allEncodings(t, v) {
 				out := make([]int32, n)
-				k, ok := enc.SelectConst(lo, hi, op, int64(rhs), sel, out)
+				k, ok := enc.SelectConst(lo, hi, op, vector.ConstI32(rhs), sel, out)
 				if !ok {
 					continue // no compressed-form path; flavors decode instead
 				}
@@ -266,7 +266,7 @@ func TestDictRejectsNaNAndFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := make([]int32, 5)
-	if _, ok := dict.SelectConst(0, 5, "<", math.NaN(), nil, out); ok {
+	if _, ok := dict.SelectConst(0, 5, "<", vector.ConstF64(math.NaN()), nil, out); ok {
 		t.Error("dict SelectConst with NaN constant should report no compressed path")
 	}
 }

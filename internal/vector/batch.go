@@ -151,18 +151,3 @@ func (b *Batch) CompactInto(dst *Batch) *Batch {
 	}
 	return dst
 }
-
-// IntersectSel combines an existing selection with a new selection expressed
-// over the positions of the old one (the common composition produced by
-// selection primitives running under a selection vector). If old is nil the
-// new selection is returned as-is.
-func IntersectSel(old Sel, sub Sel) Sel {
-	if old == nil {
-		return sub
-	}
-	out := make(Sel, len(sub))
-	for j, i := range sub {
-		out[j] = old[i]
-	}
-	return out
-}

@@ -207,20 +207,42 @@ func (v *Vector) check(t Type) {
 
 // Slice returns a zero-copy view of tuples [lo, hi).
 func (v *Vector) Slice(lo, hi int) *Vector {
-	out := &Vector{typ: v.typ, n: hi - lo}
+	out := new(Vector)
+	v.SliceInto(out, lo, hi)
+	return out
+}
+
+// SliceInto makes dst a zero-copy view of tuples [lo, hi) of v, replacing
+// whatever dst viewed before: the allocation-free form of Slice for
+// operators that emit a fresh window of the same columns on every batch.
+func (v *Vector) SliceInto(dst *Vector, lo, hi int) {
+	*dst = Vector{typ: v.typ, n: hi - lo}
 	switch v.typ {
 	case I16:
-		out.i16 = v.i16[lo:hi]
+		dst.i16 = v.i16[lo:hi]
 	case I32:
-		out.i32 = v.i32[lo:hi]
+		dst.i32 = v.i32[lo:hi]
 	case I64:
-		out.i64 = v.i64[lo:hi]
+		dst.i64 = v.i64[lo:hi]
 	case F64:
-		out.f64 = v.f64[lo:hi]
+		dst.f64 = v.f64[lo:hi]
 	case Str:
-		out.str = v.str[lo:hi]
+		dst.str = v.str[lo:hi]
 	}
-	return out
+}
+
+// Reuse returns a vector of type t and length n for an operator to write a
+// batch's results into: v itself when it already has the type and the
+// capacity, a new vector otherwise (v may be nil). Contents are whatever the
+// previous batch left — positions the writer does not store to are stale,
+// not zero, which is the contract result vectors have under a selection
+// vector anyway.
+func Reuse(v *Vector, t Type, n int) *Vector {
+	if v == nil || v.typ != t || v.Cap() < n {
+		v = New(t, n)
+	}
+	v.n = n
+	return v
 }
 
 // Clone returns a deep copy of the live prefix of v.

@@ -164,24 +164,6 @@ func TestSchemaIndexOf(t *testing.T) {
 	s.MustIndexOf("zzz")
 }
 
-func TestIntersectSel(t *testing.T) {
-	old := Sel{3, 5, 9, 12}
-	sub := Sel{0, 2, 3}
-	got := IntersectSel(old, sub)
-	want := Sel{3, 9, 12}
-	if len(got) != len(want) {
-		t.Fatalf("len = %d", len(got))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("got[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-	if IntersectSel(nil, sub)[1] != 2 {
-		t.Error("nil old should pass sub through")
-	}
-}
-
 // Property: Compact preserves exactly the selected values, in order.
 func TestCompactProperty(t *testing.T) {
 	f := func(vals []int64, picks []uint8) bool {

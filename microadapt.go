@@ -24,7 +24,6 @@ package microadapt
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"sync/atomic"
 
 	"microadapt/internal/bench"
@@ -245,8 +244,7 @@ func VWGreedyChooser(p VWParams, seed int64) ChooserFactory {
 	return func(n int) Chooser {
 		// The odd stride decorrelates consecutive streams (same scheme as
 		// the policy registry).
-		rng := rand.New(rand.NewSource(seed + ctr.Add(1)*6364136223846793005))
-		return core.NewVWGreedy(n, p, rng)
+		return core.NewVWGreedy(n, p, core.NewLazyRand(seed+ctr.Add(1)*6364136223846793005))
 	}
 }
 
