@@ -16,9 +16,10 @@
 // A shard process generates the same database as a single-process server
 // and serves shard i's contiguous row range of every table over the
 // identical HTTP surface. A coordinator process holds only the schema,
-// lowers each query into per-shard plan fragments, merges the partials
-// bit-identically, finishes the residual locally, and gossips flavor
-// knowledge across the fleet through /v1/flavors.
+// lowers each query into per-shard plan fragments, streams every partial
+// back over /v1/plan/stream (a shard whose stream fails fails the query),
+// merges the partials bit-identically, finishes the residual locally, and
+// gossips flavor knowledge across the fleet through /v1/flavors.
 //
 // Endpoints:
 //
@@ -28,10 +29,10 @@
 //	POST   /v1/session         mint a client session
 //	GET    /v1/session/{id}    a session's adaptation counters
 //	DELETE /v1/session/{id}    drop a session
-//	POST   /v1/query           {"query": 6, "session": "...", ...}
-//	POST   /v1/plan            {"plan": <plan JSON>, ...}
+//	POST   /v1/query           {"query": 6, "session": "...", ...}; JSON result
+//	POST   /v1/plan            {"plan": <plan JSON>, ...}; JSON result
 //	POST   /v1/plan/stream     same request, NDJSON chunked response
-//	                           (header / chunk* / trailer frames)
+//	                           (header / binary chunk* / trailer frames)
 package main
 
 import (
@@ -74,9 +75,7 @@ func main() {
 	coordinator := fs.String("coordinator", "", "comma-separated shard URLs: run as fleet coordinator")
 	gossip := fs.Duration("gossip", 2*time.Second, "coordinator flavor-gossip interval (0 disables)")
 	siteFanout := fs.Int("site-fanout", 0, "coordinator: concurrent fragment sites per query (0 = default, 1 = sequential)")
-	bufferedFrags := fs.Bool("buffered-fragments", false, "coordinator: disable streaming fragment fetch, buffer whole partials")
 	streamChunk := fs.Int("stream-chunk-rows", 0, "rows per /v1/plan/stream chunk frame (0 = default)")
-	wireJSON := fs.Bool("wire-json", false, "force the legacy JSON wire encoding for result tables (server: ignore binary negotiation; coordinator: do not request binary from shards)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty disables)")
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		os.Exit(2)
@@ -127,12 +126,10 @@ func main() {
 		}
 		var err error
 		coord, err = dist.New(dist.Config{
-			Shards:            urls,
-			DB:                db,
-			Service:           svcCfg,
-			SiteFanout:        *siteFanout,
-			BufferedFragments: *bufferedFrags,
-			JSONWire:          *wireJSON,
+			Shards:     urls,
+			DB:         db,
+			Service:    svcCfg,
+			SiteFanout: *siteFanout,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -164,7 +161,6 @@ func main() {
 		MaxSessions:     *maxSessions,
 		SessionTTL:      *sessionTTL,
 		StreamChunkRows: *streamChunk,
-		LegacyJSONWire:  *wireJSON,
 	}), *addr)
 	if err != nil {
 		log.Fatal(err)

@@ -31,24 +31,11 @@ func distServiceConfig(cfg Config) service.Config {
 }
 
 // startDistFleet spins up n in-process shard servers over row-range
-// shards of db plus a coordinator. The returned stop function shuts the
-// fleet down.
-func startDistFleet(db *tpch.DB, n int, sc service.Config) (*dist.Coordinator, func(), error) {
-	return startDistFleetFanout(db, n, sc, 0)
-}
-
-// startDistFleetFanout is startDistFleet with an explicit coordinator
-// site fan-out: 1 runs fragment sites sequentially (deterministic
-// shard-side learning, what the gated bench entries need); 0 takes the
-// coordinator default (overlapped sites).
-func startDistFleetFanout(db *tpch.DB, n int, sc service.Config, fanout int) (*dist.Coordinator, func(), error) {
-	return startDistFleetWire(db, n, sc, fanout, false)
-}
-
-// startDistFleetWire additionally pins the wire encoding: jsonWire forces
-// the legacy JSON partial bodies, isolating the binary codec's
-// contribution in the dist-n2 vs dist-json bench entries.
-func startDistFleetWire(db *tpch.DB, n int, sc service.Config, fanout int, jsonWire bool) (*dist.Coordinator, func(), error) {
+// shards of db plus a coordinator with the given site fan-out: 1 runs
+// fragment sites sequentially (deterministic shard-side learning, what
+// the gated bench entries need); 0 takes the coordinator default
+// (overlapped sites). The returned stop function shuts the fleet down.
+func startDistFleet(db *tpch.DB, n int, sc service.Config, fanout int) (*dist.Coordinator, func(), error) {
 	var runs []*server.Running
 	stop := func() {
 		for _, r := range runs {
@@ -68,7 +55,7 @@ func startDistFleetWire(db *tpch.DB, n int, sc service.Config, fanout int, jsonW
 		runs = append(runs, run)
 		urls[i] = run.URL
 	}
-	c, err := dist.New(dist.Config{Shards: urls, DB: db, Service: sc, SiteFanout: fanout, JSONWire: jsonWire})
+	c, err := dist.New(dist.Config{Shards: urls, DB: db, Service: sc, SiteFanout: fanout})
 	if err != nil {
 		stop()
 		return nil, nil, err
@@ -96,7 +83,7 @@ type distTierStats struct {
 // shards and verifies every result against the single-process
 // fingerprints.
 func runDistTier(db *tpch.DB, n, rounds int, sc service.Config, want map[int]string) (distTierStats, error) {
-	c, stop, err := startDistFleet(db, n, sc)
+	c, stop, err := startDistFleet(db, n, sc, 0)
 	if err != nil {
 		return distTierStats{}, err
 	}
@@ -233,7 +220,7 @@ func Federation(cfg Config) (*Report, error) {
 	db := cfg.DB()
 	sc := distServiceConfig(cfg)
 
-	c, stop, err := startDistFleet(db, 2, sc)
+	c, stop, err := startDistFleet(db, 2, sc, 0)
 	if err != nil {
 		return nil, err
 	}

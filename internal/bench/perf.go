@@ -123,24 +123,18 @@ func RunPerfSuite(cfg Config) (*PerfSuite, error) {
 	// sequence stays deterministic, keeping off-best % and prim cycles
 	// reproducible. dist-stream overlaps sites under the default fan-out —
 	// the full streaming pipeline — and is recorded trajectory-only.
-	// dist-json is dist-n2 pinned to the legacy JSON wire: its
-	// deterministic metrics must equal dist-n2's exactly (the codec changes
-	// bytes on the wire, never decoded values), and the wall-time gap
-	// between the two is the binary encoding's contribution.
 	tiers := []struct {
 		name       string
 		shards     int
 		fanout     int
-		jsonWire   bool
 		trajectory bool
 	}{
-		{"dist-n2", 2, 1, false, false},
-		{"dist-n4", 4, 1, false, false},
-		{"dist-json", 2, 1, true, false},
-		{"dist-stream", 2, 0, false, true}, // 0 = default fan-out
+		{"dist-n2", 2, 1, false},
+		{"dist-n4", 4, 1, false},
+		{"dist-stream", 2, 0, true}, // 0 = default fan-out
 	}
 	for _, tier := range tiers {
-		c, stop, err := startDistFleetWire(db, tier.shards, sc, tier.fanout, tier.jsonWire)
+		c, stop, err := startDistFleet(db, tier.shards, sc, tier.fanout)
 		if err != nil {
 			return nil, err
 		}
@@ -166,7 +160,7 @@ func RunPerfSuite(cfg Config) (*PerfSuite, error) {
 
 	// Federation: cold shard vs. the same shard warm-started from fleet
 	// knowledge gossiped out of a 2-shard fleet.
-	c, stop, err := startDistFleet(db, 2, sc)
+	c, stop, err := startDistFleet(db, 2, sc, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -4,12 +4,12 @@
 //
 // The coordinator plans queries against a schema-only catalog, derives
 // per-shard plan fragments at the base-table scans (plan.FragmentSites),
-// fans the fragments out over madaptd's existing HTTP/JSON plan endpoint,
-// merges the partial tables bit-identically (concatenation in shard
-// order, or exact partial-aggregate folding), presets the merged results
-// into the original plan's executor, and runs the residual — joins, final
-// aggregates, delivery steps — locally. Results are byte-for-byte the
-// tables a single process produces.
+// fans the fragments out over madaptd's streaming plan endpoint
+// (/v1/plan/stream), merges the partial tables bit-identically
+// (concatenation in shard order, or exact partial-aggregate folding),
+// presets the merged results into the original plan's executor, and runs
+// the residual — joins, final aggregates, delivery steps — locally.
+// Results are byte-for-byte the tables a single process produces.
 //
 // Micro-adaptivity crosses the process boundary twice. Shard-side
 // fragments carry the original plan's node labels, so their primitive
@@ -35,6 +35,14 @@ import (
 	"microadapt/internal/tpch"
 )
 
+const (
+	// fragmentTimeoutMS bounds one fragment round trip on the shard.
+	fragmentTimeoutMS = 60_000
+	// latencyWindow is the sample capacity of each per-shard fragment
+	// round-trip window and of the time-to-first-chunk window.
+	latencyWindow = 1024
+)
+
 // Config parameterizes a Coordinator.
 type Config struct {
 	// Shards are the shard base URLs in shard order. Shard i must hold
@@ -50,28 +58,11 @@ type Config struct {
 	// Service configures the residual-execution service (policy, flavors,
 	// vector size, warm start). Zero value takes service defaults.
 	Service service.Config
-	// Retry is the per-shard client retry policy; zero value installs
-	// server.DefaultRetry.
-	Retry *server.RetryPolicy
-	// FragmentTimeoutMS bounds one fragment round trip (default 60s).
-	FragmentTimeoutMS int
-	// LatencyWindow is the per-shard fragment RTT window capacity
-	// (default 1024).
-	LatencyWindow int
 	// SiteFanout bounds how many independent fragment sites execute
 	// concurrently (default 4). 1 runs sites sequentially in site order —
 	// still streaming over the wire, but with a deterministic shard-side
 	// learning sequence, which the bench suite relies on.
 	SiteFanout int
-	// BufferedFragments forces the buffered /v1/plan path for every
-	// fragment instead of trying /v1/plan/stream first.
-	BufferedFragments bool
-	// JSONWire disables negotiation of the binary columnar partial
-	// encoding, forcing JSON bodies like a pre-binary coordinator. The
-	// default (false) requests binary from every shard; old JSON-only
-	// shards ignore the negotiation header and keep answering JSON, which
-	// the clients decode transparently — see server.Client.WithBinaryWire.
-	JSONWire bool
 }
 
 // shardConn is one shard's client plus its observability.
@@ -88,16 +79,9 @@ type shardConn struct {
 type Coordinator struct {
 	svc        *service.Service
 	shards     []*shardConn
-	timeoutMS  int
 	siteFanout int
-	buffered   bool // force the buffered fragment path
 
-	fragments      atomic.Int64 // logical fragments dispatched (one per site x shard)
-	attempts       atomic.Int64 // transport attempts (stream try + buffered retry each count)
-	streamedFrags  atomic.Int64 // fragments completed over /v1/plan/stream
-	bufferedFrags  atomic.Int64 // fragments completed over buffered /v1/plan
-	binChunks      atomic.Int64 // partial chunks that arrived binary-encoded
-	jsonChunks     atomic.Int64 // partial chunks that arrived JSON-encoded
+	fragments      atomic.Int64 // fragments dispatched (one per site x shard)
 	ttfc           *stats.Window
 	gossipRounds   atomic.Int64
 	gossipImported atomic.Int64
@@ -116,16 +100,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.DB == nil {
 		return nil, fmt.Errorf("dist: Config.DB is required")
 	}
-	retry := server.DefaultRetry
-	if cfg.Retry != nil {
-		retry = *cfg.Retry
-	}
-	if cfg.FragmentTimeoutMS <= 0 {
-		cfg.FragmentTimeoutMS = 60_000
-	}
-	if cfg.LatencyWindow < 1 {
-		cfg.LatencyWindow = 1024
-	}
 	if cfg.SiteFanout < 1 {
 		cfg.SiteFanout = 4
 	}
@@ -135,16 +109,14 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		svc:        svc,
-		timeoutMS:  cfg.FragmentTimeoutMS,
 		siteFanout: cfg.SiteFanout,
-		buffered:   cfg.BufferedFragments,
-		ttfc:       stats.NewWindow(cfg.LatencyWindow),
+		ttfc:       stats.NewWindow(latencyWindow),
 	}
 	for _, url := range cfg.Shards {
 		c.shards = append(c.shards, &shardConn{
 			url:    url,
-			client: server.NewClient(url).WithRetry(retry).WithBinaryWire(!cfg.JSONWire),
-			lat:    stats.NewWindow(cfg.LatencyWindow),
+			client: server.NewClient(url),
+			lat:    stats.NewWindow(latencyWindow),
 		})
 	}
 	return c, nil
@@ -306,7 +278,7 @@ func (c *Coordinator) run(b *plan.Builder, finish func(*plan.Builder, *plan.Exec
 
 // encodeFragment marshals one site's fragment into the request body every
 // shard receives — encoded exactly once per site, however large the
-// fleet. The same bytes serve both the streaming and buffered endpoints.
+// fleet.
 func (c *Coordinator) encodeFragment(site *plan.FragmentSite) ([]byte, error) {
 	wire, err := plan.MarshalPlan(site.Fragment)
 	if err != nil {
@@ -314,7 +286,7 @@ func (c *Coordinator) encodeFragment(site *plan.FragmentSite) ([]byte, error) {
 	}
 	body, err := server.EncodePlanRequest(server.PlanRequest{
 		Plan:          wire,
-		TimeoutMS:     c.timeoutMS,
+		TimeoutMS:     fragmentTimeoutMS,
 		IncludeResult: true,
 	})
 	if err != nil {
@@ -364,50 +336,20 @@ func (c *Coordinator) runSite(site *plan.FragmentSite) (*engine.Table, server.St
 	return m, sst, nil
 }
 
-// fetchShard delivers one shard's partial into the accumulator: streaming
-// first, falling back to the buffered endpoint if the stream fails for
-// any reason (old peer, truncation, digest mismatch). A failed stream's
-// already-delivered chunks are discarded via ResetShard before the
-// buffered retry, so no partial rows survive into the merge.
+// fetchShard ships the fragment over /v1/plan/stream, folding each chunk
+// into the accumulator as it arrives and recording time-to-first-chunk.
+// The stream is the only transport and there is no retry: a stream that
+// fails — non-200, truncation, digest or count mismatch, an error frame —
+// fails the query, and runSite names the shard and fragment. (A 429 is
+// retried inside the client before the first frame arrives.)
 //
-// The logical fragment is counted exactly once here, however many
-// transport attempts it takes — a stream→buffered fallback is one
-// fragment, two attempts — so on success fragments == streamed+buffered
-// always holds in /metrics. (It used to be counted per attempt, which
-// double-counted every fallback.)
+// TTFC is measured during the stream but recorded only once the whole
+// stream verifies: a stream that dies after its first chunk must not
+// leave a provisional sample in the window (it would skew the
+// percentiles low, since aborted streams tend to have delivered their
+// first chunk quickly).
 func (c *Coordinator) fetchShard(acc *plan.PartialAccumulator, shi int, sh *shardConn, body []byte) (server.StatsJSON, error) {
 	c.fragments.Add(1)
-	if !c.buffered {
-		sst, serr := c.fetchStream(acc, shi, sh, body)
-		if serr == nil {
-			return sst, nil
-		}
-		if rerr := acc.ResetShard(shi); rerr != nil {
-			// Reset refuses only after FinishShard — the stream was already
-			// folded, so the failure is a post-verification bug, not a
-			// retryable transport error.
-			return sst, fmt.Errorf("stream failed after shard finished: %v (%w)", serr, rerr)
-		}
-	}
-	sst, tab, err := c.fetchBuffered(sh, body)
-	if err != nil {
-		return sst, err
-	}
-	if err := acc.AddChunk(shi, tab); err != nil {
-		return sst, err
-	}
-	return sst, acc.FinishShard(shi)
-}
-
-// fetchStream ships the fragment over /v1/plan/stream, folding each chunk
-// into the accumulator as it arrives and recording time-to-first-chunk.
-// TTFC is measured during the stream but recorded only once the whole
-// stream verifies: a stream that dies after its first chunk falls back to
-// the buffered path, and its provisional TTFC sample must not survive
-// into the window (it would skew the percentiles low, since aborted
-// streams tend to have delivered their first chunk quickly).
-func (c *Coordinator) fetchStream(acc *plan.PartialAccumulator, shi int, sh *shardConn, body []byte) (server.StatsJSON, error) {
-	c.attempts.Add(1)
 	start := time.Now()
 	ttfc := -1.0
 	res, err := sh.client.PlanStreamEncoded(body, func(tj *server.TableJSON) error {
@@ -429,75 +371,29 @@ func (c *Coordinator) fetchStream(acc *plan.PartialAccumulator, shi int, sh *sha
 	}
 	c.ttfc.Add(ttfc)
 	sh.lat.Add(float64(time.Since(start)))
-	c.streamedFrags.Add(1)
-	c.binChunks.Add(int64(res.BinaryChunks))
-	c.jsonChunks.Add(int64(res.Chunks - res.BinaryChunks))
-	if err := acc.FinishShard(shi); err != nil {
-		return res.Stats, err
-	}
-	return res.Stats, nil
-}
-
-// fetchBuffered ships the fragment over buffered /v1/plan and decodes the
-// whole partial — the fallback path and the BufferedFragments mode.
-func (c *Coordinator) fetchBuffered(sh *shardConn, body []byte) (server.StatsJSON, *engine.Table, error) {
-	c.attempts.Add(1)
-	start := time.Now()
-	out, err := sh.client.PlanEncoded(body)
-	if err != nil {
-		return server.StatsJSON{}, nil, err
-	}
-	sh.lat.Add(float64(time.Since(start)))
-	if !out.OK() {
-		msg := "(no body)"
-		if out.Err != nil {
-			msg = out.Err.Error
-		}
-		return server.StatsJSON{}, nil, fmt.Errorf("status %d: %s", out.Status, msg)
-	}
-	tj, err := out.Response.ResultTable()
-	if err != nil {
-		return server.StatsJSON{}, nil, err
-	}
-	if tj == nil {
-		return server.StatsJSON{}, nil, fmt.Errorf("shard answered without result table")
-	}
-	tab, err := server.DecodeTable(tj)
-	if err != nil {
-		return server.StatsJSON{}, nil, err
-	}
-	c.bufferedFrags.Add(1)
-	if len(out.Response.ResultBin) > 0 {
-		c.binChunks.Add(1)
-	} else {
-		c.jsonChunks.Add(1)
-	}
-	return out.Response.Stats, tab, nil
+	return res.Stats, acc.FinishShard(shi)
 }
 
 // Fleet implements server.FleetReporter: fleet-wide fragment latency from
 // the per-shard windows folded with stats.Window.Merge, plus gossip
 // counters.
 func (c *Coordinator) Fleet() server.FleetMetrics {
-	all := stats.NewWindow(len(c.shards) * 1024)
+	all := stats.NewWindow(len(c.shards) * latencyWindow)
 	for _, sh := range c.shards {
 		all.Merge(sh.lat)
 	}
 	ps := all.Percentiles(50, 99)
 	ttfc := c.ttfc.Percentiles(50, 99)
+	sent := c.fragments.Load()
 	return server.FleetMetrics{
-		Shards:            len(c.shards),
-		FragmentsSent:     c.fragments.Load(),
-		FragmentAttempts:  c.attempts.Load(),
-		StreamedFragments: c.streamedFrags.Load(),
-		BufferedFragments: c.bufferedFrags.Load(),
-		BinaryChunks:      c.binChunks.Load(),
-		JSONChunks:        c.jsonChunks.Load(),
-		GossipRounds:      c.gossipRounds.Load(),
-		GossipImported:    c.gossipImported.Load(),
-		FragmentP50US:     ps[0] / 1e3,
-		FragmentP99US:     ps[1] / 1e3,
-		TTFCP50US:         ttfc[0] / 1e3,
-		TTFCP99US:         ttfc[1] / 1e3,
+		Shards:           len(c.shards),
+		FragmentsSent:    sent,
+		FragmentAttempts: sent,
+		GossipRounds:     c.gossipRounds.Load(),
+		GossipImported:   c.gossipImported.Load(),
+		FragmentP50US:    ps[0] / 1e3,
+		FragmentP99US:    ps[1] / 1e3,
+		TTFCP50US:        ttfc[0] / 1e3,
+		TTFCP99US:        ttfc[1] / 1e3,
 	}
 }

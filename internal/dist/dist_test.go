@@ -37,30 +37,6 @@ func startShards(t *testing.T, n int, svcCfg service.Config, srvCfg server.Confi
 	return urls
 }
 
-// startShardsMixed is startShards with shard 0 forced to the legacy JSON
-// wire encoding — the one-old-peer-in-the-fleet scenario binary
-// negotiation must degrade around.
-func startShardsMixed(t *testing.T, n int, svcCfg service.Config, srvCfg server.Config) []string {
-	t.Helper()
-	urls := make([]string, n)
-	for i := 0; i < n; i++ {
-		cfg := srvCfg
-		cfg.LegacyJSONWire = i == 0
-		cfg.Service = service.New(testDB.Shard(i, n), svcCfg)
-		run, err := server.Start(server.NewServer(cfg), "")
-		if err != nil {
-			t.Fatalf("start shard %d: %v", i, err)
-		}
-		t.Cleanup(func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			_ = run.Shutdown(ctx)
-		})
-		urls[i] = run.URL
-	}
-	return urls
-}
-
 // startFleet spins up n shard servers plus a coordinator fronting them,
 // returning both the coordinator and the shard URLs.
 func startFleet(t *testing.T, n int, svcCfg service.Config) (*Coordinator, []string) {
@@ -79,10 +55,8 @@ func startFleet(t *testing.T, n int, svcCfg service.Config) (*Coordinator, []str
 // TestDistributedBitIdentity is the subsystem's acceptance test: every
 // TPC-H query, distributed over 1, 2 and 4 shards with shard-side
 // pipeline parallelism 1, 2 and 4, must fingerprint byte-identically to
-// single-process execution over the same database — on the streaming
-// coordinator path and the buffered fallback path alike, over the
-// default binary wire, the forced-JSON wire, and a mixed fleet where
-// shard 0 refuses the binary negotiation.
+// single-process execution over the same database, on the coordinator's
+// one fragment path: binary chunks streamed over /v1/plan/stream.
 func TestDistributedBitIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-fleet sweep")
@@ -103,88 +77,37 @@ func TestDistributedBitIdentity(t *testing.T) {
 			// Small stream chunks so multi-chunk streams are the norm, not
 			// an sf-dependent accident.
 			urls := startShards(t, n, svcCfg, server.Config{StreamChunkRows: 64})
-			stream, err := New(Config{Shards: urls, DB: testDB, Service: svcCfg})
+			c, err := New(Config{Shards: urls, DB: testDB, Service: svcCfg})
 			if err != nil {
 				t.Fatal(err)
 			}
-			buffered, err := New(Config{Shards: urls, DB: testDB, Service: svcCfg, BufferedFragments: true})
-			if err != nil {
+			if err := c.WaitReady(10 * time.Second); err != nil {
 				t.Fatal(err)
 			}
-			jsonw, err := New(Config{Shards: urls, DB: testDB, Service: svcCfg, JSONWire: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			mixedURLs := startShardsMixed(t, n, svcCfg, server.Config{StreamChunkRows: 64})
-			mixed, err := New(Config{Shards: mixedURLs, DB: testDB, Service: svcCfg})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := stream.WaitReady(10 * time.Second); err != nil {
-				t.Fatal(err)
-			}
-			coords := []struct {
-				mode string
-				c    *Coordinator
-			}{{"stream", stream}, {"buffered", buffered}, {"json-wire", jsonw}, {"mixed-fleet", mixed}}
 			for q := 1; q <= 22; q++ {
-				for _, co := range coords {
-					tab, st, err := co.c.Execute(q)
-					if err != nil {
-						t.Fatalf("N=%d P=%d Q%02d %s: %v", n, p, q, co.mode, err)
-					}
-					if got := server.Fingerprint(tab); got != want[q] {
-						t.Errorf("N=%d P=%d Q%02d %s: fingerprint %s, want %s (rows=%d)",
-							n, p, q, co.mode, got, want[q], tab.Rows())
-					}
-					if co.mode == "stream" && st.Instances == 0 {
-						t.Errorf("N=%d P=%d Q%02d: no primitive instances counted", n, p, q)
-					}
+				tab, st, err := c.Execute(q)
+				if err != nil {
+					t.Fatalf("N=%d P=%d Q%02d: %v", n, p, q, err)
+				}
+				if got := server.Fingerprint(tab); got != want[q] {
+					t.Errorf("N=%d P=%d Q%02d: fingerprint %s, want %s (rows=%d)",
+						n, p, q, got, want[q], tab.Rows())
+				}
+				if st.Instances == 0 {
+					t.Errorf("N=%d P=%d Q%02d: no primitive instances counted", n, p, q)
 				}
 			}
-			for _, co := range coords {
-				fleet := co.c.Fleet()
-				if fleet.FragmentsSent == 0 {
-					t.Errorf("N=%d P=%d %s: coordinator sent no fragments", n, p, co.mode)
-				}
-				// The counter invariants the fragment-counting fix restored: a
-				// healthy fleet completes every fragment on its first attempt,
-				// and every fragment completes over exactly one transport.
-				if fleet.StreamedFragments+fleet.BufferedFragments != fleet.FragmentsSent {
-					t.Errorf("N=%d P=%d %s: %d streamed + %d buffered != %d fragments sent",
-						n, p, co.mode, fleet.StreamedFragments, fleet.BufferedFragments, fleet.FragmentsSent)
-				}
-				if fleet.FragmentAttempts != fleet.FragmentsSent {
-					t.Errorf("N=%d P=%d %s: %d attempts for %d fragments on a healthy fleet",
-						n, p, co.mode, fleet.FragmentAttempts, fleet.FragmentsSent)
-				}
-			}
-			fleet := stream.Fleet()
-			if fleet.StreamedFragments == 0 || fleet.BufferedFragments != 0 {
-				t.Errorf("N=%d P=%d: %d streamed / %d buffered fragments; want all streamed",
-					n, p, fleet.StreamedFragments, fleet.BufferedFragments)
+			fleet := c.Fleet()
+			if fleet.FragmentsSent == 0 {
+				t.Errorf("N=%d P=%d: coordinator sent no fragments", n, p)
 			}
 			if fleet.TTFCP50US <= 0 {
 				t.Errorf("N=%d P=%d: no time-to-first-chunk recorded", n, p)
 			}
-			if fleet.BinaryChunks == 0 || fleet.JSONChunks != 0 {
-				t.Errorf("N=%d P=%d: binary coordinator saw %d binary / %d JSON chunks",
-					n, p, fleet.BinaryChunks, fleet.JSONChunks)
-			}
-			if jf := jsonw.Fleet(); jf.BinaryChunks != 0 || jf.JSONChunks == 0 {
-				t.Errorf("N=%d P=%d: JSON-wire coordinator saw %d binary / %d JSON chunks",
-					n, p, jf.BinaryChunks, jf.JSONChunks)
-			}
-			mf := mixed.Fleet()
-			if mf.JSONChunks == 0 {
-				t.Errorf("N=%d P=%d: mixed fleet's legacy shard contributed no JSON chunks", n, p)
-			}
-			if n > 1 && mf.BinaryChunks == 0 {
-				t.Errorf("N=%d P=%d: mixed fleet's binary shards contributed no binary chunks", n, p)
-			}
-			bf := buffered.Fleet()
-			if bf.StreamedFragments != 0 || bf.BufferedFragments == 0 {
-				t.Errorf("N=%d P=%d: buffered coordinator streamed %d fragments", n, p, bf.StreamedFragments)
+			// Every fragment completed on its one stream: one verified TTFC
+			// sample per fragment sent.
+			if got := c.ttfc.Count(); got != fleet.FragmentsSent {
+				t.Errorf("N=%d P=%d: %d TTFC samples for %d fragments", n, p, got, fleet.FragmentsSent)
 			}
 		}
 	}

@@ -10,7 +10,9 @@ import (
 	"net/http/httputil"
 	"net/url"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"microadapt/internal/plan"
@@ -19,9 +21,10 @@ import (
 	"microadapt/internal/tpch"
 )
 
-// proxyShard fronts a real shard with handler overrides, reverse-proxying
-// everything else, so tests can break exactly one endpoint of one shard.
-func proxyShard(t *testing.T, backend string, override map[string]http.HandlerFunc) string {
+// proxyShard fronts a real shard and reverse-proxies everything to it,
+// except that while broken is set its /v1/plan/stream requests go to
+// stream instead, so tests can break one shard's stream and heal it.
+func proxyShard(t *testing.T, backend string, broken *atomic.Bool, stream http.HandlerFunc) string {
 	t.Helper()
 	target, err := url.Parse(backend)
 	if err != nil {
@@ -29,8 +32,8 @@ func proxyShard(t *testing.T, backend string, override map[string]http.HandlerFu
 	}
 	rp := httputil.NewSingleHostReverseProxy(target)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if h, ok := override[r.URL.Path]; ok {
-			h(w, r)
+		if r.URL.Path == "/v1/plan/stream" && broken.Load() {
+			stream(w, r)
 			return
 		}
 		rp.ServeHTTP(w, r)
@@ -39,10 +42,10 @@ func proxyShard(t *testing.T, backend string, override map[string]http.HandlerFu
 	return srv.URL
 }
 
-// truncateStream forwards the streaming request to the backend, replays
-// the header plus at most one chunk frame, then cuts the connection — a
-// shard dying mid-stream, after real rows were already delivered.
-func truncateStream(t *testing.T, backend string) http.HandlerFunc {
+// relayStream forwards the streaming request to the backend and relays
+// its frame lines (header first, at index 0) through edit, which may
+// rewrite a line or return nil to cut the connection before it.
+func relayStream(backend string, edit func(i int, line []byte) []byte) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(r.Body)
 		if err != nil {
@@ -60,49 +63,79 @@ func truncateStream(t *testing.T, backend string) http.HandlerFunc {
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		br := bufio.NewReader(resp.Body)
-		for i := 0; i < 2; i++ {
+		for i := 0; ; i++ {
 			line, err := br.ReadBytes('\n')
 			if err != nil {
-				break
+				return
+			}
+			if line = edit(i, line); line == nil {
+				panic(http.ErrAbortHandler) // cut the connection mid-stream
 			}
 			w.Write(line)
 			if fl, ok := w.(http.Flusher); ok {
 				fl.Flush()
 			}
 		}
-		panic(http.ErrAbortHandler) // cut the connection mid-stream
 	}
 }
 
-// TestStreamingFallback: a shard whose stream breaks — endpoint missing
-// (old peer) or connection cut after delivering real chunks — falls back
-// to the buffered path with no partial rows leaking into the merge: the
-// result stays bit-identical and /metrics records the buffered fragments.
+// cutAfterFirstChunk relays the header and at most one chunk frame: a
+// shard dying mid-stream after real rows were already delivered.
+func cutAfterFirstChunk(i int, line []byte) []byte {
+	if i >= 2 {
+		return nil
+	}
+	return line
+}
+
+// lieAboutDigest relays the stream intact except for the trailer's
+// sha256, which no longer matches the chunk lines.
+func lieAboutDigest(_ int, line []byte) []byte {
+	return bytes.Replace(line, []byte(`"sha256":"`), []byte(`"sha256":"0`), 1)
+}
+
+// TestStreamingFallback: there is no fallback. A shard whose stream
+// fails — endpoint missing, connection cut after a real chunk was
+// folded, or a trailer digest that does not match the chunks — fails the
+// query with an error naming that shard, and leaves nothing behind: once
+// the shard is healthy again, the same coordinator's next queries are
+// fingerprint-equal to single-process execution.
 func TestStreamingFallback(t *testing.T) {
 	svcCfg := service.DefaultConfig()
 	single := service.New(testDB, svcCfg)
 
 	cases := []struct {
-		name     string
-		override func(backend string) map[string]http.HandlerFunc
+		name   string
+		stream func(backend string) http.HandlerFunc
+		want   string
 	}{
-		{"endpoint-missing", func(string) map[string]http.HandlerFunc {
-			return map[string]http.HandlerFunc{"/v1/plan/stream": http.NotFound}
-		}},
-		{"dies-mid-stream", func(backend string) map[string]http.HandlerFunc {
-			return map[string]http.HandlerFunc{"/v1/plan/stream": truncateStream(t, backend)}
-		}},
+		{"endpoint-missing", func(string) http.HandlerFunc { return http.NotFound }, "status 404"},
+		{"dies-mid-stream", func(b string) http.HandlerFunc { return relayStream(b, cutAfterFirstChunk) }, "truncated"},
+		{"bad-digest", func(b string) http.HandlerFunc { return relayStream(b, lieAboutDigest) }, "digest"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			// Tiny stream chunks so the mid-stream cut happens after a real
-			// chunk was folded and then discarded.
+			// chunk was folded into the merge.
 			urls := startShards(t, 2, svcCfg, server.Config{StreamChunkRows: 16})
-			urls[1] = proxyShard(t, urls[1], tc.override(urls[1]))
+			var broken atomic.Bool
+			broken.Store(true)
+			urls[1] = proxyShard(t, urls[1], &broken, tc.stream(urls[1]))
 			c, err := New(Config{Shards: urls, DB: testDB, Service: svcCfg})
 			if err != nil {
 				t.Fatal(err)
 			}
+			for _, q := range []int{1, 14} {
+				_, _, err := c.Execute(q)
+				if err == nil {
+					t.Fatalf("Q%02d: query over a broken shard stream succeeded", q)
+				}
+				if !strings.Contains(err.Error(), "shard "+urls[1]) || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("Q%02d: err = %v; want it to name shard %s and mention %q", q, err, urls[1], tc.want)
+				}
+			}
+
+			broken.Store(false)
 			for _, q := range []int{1, 6, 14} {
 				want, _, err := single.Execute(q)
 				if err != nil {
@@ -110,114 +143,60 @@ func TestStreamingFallback(t *testing.T) {
 				}
 				got, _, err := c.Execute(q)
 				if err != nil {
-					t.Fatalf("Q%02d: %v", q, err)
+					t.Fatalf("Q%02d after the shard healed: %v", q, err)
 				}
 				if server.Fingerprint(got) != server.Fingerprint(want) {
-					t.Errorf("Q%02d: fingerprint differs after %s fallback", q, tc.name)
+					t.Errorf("Q%02d: fingerprint differs after a failed %s query", q, tc.name)
 				}
-			}
-			fleet := c.Fleet()
-			if fleet.BufferedFragments == 0 {
-				t.Error("broken shard produced no buffered fallback fragments")
-			}
-			if fleet.StreamedFragments == 0 {
-				t.Error("healthy shard streamed no fragments")
 			}
 		})
 	}
 }
 
-// TestStreamingFallbackCounters is the regression test for the
-// fragment-counter double-count: a stream→buffered fallback used to bump
-// the fragment counter on both attempts, so fragments_sent drifted above
-// streamed+buffered whenever a shard's stream broke, and the aborted
-// stream left a stale time-to-first-chunk sample in the window. Counted
-// correctly, fragments_sent == streamed + buffered always holds, the
-// extra transport attempts show up in fragment_attempts instead, and the
-// TTFC window holds exactly one sample per *completed* stream.
+// TestStreamingFallbackCounters: the fleet counters stay coherent while
+// streams fail. fragments_sent counts every dispatched fragment, the
+// attempts figure equals it (one transport, no retry), and only streams
+// that verified end to end leave a time-to-first-chunk or round-trip
+// sample: shard 1's streams die after delivering a first chunk, and their
+// provisional samples must not reach the windows.
 func TestStreamingFallbackCounters(t *testing.T) {
 	svcCfg := service.DefaultConfig()
 	urls := startShards(t, 2, svcCfg, server.Config{StreamChunkRows: 16})
-	urls[1] = proxyShard(t, urls[1], map[string]http.HandlerFunc{
-		"/v1/plan/stream": truncateStream(t, urls[1]),
-	})
+	var broken atomic.Bool
+	broken.Store(true)
+	urls[1] = proxyShard(t, urls[1], &broken, relayStream(urls[1], cutAfterFirstChunk))
 	c, err := New(Config{Shards: urls, DB: testDB, Service: svcCfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range []int{1, 6, 14} {
-		if _, _, err := c.Execute(q); err != nil {
-			t.Fatalf("Q%02d: %v", q, err)
+		if _, _, err := c.Execute(q); err == nil {
+			t.Fatalf("Q%02d: query over a dying shard succeeded", q)
 		}
 	}
 	fleet := c.Fleet()
-	if fleet.BufferedFragments == 0 || fleet.StreamedFragments == 0 {
-		t.Fatalf("want both transports exercised; %d streamed, %d buffered",
-			fleet.StreamedFragments, fleet.BufferedFragments)
-	}
-	if got := fleet.StreamedFragments + fleet.BufferedFragments; got != fleet.FragmentsSent {
-		t.Errorf("fragments_sent = %d, streamed+buffered = %d; fallback double-counted",
-			fleet.FragmentsSent, got)
-	}
-	// Every buffered completion here followed a failed stream attempt.
-	wantAttempts := fleet.FragmentsSent + fleet.BufferedFragments
-	if fleet.FragmentAttempts != wantAttempts {
-		t.Errorf("fragment_attempts = %d, want %d (one retry per fallback)",
-			fleet.FragmentAttempts, wantAttempts)
-	}
-	// The aborted streams delivered a first chunk before dying; their
-	// provisional TTFC samples must not survive into the window.
-	if got := c.ttfc.Count(); got != fleet.StreamedFragments {
-		t.Errorf("TTFC window holds %d samples, want %d (completed streams only)",
-			got, fleet.StreamedFragments)
-	}
-}
-
-// TestStreamingMixedFleet: a binary-negotiating coordinator over a fleet
-// with one legacy JSON-only shard — negotiation falls back per shard, the
-// merge stays bit-identical, and /metrics shows both encodings plus the
-// restored counter invariant. This is the CI mixed-fleet smoke's
-// in-process twin.
-func TestStreamingMixedFleet(t *testing.T) {
-	svcCfg := service.DefaultConfig()
-	single := service.New(testDB, svcCfg)
-	urls := startShardsMixed(t, 2, svcCfg, server.Config{StreamChunkRows: 16})
-	c, err := New(Config{Shards: urls, DB: testDB, Service: svcCfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []int{1, 6, 14} {
-		want, _, err := single.Execute(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := c.Execute(q)
-		if err != nil {
-			t.Fatalf("Q%02d: %v", q, err)
-		}
-		if server.Fingerprint(got) != server.Fingerprint(want) {
-			t.Errorf("Q%02d: fingerprint differs on the mixed fleet", q)
-		}
-	}
-	fleet := c.Fleet()
-	if fleet.BinaryChunks == 0 {
-		t.Error("binary shard contributed no binary chunks")
-	}
-	if fleet.JSONChunks == 0 {
-		t.Error("legacy shard contributed no JSON chunks")
-	}
-	if fleet.StreamedFragments+fleet.BufferedFragments != fleet.FragmentsSent {
-		t.Errorf("fragments_sent = %d, streamed+buffered = %d",
-			fleet.FragmentsSent, fleet.StreamedFragments+fleet.BufferedFragments)
+	if fleet.FragmentsSent == 0 {
+		t.Fatal("no fragments sent")
 	}
 	if fleet.FragmentAttempts != fleet.FragmentsSent {
-		t.Errorf("%d attempts for %d fragments; legacy encoding is not a transport failure",
-			fleet.FragmentAttempts, fleet.FragmentsSent)
+		t.Errorf("fragment attempts = %d, want fragments_sent = %d", fleet.FragmentAttempts, fleet.FragmentsSent)
+	}
+	// Every site sent one fragment per shard; shard 0 completed all of
+	// them and shard 1 none.
+	perShard := fleet.FragmentsSent / 2
+	if got := c.ttfc.Count(); got != perShard {
+		t.Errorf("TTFC window holds %d samples, want %d (completed streams only)", got, perShard)
+	}
+	if got := c.shards[0].lat.Count(); got != perShard {
+		t.Errorf("healthy shard's round-trip window holds %d samples, want %d", got, perShard)
+	}
+	if got := c.shards[1].lat.Count(); got != 0 {
+		t.Errorf("dying shard's round-trip window holds %d samples, want 0", got)
 	}
 }
 
 // recordBodies wraps a shard so every fragment request body's digest is
-// captured, per endpoint.
+// captured.
 func recordBodies(t *testing.T, backend string, mu *sync.Mutex, got *[]string) string {
 	t.Helper()
 	target, _ := url.Parse(backend)

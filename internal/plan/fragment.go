@@ -219,7 +219,7 @@ func buildSite(b *Builder, chainNodes []*Node, aggNode *Node) *FragmentSite {
 // the site node's result table. Every partial must carry the fragment
 // root's schema; the output carries the site node's schema and label.
 // It is the whole-table convenience form of the incremental
-// PartialAccumulator, and the buffered fallback path of the coordinator.
+// PartialAccumulator.
 func (s *FragmentSite) MergePartials(parts []*engine.Table) (*engine.Table, error) {
 	acc := s.NewAccumulator(len(parts))
 	for i, p := range parts {
@@ -249,11 +249,6 @@ func (s *FragmentSite) MergePartials(parts []*engine.Table) (*engine.Table, erro
 //     so chunks queue per shard and fold into the persistent accumulator
 //     only when every earlier shard's stream has finished. A finished
 //     shard's chunks fold while later shards are still streaming.
-//
-// A shard whose stream fails mid-flight is discarded with ResetShard and
-// may be re-delivered (e.g. through the buffered fallback path) without
-// leaking partial rows into the merge: concat slots are private until
-// Result, and aggregate chunks are never folded before FinishShard.
 type PartialAccumulator struct {
 	site   *FragmentSite
 	want   vector.Schema // fragment root schema, checked per chunk
@@ -344,25 +339,6 @@ func (a *PartialAccumulator) FinishShard(shard int) error {
 		a.pending[a.next] = nil
 		a.next++
 	}
-	return nil
-}
-
-// ResetShard discards everything accumulated for one unfinished shard, so
-// a failed stream can be retried (buffered or streaming) from scratch.
-func (a *PartialAccumulator) ResetShard(shard int) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if shard < 0 || shard >= a.shards {
-		return fmt.Errorf("plan: merge %s: shard %d out of range [0,%d)", a.site.Node.label, shard, a.shards)
-	}
-	if a.done[shard] {
-		return fmt.Errorf("plan: merge %s: ResetShard(%d) after FinishShard", a.site.Node.label, shard)
-	}
-	if a.site.merge == MergeConcat {
-		a.slots[shard] = newColBufs(a.want)
-		return nil
-	}
-	a.pending[shard] = nil
 	return nil
 }
 

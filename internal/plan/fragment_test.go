@@ -423,10 +423,10 @@ func TestAccumulatorChunkedMatchesWhole(t *testing.T) {
 	}
 }
 
-// TestAccumulatorResetShard: a shard that fails mid-stream resets cleanly
-// — no partial rows leak — and a full re-delivery merges identically.
-// Finished shards refuse resets and further chunks.
-func TestAccumulatorResetShard(t *testing.T) {
+// TestAccumulatorFinishedShard: whole-partial delivery, one chunk per
+// shard, merges identically, and a finished shard refuses further chunks
+// and a second FinishShard.
+func TestAccumulatorFinishedShard(t *testing.T) {
 	tab := fragTable(61)
 	for name, mk := range accPlans() {
 		t.Run(name, func(t *testing.T) {
@@ -436,17 +436,6 @@ func TestAccumulatorResetShard(t *testing.T) {
 				t.Fatal(err)
 			}
 			acc := site.NewAccumulator(len(parts))
-			// Shard 1 delivers half its rows twice, resetting in between —
-			// as a failed stream retried over the buffered path would.
-			half := parts[1].Slice(0, parts[1].Rows()/2)
-			for round := 0; round < 2; round++ {
-				if err := acc.AddChunk(1, half); err != nil {
-					t.Fatal(err)
-				}
-				if err := acc.ResetShard(1); err != nil {
-					t.Fatal(err)
-				}
-			}
 			for si, p := range parts {
 				if err := acc.AddChunk(si, p); err != nil {
 					t.Fatal(err)
@@ -461,9 +450,6 @@ func TestAccumulatorResetShard(t *testing.T) {
 			}
 			requireIdentical(t, got, want, name)
 
-			if err := acc.ResetShard(1); err == nil {
-				t.Error("ResetShard after FinishShard did not error")
-			}
 			if err := acc.AddChunk(1, parts[1]); err == nil {
 				t.Error("AddChunk after FinishShard did not error")
 			}

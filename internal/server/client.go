@@ -67,7 +67,6 @@ type Client struct {
 	base    string
 	http    *http.Client
 	retry   RetryPolicy
-	binWire bool
 	retries atomic.Int64
 
 	rngMu sync.Mutex
@@ -92,17 +91,11 @@ func (c *Client) WithRetry(p RetryPolicy) *Client {
 	return c
 }
 
-// WithBinaryWire toggles negotiation of the binary columnar result
-// encoding (wirebin.go) and returns the client. When on, result-bearing
-// requests carry the WireHeader header; a peer that understands it
-// answers binary bodies, an old peer ignores it and answers JSON —
-// either way the client decodes transparently (QueryResponse.ResultTable,
-// binary "bin" chunk frames), so turning this on against a mixed fleet
-// is always safe.
-func (c *Client) WithBinaryWire(on bool) *Client {
-	c.binWire = on
-	return c
-}
+// WithBinaryWire does nothing and returns the client: streamed chunks are
+// always binary and the buffered endpoints always answer JSON. It is kept
+// only because benchmark/ calls it, and goes in the next benchmark-only
+// change.
+func (c *Client) WithBinaryWire(bool) *Client { return c }
 
 // Retries reports how many shed answers the client retried (and so hid
 // from callers) since construction.
@@ -144,23 +137,14 @@ func (c *Client) post(path string, body any) (*Outcome, error) {
 	return c.postBytes(path, data)
 }
 
-// postWire issues one POST with the content type and, when the client is
-// in binary-wire mode, the WireHeader negotiation header set.
-func (c *Client) postWire(path string, data []byte) (*http.Response, error) {
-	req, err := http.NewRequest(http.MethodPost, c.base+path, bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if c.binWire {
-		req.Header.Set(WireHeader, WireBin)
-	}
-	return c.http.Do(req)
+// postJSON issues one POST of a JSON request body.
+func (c *Client) postJSON(path string, data []byte) (*http.Response, error) {
+	return c.http.Post(c.base+path, "application/json", bytes.NewReader(data))
 }
 
 func (c *Client) postBytes(path string, data []byte) (*Outcome, error) {
 	for attempt := 0; ; attempt++ {
-		resp, err := c.postWire(path, data)
+		resp, err := c.postJSON(path, data)
 		if err != nil {
 			return nil, err
 		}

@@ -3,10 +3,10 @@
 // round trip bit-identically. Finite floats survive JSON because
 // encoding/json prints float64 in shortest form, which decodes back to
 // the same bits; non-finite floats (NaN, ±Inf) cannot be represented in
-// JSON at all, so on the JSON path they travel losslessly as raw
-// IEEE-754 bits in the F64Bits escape column (see EscapeNonFinite), and
-// on the negotiated binary path (wirebin.go) every float ships as raw
-// bits to begin with.
+// JSON at all, so on the JSON path (/v1/query, /v1/plan) they travel
+// losslessly as raw IEEE-754 bits in the F64Bits escape column (see
+// EscapeNonFinite). Streamed chunks between tiers use the binary form
+// (wirebin.go), where every float ships as raw bits to begin with.
 package server
 
 import (
@@ -74,25 +74,14 @@ type QueryResponse struct {
 	Fingerprint string     `json:"fingerprint"`
 	Stats       StatsJSON  `json:"stats"`
 	Result      *TableJSON `json:"result,omitempty"`
-	// ResultBin is Result in the negotiated binary columnar encoding
-	// (wirebin.go), set instead of Result when the client sent the
-	// WireHeader and the server honors it. encoding/json carries it as
-	// base64.
-	ResultBin []byte `json:"result_bin,omitempty"`
 }
 
-// ResultTable returns the response's result table in wire form,
-// whichever encoding it arrived in — the JSON field as-is, or the binary
-// field decoded. (nil, nil) means the response carried no result (the
-// request did not set IncludeResult).
+// ResultTable returns the response's result table in wire form. nil
+// means the response carried no result (the request did not set
+// IncludeResult). The error is always nil; it stays in the signature for
+// existing callers.
 func (r *QueryResponse) ResultTable() (*TableJSON, error) {
-	if r.Result != nil {
-		return r.Result, nil
-	}
-	if len(r.ResultBin) > 0 {
-		return UnmarshalTableBin(r.ResultBin)
-	}
-	return nil, nil
+	return r.Result, nil
 }
 
 // ErrorResponse is the body of every non-2xx response.
@@ -162,9 +151,7 @@ type TableJSON struct {
 // into its F64Bits form, so the table survives json.Marshal losslessly.
 // Columns of only finite values keep the readable F64 form. It returns
 // the table for chaining and must be called on every table bound for a
-// JSON response body — json.Marshal fails outright on non-finite floats,
-// and on the streaming path that failure would surface only as an
-// in-band error frame after the 200 was committed.
+// JSON response body — json.Marshal fails outright on non-finite floats.
 func (t *TableJSON) EscapeNonFinite() *TableJSON {
 	if t == nil {
 		return nil

@@ -46,24 +46,14 @@ type Executor interface {
 // FleetMetrics extends /metrics when the executor fronts a shard fleet.
 type FleetMetrics struct {
 	Shards int `json:"shards"`
-	// FragmentsSent counts logical fragments (one per site x shard);
-	// FragmentAttempts counts transport attempts, so a stream→buffered
-	// fallback is one fragment but two attempts. On a healthy fleet
-	// fragments_sent == streamed_fragments + buffered_fragments and
-	// fragment_attempts - fragments_sent is the fallback count.
-	FragmentsSent    int64 `json:"fragments_sent"`
-	FragmentAttempts int64 `json:"fragment_attempts"`
-	// StreamedFragments and BufferedFragments split FragmentsSent by
-	// transport: answered over /v1/plan/stream vs the buffered fallback.
-	StreamedFragments int64 `json:"streamed_fragments"`
-	BufferedFragments int64 `json:"buffered_fragments"`
-	// BinaryChunks and JSONChunks split arrived partial bodies by
-	// encoding (a buffered response counts as one chunk). Nonzero
-	// json_chunks under a binary coordinator means some shard declined
-	// the negotiation — an old peer in the fleet.
-	BinaryChunks int64 `json:"binary_chunks"`
-	JSONChunks   int64 `json:"json_chunks"`
-	GossipRounds int64 `json:"gossip_rounds"`
+	// FragmentsSent counts fragments dispatched, one per site x shard,
+	// each streamed over /v1/plan/stream.
+	FragmentsSent int64 `json:"fragments_sent"`
+	// FragmentAttempts always equals FragmentsSent: a fragment has one
+	// transport and no retry. It is kept only because benchmark/ reads it,
+	// and goes in the next benchmark-only change.
+	FragmentAttempts int64 `json:"-"`
+	GossipRounds     int64 `json:"gossip_rounds"`
 	// GossipImported counts flavor estimates accepted from shards across
 	// all gossip rounds.
 	GossipImported int64 `json:"gossip_imported"`
@@ -113,11 +103,6 @@ type Config struct {
 	// StreamChunkRows caps the rows per NDJSON chunk frame on
 	// /v1/plan/stream (default 4096).
 	StreamChunkRows int
-	// LegacyJSONWire makes the server ignore binary-wire negotiation and
-	// answer every result table as JSON, exactly like a pre-binary peer.
-	// The mixed-fleet tests and `madaptd -wire-json` use it to prove a
-	// binary coordinator falls back cleanly against a JSON-only shard.
-	LegacyJSONWire bool
 	// Clock is injectable time for session-eviction tests (default
 	// time.Now).
 	Clock func() time.Time
@@ -136,7 +121,6 @@ type Server struct {
 	retryAfter      time.Duration
 	maxBody         int64
 	streamChunkRows int
-	legacyJSONWire  bool
 
 	latency  *stats.Window // end-to-end latency of executed requests, ns
 	adaptive atomic.Int64  // adaptive primitive calls across all requests
@@ -172,7 +156,6 @@ func NewServer(cfg Config) *Server {
 		retryAfter:      cfg.RetryAfter,
 		maxBody:         cfg.MaxBodyBytes,
 		streamChunkRows: cfg.StreamChunkRows,
-		legacyJSONWire:  cfg.LegacyJSONWire,
 		latency:         stats.NewWindow(cfg.LatencyWindow),
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -263,29 +246,6 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, into any) bo
 	return true
 }
 
-// wantsBin reports whether this request negotiated the binary columnar
-// result encoding (and the server is willing to speak it).
-func (s *Server) wantsBin(r *http.Request) bool {
-	return !s.legacyJSONWire && r.Header.Get(WireHeader) == WireBin
-}
-
-// encodeResult fills exactly one of resp.Result / resp.ResultBin with
-// the result table, per the request's negotiated wire encoding. The JSON
-// form escapes non-finite floats so the response body always marshals.
-func encodeResult(resp *QueryResponse, tab *engine.Table, bin bool) error {
-	tj := EncodeTable(tab)
-	if !bin {
-		resp.Result = tj.EscapeNonFinite()
-		return nil
-	}
-	data, err := MarshalTableBin(tj)
-	if err != nil {
-		return err
-	}
-	resp.ResultBin = data
-	return nil
-}
-
 // checkSession validates an optional session id; empty is allowed.
 func (s *Server) checkSession(w http.ResponseWriter, id string) bool {
 	if id == "" {
@@ -342,7 +302,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !s.checkSession(w, req.Session) {
 		return
 	}
-	bin := s.wantsBin(r)
 	s.execute(w, r, req.Session, req.TimeoutMS, func() (*QueryResponse, error) {
 		tab, st, err := s.svc.Execute(req.Query)
 		if err != nil {
@@ -350,9 +309,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		resp := &QueryResponse{Query: req.Query, Rows: tab.Rows(), Fingerprint: Fingerprint(tab), Stats: statsJSON(st)}
 		if req.IncludeResult {
-			if err := encodeResult(resp, tab, bin); err != nil {
-				return nil, err
-			}
+			resp.Result = EncodeTable(tab).EscapeNonFinite()
 		}
 		return resp, nil
 	})
@@ -374,7 +331,6 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if !s.checkSession(w, req.Session) {
 		return
 	}
-	bin := s.wantsBin(r)
 	s.execute(w, r, req.Session, req.TimeoutMS, func() (*QueryResponse, error) {
 		tab, st, err := s.svc.ExecutePlan(b)
 		if err != nil {
@@ -382,9 +338,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		}
 		resp := &QueryResponse{Plan: b.Name(), Rows: tab.Rows(), Fingerprint: Fingerprint(tab), Stats: statsJSON(st)}
 		if req.IncludeResult {
-			if err := encodeResult(resp, tab, bin); err != nil {
-				return nil, err
-			}
+			resp.Result = EncodeTable(tab).EscapeNonFinite()
 		}
 		return resp, nil
 	})

@@ -1,10 +1,10 @@
 // Streaming variant of /v1/plan: the result travels as NDJSON frames —
-// one schema header, size-capped row chunks, then a trailer carrying the
-// stats, the result fingerprint, and a sha256 over the exact chunk-line
-// bytes — so a coordinator can fold partial tables into its merge while
-// later chunks are still in flight. Buffered /v1/plan stays as the
-// fallback path and for old peers (a 404/405 surfaces as
-// ErrStreamUnsupported, which callers answer by retrying buffered).
+// one schema header, size-capped row chunks in the binary columnar form
+// (wirebin.go), then a trailer carrying the stats, the result
+// fingerprint, and a sha256 over the exact chunk-line bytes — so a
+// coordinator can fold partial tables into its merge while later chunks
+// are still in flight. It is the only way one tier fetches a result from
+// another; a stream that does not verify is an error, with no fallback.
 package server
 
 import (
@@ -44,13 +44,10 @@ type StreamFrame struct {
 	Schema    *TableJSON `json:"schema,omitempty"`
 	ChunkRows int        `json:"chunk_rows,omitempty"`
 
-	// Chunk fields: one size-capped slice of the result, in row order.
-	// Exactly one is set per chunk frame: Table carries the JSON wire
-	// form, Bin the negotiated binary columnar form (wirebin.go) as
-	// base64. The chunk digest hashes the frame's exact line bytes either
-	// way, so integrity verification is encoding-agnostic.
-	Table *TableJSON `json:"table,omitempty"`
-	Bin   []byte     `json:"bin,omitempty"`
+	// Chunk field: one size-capped slice of the result, in row order, in
+	// the binary columnar form (wirebin.go), base64 on the wire. The chunk
+	// digest hashes the frame's exact line bytes.
+	Bin []byte `json:"bin,omitempty"`
 
 	// Trailer fields: totals, the hex sha256 over the exact bytes of every
 	// chunk line (newlines excluded), the whole-result fingerprint, and
@@ -107,15 +104,15 @@ func (s *Server) handlePlanStream(w http.ResponseWriter, r *http.Request) {
 	if req.Session != "" {
 		s.sess.record(req.Session, st.AdaptiveCalls, st.OffBestCalls)
 	}
-	s.streamTable(w, b.Name(), req.Session, tab, statsJSON(st), s.wantsBin(r))
+	s.streamTable(w, b.Name(), req.Session, tab, statsJSON(st))
 }
 
 // streamTable writes the frame sequence for one result table. The 200 is
 // committed before the first frame; any later failure can only be
-// reported in-band as an error frame. With bin set, chunk frames carry
-// the binary columnar body; the header's zero-row schema and the trailer
-// stay JSON either way (they hold no column values to speak of).
-func (s *Server) streamTable(w http.ResponseWriter, name, session string, tab *engine.Table, st StatsJSON, bin bool) {
+// reported in-band as an error frame. Chunk frames carry the binary
+// columnar body; the header's zero-row schema and the trailer are JSON
+// (they hold no column values to speak of).
+func (s *Server) streamTable(w http.ResponseWriter, name, session string, tab *engine.Table, st StatsJSON) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	fl, _ := w.(http.Flusher)
@@ -128,11 +125,14 @@ func (s *Server) streamTable(w http.ResponseWriter, name, session string, tab *e
 		}
 		return true
 	}
+	fail := func(err error) {
+		el, _ := json.Marshal(StreamFrame{Frame: FrameError, Error: err.Error()})
+		writeLine(el)
+	}
 	writeFrame := func(f *StreamFrame) bool {
 		line, err := json.Marshal(f)
 		if err != nil {
-			el, _ := json.Marshal(StreamFrame{Frame: FrameError, Error: err.Error()})
-			writeLine(el)
+			fail(err)
 			return false
 		}
 		return writeLine(line)
@@ -146,22 +146,14 @@ func (s *Server) streamTable(w http.ResponseWriter, name, session string, tab *e
 	chunks := 0
 	for lo := 0; lo < tab.Rows(); lo += s.streamChunkRows {
 		hi := min(lo+s.streamChunkRows, tab.Rows())
-		frame := StreamFrame{Frame: FrameChunk}
-		if bin {
-			data, err := MarshalTableBin(EncodeTable(tab.Slice(lo, hi)))
-			if err != nil {
-				el, _ := json.Marshal(StreamFrame{Frame: FrameError, Error: err.Error()})
-				writeLine(el)
-				return
-			}
-			frame.Bin = data
-		} else {
-			frame.Table = EncodeTable(tab.Slice(lo, hi)).EscapeNonFinite()
-		}
-		line, err := json.Marshal(frame)
+		data, err := MarshalTableBin(EncodeTable(tab.Slice(lo, hi)))
 		if err != nil {
-			el, _ := json.Marshal(StreamFrame{Frame: FrameError, Error: err.Error()})
-			writeLine(el)
+			fail(err)
+			return
+		}
+		line, err := json.Marshal(StreamFrame{Frame: FrameChunk, Bin: data})
+		if err != nil {
+			fail(err)
 			return
 		}
 		h.Write(line)
@@ -181,10 +173,6 @@ func (s *Server) streamTable(w http.ResponseWriter, name, session string, tab *e
 	})
 }
 
-// ErrStreamUnsupported reports a peer without the streaming endpoint
-// (404/405 from an older madaptd). Callers fall back to buffered Plan.
-var ErrStreamUnsupported = errors.New("server: stream: peer does not support /v1/plan/stream")
-
 // StreamResult is the verified outcome of one streamed plan execution:
 // what the trailer claimed, cross-checked against what actually arrived.
 type StreamResult struct {
@@ -195,11 +183,6 @@ type StreamResult struct {
 	Chunks      int
 	Fingerprint string
 	Stats       StatsJSON
-	// BinaryChunks counts the chunks that arrived in the binary columnar
-	// encoding; Chunks-BinaryChunks arrived as JSON. Against a peer that
-	// honored the negotiation it equals Chunks, against an old JSON-only
-	// peer it is zero.
-	BinaryChunks int
 }
 
 // shedStreamError carries a 429 out of one streaming attempt so the retry
@@ -209,8 +192,7 @@ type shedStreamError struct{ retryAfter time.Duration }
 func (e *shedStreamError) Error() string { return "server: stream: shed" }
 
 // EncodePlanRequest marshals a plan request once, so a coordinator can
-// send identical bytes to every shard (and to both the streaming and
-// buffered endpoints) without re-encoding per attempt.
+// send identical bytes to every shard without re-encoding per shard.
 func EncodePlanRequest(req PlanRequest) ([]byte, error) { return json.Marshal(req) }
 
 // PlanEncoded is Plan with a pre-encoded request body.
@@ -232,10 +214,11 @@ func (c *Client) PlanStream(req PlanRequest, onChunk func(*TableJSON) error) (*S
 // PlanStreamEncoded is PlanStream with a pre-encoded request body. Shed
 // (429) answers retry with backoff exactly like the buffered client —
 // safely, because a shed is decided before any chunk is delivered. Any
-// failure after the first frame (truncation, hash mismatch, remote error
-// frame, onChunk error) surfaces as an error; rows already delivered to
-// onChunk must be discarded by the caller (see plan.PartialAccumulator's
-// ResetShard).
+// other non-200 answer, and any failure after the first frame
+// (truncation, a chunk without a valid binary body, hash or count
+// mismatch, remote error frame, onChunk error), surfaces as an error;
+// rows already delivered to onChunk are unverified and the caller must
+// discard them.
 func (c *Client) PlanStreamEncoded(body []byte, onChunk func(*TableJSON) error) (*StreamResult, error) {
 	for attempt := 0; ; attempt++ {
 		res, err := c.planStreamOnce(body, onChunk)
@@ -252,28 +235,16 @@ func (c *Client) PlanStreamEncoded(body []byte, onChunk func(*TableJSON) error) 
 }
 
 func (c *Client) planStreamOnce(body []byte, onChunk func(*TableJSON) error) (*StreamResult, error) {
-	resp, err := c.postWire("/v1/plan/stream", body)
+	resp, err := c.postJSON("/v1/plan/stream", body)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusNotFound, http.StatusMethodNotAllowed:
-		// An old peer's mux answers 404/405 with a plain-text body; a JSON
-		// ErrorResponse at 404 is a real protocol answer (unknown session),
-		// not a missing endpoint.
-		raw, _ := io.ReadAll(resp.Body)
-		var er ErrorResponse
-		if json.Unmarshal(raw, &er) == nil && er.Error != "" {
-			return nil, fmt.Errorf("server: stream: status %d: %s", resp.StatusCode, er.Error)
-		}
-		return nil, ErrStreamUnsupported
-	default:
+	if resp.StatusCode != http.StatusOK {
 		raw, _ := io.ReadAll(resp.Body)
 		var er ErrorResponse
 		if err := json.Unmarshal(raw, &er); err != nil {
-			return nil, fmt.Errorf("server: stream: status %d: %s", resp.StatusCode, raw)
+			return nil, fmt.Errorf("server: stream: status %d: %s", resp.StatusCode, bytes.TrimSpace(raw))
 		}
 		if resp.StatusCode == http.StatusTooManyRequests {
 			return nil, &shedStreamError{retryAfter: time.Duration(er.RetryAfterMS) * time.Millisecond}
@@ -309,21 +280,14 @@ func (c *Client) planStreamOnce(body []byte, onChunk func(*TableJSON) error) (*S
 			if !sawHeader {
 				return nil, errors.New("server: stream: chunk before header")
 			}
-			tab := f.Table
-			if len(f.Bin) > 0 {
-				if tab != nil {
-					return nil, errors.New("server: stream: chunk frame with both table and bin bodies")
-				}
-				if tab, err = UnmarshalTableBin(f.Bin); err != nil {
-					return nil, fmt.Errorf("server: stream: chunk %d: %w", chunks, err)
-				}
-				res.BinaryChunks++
+			if len(f.Bin) == 0 {
+				return nil, fmt.Errorf("server: stream: chunk %d has no bin body", chunks)
 			}
-			if tab == nil {
-				return nil, errors.New("server: stream: chunk frame without table")
+			tab, err := UnmarshalTableBin(f.Bin)
+			if err != nil {
+				return nil, fmt.Errorf("server: stream: chunk %d: %w", chunks, err)
 			}
-			// Digest the exact line bytes, same as the server — integrity
-			// verification does not care which encoding the body used.
+			// Digest the exact line bytes, same as the server.
 			h.Write(line)
 			rows += tab.Rows
 			chunks++

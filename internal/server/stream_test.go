@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -109,42 +108,54 @@ func TestPlanStreamEmptyResult(t *testing.T) {
 	}
 }
 
-// TestPlanStreamSessionAndErrors: bad plans and unknown sessions answer
-// with ordinary status codes before any frame; unknown endpoints surface
-// ErrStreamUnsupported so callers can fall back to buffered mode.
+// TestPlanStreamSessionAndErrors: bad plans, unknown sessions and a
+// peer without the endpoint all answer with ordinary status errors
+// before any frame.
 func TestPlanStreamSessionAndErrors(t *testing.T) {
 	_, c := startTestServer(t, Config{})
 	if _, err := c.PlanStream(PlanRequest{Plan: []byte(`{"name":"X","nodes":[],"roots":[]}`)}, nil); err == nil {
 		t.Error("malformed plan streamed without error")
 	}
 	_, err := c.PlanStream(PlanRequest{Plan: marshalQueryPlan(t, 6), Session: "nope"}, nil)
-	if err == nil || errors.Is(err, ErrStreamUnsupported) {
-		t.Errorf("unknown session: err = %v, want protocol error (not unsupported)", err)
+	if err == nil || !strings.Contains(err.Error(), "unknown session") {
+		t.Errorf("unknown session: err = %v, want the server's unknown-session error", err)
 	}
 
-	// A peer without the endpoint (old madaptd): plain 404 from its mux.
-	old := httptest.NewServer(http.NotFoundHandler())
-	defer old.Close()
-	if _, err := NewClient(old.URL).PlanStreamEncoded([]byte(`{}`), nil); !errors.Is(err, ErrStreamUnsupported) {
-		t.Errorf("missing endpoint: err = %v, want ErrStreamUnsupported", err)
+	// A peer without the endpoint: plain-text 404 from its mux.
+	missing := httptest.NewServer(http.NotFoundHandler())
+	defer missing.Close()
+	if _, err := NewClient(missing.URL).PlanStreamEncoded([]byte(`{}`), nil); err == nil ||
+		!strings.Contains(err.Error(), "status 404") {
+		t.Errorf("missing endpoint: err = %v, want a status 404 error", err)
 	}
 }
 
-// streamLines builds a valid frame sequence for a tiny table, optionally
-// letting the caller corrupt it before serving.
-func streamLines(t *testing.T) []string {
+// chunkLine is one binary chunk frame line holding a one-column table.
+func chunkLine(t *testing.T, vals ...int64) string {
 	t.Helper()
-	chunk, err := json.Marshal(StreamFrame{Frame: FrameChunk, Table: &TableJSON{
-		Name: "t", Rows: 2, Cols: []ColumnJSON{{Name: "k", Type: "slng", I64: []int64{1, 2}}},
-	}})
+	data, err := MarshalTableBin(&TableJSON{
+		Name: "t", Rows: len(vals), Cols: []ColumnJSON{{Name: "k", Type: "slng", I64: vals}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := sha256.Sum256(chunk)
+	line, err := json.Marshal(StreamFrame{Frame: FrameChunk, Bin: data})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(line)
+}
+
+// streamLines builds a valid frame sequence for a tiny table: header,
+// one chunk, trailer.
+func streamLines(t *testing.T) []string {
+	t.Helper()
+	chunk := chunkLine(t, 1, 2)
+	h := sha256.Sum256([]byte(chunk))
 	header, _ := json.Marshal(StreamFrame{Frame: FrameHeader, Plan: "t", Schema: &TableJSON{Name: "t"}})
 	trailer, _ := json.Marshal(StreamFrame{Frame: FrameTrailer, Rows: 2, Chunks: 1,
 		SHA256: hex.EncodeToString(h[:]), Fingerprint: "f"})
-	return []string{string(header), string(chunk), string(trailer)}
+	return []string{string(header), chunk, string(trailer)}
 }
 
 // serveFrames answers every request with the given raw lines.
@@ -158,26 +169,31 @@ func serveFrames(lines []string) *httptest.Server {
 }
 
 // TestPlanStreamFailureModes: truncation mid-stream and mid-chunk, digest
-// mismatch, and remote error frames all fail the call — and rows already
-// surfaced through the callback are reported for discard, never silently
-// kept.
+// mismatch, remote error frames, and chunks without a valid binary body
+// all fail the call. A chunk whose body is missing (such as a JSON
+// "table" chunk) or corrupt is rejected before onChunk sees it.
 func TestPlanStreamFailureModes(t *testing.T) {
 	lines := streamLines(t)
 	cases := []struct {
-		name  string
-		lines []string
-		raw   string // overrides lines when set, written verbatim
-		want  string
+		name        string
+		lines       []string
+		raw         string // overrides lines when set, written verbatim
+		want        string
+		undelivered bool // the call must fail before onChunk runs
 	}{
 		{name: "truncated-before-trailer", lines: lines[:2], want: "truncated"},
 		{name: "truncated-mid-chunk", raw: lines[0] + "\n" + lines[1][:len(lines[1])/2], want: "truncated"},
-		{name: "digest-mismatch", lines: []string{lines[0],
-			strings.Replace(lines[1], `"i64":[1,2]`, `"i64":[1,3]`, 1), lines[2]}, want: "digest"},
+		{name: "digest-mismatch", lines: []string{lines[0], chunkLine(t, 1, 3), lines[2]}, want: "digest"},
 		{name: "remote-error-frame", lines: []string{lines[0], `{"frame":"error","error":"shard exploded"}`},
 			want: "shard exploded"},
 		{name: "chunk-before-header", lines: lines[1:], want: "chunk before header"},
 		{name: "trailer-count-lie", lines: []string{lines[0],
 			strings.Replace(lines[2], `"rows":2`, `"rows":0`, 1)}, want: "digest"},
+		{name: "chunk-without-bin", lines: []string{lines[0],
+			`{"frame":"chunk","table":{"name":"t","rows":2,"cols":[{"name":"k","type":"slng","i64":[1,2]}]}}`, lines[2]},
+			want: "no bin body", undelivered: true},
+		{name: "corrupt-bin", lines: []string{lines[0], `{"frame":"chunk","bin":"WFhYWA=="}`, lines[2]},
+			want: "bad magic", undelivered: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -200,6 +216,9 @@ func TestPlanStreamFailureModes(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("err = %v, want mention of %q", err, tc.want)
+			}
+			if tc.undelivered && delivered != 0 {
+				t.Errorf("%d chunks reached onChunk before the stream was rejected", delivered)
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 // Binary columnar wire encoding for result tables: the packed
-// little-endian column body that replaces per-value JSON text on the
-// distributed data path.
+// little-endian column body every /v1/plan/stream chunk frame carries,
+// base64 in its "bin" field. It is the only body between tiers; the
+// buffered /v1/query and /v1/plan endpoints answer JSON only.
 //
 // Layout (all integers little-endian; uvarint is encoding/binary's
 // unsigned varint):
@@ -24,17 +25,7 @@
 // The codec converts to and from the TableJSON wire form, so everything
 // downstream of it — DecodeTable's width narrowing, TableJSON.Equal,
 // PartialAccumulator folding, fingerprints — is shared with the JSON
-// path and behaves identically over either body format.
-//
-// Negotiation is request-driven: a client that understands the binary
-// form sends the WireHeader header (see Client.WithBinaryWire), and a
-// server that honors it answers /v1/plan and /v1/query results as
-// result_bin and /v1/plan/stream chunks as base64 "bin" frame fields. An
-// old peer ignores the unknown header and answers plain JSON, which the
-// client decodes transparently — negotiation cannot fail, it can only
-// fall back. Config.LegacyJSONWire makes a new server behave like such
-// an old peer, which is what the mixed-fleet tests and `madaptd
-// -wire-json` use.
+// endpoints and behaves identically over either body format.
 package server
 
 import (
@@ -44,13 +35,6 @@ import (
 
 	"microadapt/internal/vector"
 )
-
-// WireHeader is the request header a client sends to negotiate the
-// binary columnar encoding for result tables.
-const WireHeader = "X-Madapt-Wire"
-
-// WireBin is the WireHeader value requesting the binary encoding.
-const WireBin = "bin"
 
 // wireBinMagic guards against decoding arbitrary bytes as a table.
 var wireBinMagic = [4]byte{'M', 'W', 'T', '1'}

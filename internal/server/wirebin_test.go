@@ -1,15 +1,15 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"math"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"microadapt/internal/engine"
+	"microadapt/internal/plan"
+	"microadapt/internal/service"
 	"microadapt/internal/vector"
 )
 
@@ -294,155 +294,68 @@ func nonFiniteTable() *engine.Table {
 	return engine.NewTable("nf", sch, cols)
 }
 
-// TestPlanStreamNonFinite: streamTable on a NaN/±Inf result emits clean
-// chunk frames — no mid-stream error frame after the committed 200 — in
-// both wire modes, and the values round-trip bit-exactly.
-func TestPlanStreamNonFinite(t *testing.T) {
-	for _, bin := range []bool{false, true} {
-		name := "json"
-		if bin {
-			name = "bin"
-		}
-		t.Run(name, func(t *testing.T) {
-			s := &Server{streamChunkRows: 4}
-			rec := httptest.NewRecorder()
-			want := nonFiniteTable()
-			s.streamTable(rec, "nf", "", want, StatsJSON{}, bin)
+// nonFiniteExec answers every plan with nonFiniteTable.
+type nonFiniteExec struct{ *service.Service }
 
-			var got *TableJSON
-			chunks := 0
-			sc := bufio.NewScanner(bytes.NewReader(rec.Body.Bytes()))
-			for sc.Scan() {
-				var f StreamFrame
-				if err := json.Unmarshal(sc.Bytes(), &f); err != nil {
-					t.Fatalf("malformed frame %q: %v", sc.Text(), err)
-				}
-				switch f.Frame {
-				case FrameError:
-					t.Fatalf("error frame mid-stream: %s", f.Error)
-				case FrameChunk:
-					chunks++
-					tj := f.Table
-					if bin {
-						if tj != nil || len(f.Bin) == 0 {
-							t.Fatal("binary mode emitted a JSON chunk body")
-						}
-						var err error
-						if tj, err = UnmarshalTableBin(f.Bin); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if got == nil {
-						got = tj
-					} else {
-						got.Rows += tj.Rows
-						for ci := range tj.Cols {
-							got.Cols[ci].I64 = append(got.Cols[ci].I64, tj.Cols[ci].I64...)
-							got.Cols[ci].F64 = append(got.Cols[ci].F64, tj.Cols[ci].F64...)
-							fb := &got.Cols[ci]
-							// Stitching across escaped/plain chunks: normalize to bits.
-							if len(tj.Cols[ci].F64Bits) > 0 || len(fb.F64Bits) > 0 {
-								all := make([]uint64, 0, got.Rows)
-								for r := 0; r < fb.f64Len(); r++ {
-									all = append(all, fb.f64Bit(r))
-								}
-								for r := 0; r < tj.Cols[ci].f64Len(); r++ {
-									all = append(all, tj.Cols[ci].f64Bit(r))
-								}
-								fb.F64, fb.F64Bits = nil, all
-							}
-						}
-					}
-				}
-			}
-			if chunks != 2 {
-				t.Fatalf("%d chunks, want 2 (6 rows, cap 4)", chunks)
-			}
-			tab, err := DecodeTable(got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for r := 0; r < want.Rows(); r++ {
-				wb := math.Float64bits(want.Cols[1].GetF64(r))
-				gb := math.Float64bits(tab.Cols[1].GetF64(r))
-				if wb != gb {
-					t.Errorf("row %d: bits %016x, want %016x", r, gb, wb)
-				}
-			}
-		})
-	}
+func (nonFiniteExec) ExecutePlan(*plan.Builder) (*engine.Table, service.JobStats, error) {
+	return nonFiniteTable(), service.JobStats{}, nil
 }
 
-// TestPlanStreamBinaryNegotiation: a binary client gets binary chunks
-// from a current server and JSON chunks from a legacy one, with
-// identical fingerprints, digests verified, and identical decoded rows —
-// negotiation can only fall back, never fail.
-func TestPlanStreamBinaryNegotiation(t *testing.T) {
-	runCur, cur := startTestServer(t, Config{StreamChunkRows: 7})
-	_, old := startTestServer(t, Config{StreamChunkRows: 7, LegacyJSONWire: true})
-	old.WithBinaryWire(true)
-	curJSON := NewClient(runCur.URL)
-	cur.WithBinaryWire(true)
-
-	body, err := EncodePlanRequest(PlanRequest{Plan: marshalQueryPlan(t, 1)})
+// TestPlanStreamNonFinite: a NaN/±Inf plan result round-trips
+// bit-exactly over both forms a result takes on the wire — the stream's
+// binary chunks, with no error frame after the committed 200, and the
+// buffered /v1/plan JSON body through the f64b escape.
+func TestPlanStreamNonFinite(t *testing.T) {
+	_, c := startTestServer(t, Config{Service: nonFiniteExec{testService(false)}, StreamChunkRows: 4})
+	body, err := EncodePlanRequest(PlanRequest{Plan: marshalQueryPlan(t, 6), IncludeResult: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(c *Client) *StreamResult {
+	want := nonFiniteTable()
+	// requireBits checks tj against want's rows starting at off.
+	requireBits := func(t *testing.T, tj *TableJSON, off int) {
 		t.Helper()
-		res, err := c.PlanStreamEncoded(body, nil)
+		tab, err := DecodeTable(tj)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		for r := 0; r < tab.Rows(); r++ {
+			wb := math.Float64bits(want.Cols[1].GetF64(off + r))
+			if gb := math.Float64bits(tab.Cols[1].GetF64(r)); gb != wb {
+				t.Errorf("row %d: bits %016x, want %016x", off+r, gb, wb)
+			}
+		}
 	}
-	binRes, jsonRes, oldRes := run(cur), run(curJSON), run(old)
-	if binRes.BinaryChunks == 0 || binRes.BinaryChunks != binRes.Chunks {
-		t.Errorf("negotiated stream: %d/%d binary chunks, want all", binRes.BinaryChunks, binRes.Chunks)
-	}
-	if jsonRes.BinaryChunks != 0 {
-		t.Errorf("non-negotiating client got %d binary chunks", jsonRes.BinaryChunks)
-	}
-	if oldRes.BinaryChunks != 0 {
-		t.Errorf("legacy server answered %d binary chunks", oldRes.BinaryChunks)
-	}
-	if binRes.Fingerprint != jsonRes.Fingerprint || binRes.Fingerprint != oldRes.Fingerprint {
-		t.Error("fingerprints differ across wire modes")
-	}
-}
 
-// TestQueryBinaryWire: the buffered endpoints honor the negotiation too —
-// result_bin instead of result — and ResultTable decodes both forms to
-// equal tables.
-func TestQueryBinaryWire(t *testing.T) {
-	_, c := startTestServer(t, Config{})
-	jsonOut, err := c.Query(QueryRequest{Query: 6, IncludeResult: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.WithBinaryWire(true)
-	binOut, err := c.Query(QueryRequest{Query: 6, IncludeResult: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jsonOut.Response.Result == nil || len(jsonOut.Response.ResultBin) != 0 {
-		t.Fatal("plain client should get the JSON result form")
-	}
-	if binOut.Response.Result != nil || len(binOut.Response.ResultBin) == 0 {
-		t.Fatal("negotiating client should get the binary result form")
-	}
-	jt, err := jsonOut.Response.ResultTable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bt, err := binOut.Response.ResultTable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !jt.Equal(bt) {
-		t.Error("binary and JSON result tables differ")
-	}
-	if binOut.Response.Fingerprint != jsonOut.Response.Fingerprint {
-		t.Error("fingerprints differ across wire modes")
-	}
+	t.Run("bin", func(t *testing.T) {
+		rows := 0
+		res, err := c.PlanStreamEncoded(body, func(tj *TableJSON) error {
+			requireBits(t, tj, rows)
+			rows += tj.Rows
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Chunks != 2 || rows != want.Rows() {
+			t.Errorf("%d rows in %d chunks, want %d rows in 2 (cap 4)", rows, res.Chunks, want.Rows())
+		}
+	})
+	t.Run("json", func(t *testing.T) {
+		out, err := c.PlanEncoded(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.OK() {
+			t.Fatalf("status %d: %+v", out.Status, out.Err)
+		}
+		tj, err := out.Response.ResultTable()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tj == nil || len(tj.Cols[1].F64Bits) == 0 {
+			t.Fatal("JSON body did not carry the non-finite column in its f64b form")
+		}
+		requireBits(t, tj, 0)
+	})
 }
