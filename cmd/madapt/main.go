@@ -49,10 +49,6 @@ func main() {
 		err = cmdTPCH(os.Args[2:])
 	case "bench-concurrent":
 		err = cmdBenchConcurrent(os.Args[2:])
-	case "bench-all":
-		err = cmdBenchAll(os.Args[2:])
-	case "bench-compare":
-		err = cmdBenchCompare(os.Args[2:])
 	case "distverify":
 		err = cmdDistVerify(os.Args[2:])
 	case "soak":
@@ -81,8 +77,6 @@ func usage() {
   madapt explain [-sf F] [-q N] [-pipeline-parallel P] [-encoded]
   madapt tpch [-sf F] [-q N] [-flavors defaults|everything|branch|compiler|fission|compute|unroll|decompress] [-policy SPEC] [-pipeline-parallel P] [-encoded]
   madapt bench-concurrent [-workers N] [-jobs N] [-duration D] [-mix 1,6,12|all] [-flavors SET] [-policy SPEC] [-pipeline-parallel P] [-encoded] [-cold-only]
-  madapt bench-all [-sf F] [-seed N] [-vecsize N] [-json] [-out FILE]
-  madapt bench-compare [-wall] baseline.json current.json
   madapt distverify -addr URL [-sf F] [-seed N] [-mix 1,6,12|all]
   madapt soak [-addr URL] [-duration D] [-rate R] [-clients N] [-mix 1,6,12] [-zipf S] [-burst] [-plan-every N] [-sample-every N] [-sf F] [-seed N]
   madapt policies
@@ -201,7 +195,6 @@ func cmdTPCH(args []string) error {
 	q := fs.Int("q", 0, "query number (0 = all)")
 	flavors := fs.String("flavors", "everything", "flavor configuration")
 	spec := fs.String("policy", "vw-greedy", "selection policy spec (see: madapt policies)")
-	arm := fs.Int("arm", 0, "shorthand for -policy fixed:arm=N")
 	rows := fs.Int("rows", 10, "result rows to print")
 	pp := fs.Int("pipeline-parallel", 1, "intra-query pipeline parallelism (morsel partitions)")
 	encoded := fs.Bool("encoded", false, "keep tables resident in compressed columnar form (adaptive decompression scans)")
@@ -217,9 +210,6 @@ func cmdTPCH(args []string) error {
 	}
 	cfg.Policy = *spec
 	cfg.PipelineParallelism = *pp
-	if *spec == "fixed" && *arm > 0 {
-		cfg.Policy = fmt.Sprintf("fixed:arm=%d", *arm)
-	}
 	// Validate the spec up front: Session panics on wiring bugs, but a CLI
 	// typo deserves a flag-style error.
 	if _, err := policy.NewFactory(cfg.Policy, cfg.PolicyEnv()); err != nil {
@@ -307,73 +297,6 @@ func cmdBenchConcurrent(args []string) error {
 		return err
 	}
 	fmt.Println(rep.String())
-	return nil
-}
-
-// cmdBenchAll runs the performance trajectory suite — single-process,
-// distributed at two fleet sizes, and the federation cold/warm phases —
-// and emits it as a table or as the machine-readable JSON form that is
-// checked in as BENCH_<pr>.json and gated in CI via bench-compare.
-func cmdBenchAll(args []string) error {
-	fs := flag.NewFlagSet("bench-all", flag.ExitOnError)
-	cfg, finish := benchFlags(fs)
-	asJSON := fs.Bool("json", false, "emit the machine-readable suite JSON")
-	out := fs.String("out", "", "write output to FILE instead of stdout")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := finish(); err != nil {
-		return err
-	}
-	suite, err := bench.RunPerfSuite(*cfg)
-	if err != nil {
-		return err
-	}
-	var data []byte
-	if *asJSON {
-		if data, err = suite.MarshalIndent(); err != nil {
-			return err
-		}
-	} else {
-		data = []byte(suite.String() + "\n")
-	}
-	if *out != "" {
-		return os.WriteFile(*out, data, 0o644)
-	}
-	_, err = os.Stdout.Write(data)
-	return err
-}
-
-// cmdBenchCompare gates a fresh suite against a checked-in baseline.
-func cmdBenchCompare(args []string) error {
-	fs := flag.NewFlagSet("bench-compare", flag.ExitOnError)
-	wall := fs.Bool("wall", false, "also gate host-dependent wall-clock metrics")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 2 {
-		return fmt.Errorf("usage: madapt bench-compare [-wall] baseline.json current.json")
-	}
-	load := func(path string) (*bench.PerfSuite, error) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return bench.LoadPerfSuite(data)
-	}
-	baseline, err := load(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	current, err := load(fs.Arg(1))
-	if err != nil {
-		return err
-	}
-	if err := bench.ComparePerf(baseline, current, *wall); err != nil {
-		return err
-	}
-	fmt.Printf("perf gate ok: %d entries within tolerance of %s\n",
-		len(baseline.Entries), fs.Arg(0))
 	return nil
 }
 

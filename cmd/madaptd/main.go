@@ -74,7 +74,6 @@ func main() {
 	shards := fs.Int("shards", 0, "fleet size N when serving a shard")
 	coordinator := fs.String("coordinator", "", "comma-separated shard URLs: run as fleet coordinator")
 	gossip := fs.Duration("gossip", 2*time.Second, "coordinator flavor-gossip interval (0 disables)")
-	siteFanout := fs.Int("site-fanout", 0, "coordinator: concurrent fragment sites per query (0 = default, 1 = sequential)")
 	streamChunk := fs.Int("stream-chunk-rows", 0, "rows per /v1/plan/stream chunk frame (0 = default)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty disables)")
 	if err := fs.Parse(os.Args[1:]); err != nil {
@@ -126,10 +125,9 @@ func main() {
 		}
 		var err error
 		coord, err = dist.New(dist.Config{
-			Shards:     urls,
-			DB:         db,
-			Service:    svcCfg,
-			SiteFanout: *siteFanout,
+			Shards:  urls,
+			DB:      db,
+			Service: svcCfg,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -31,11 +31,9 @@ func distServiceConfig(cfg Config) service.Config {
 }
 
 // startDistFleet spins up n in-process shard servers over row-range
-// shards of db plus a coordinator with the given site fan-out: 1 runs
-// fragment sites sequentially (deterministic shard-side learning, what
-// the gated bench entries need); 0 takes the coordinator default
-// (overlapped sites). The returned stop function shuts the fleet down.
-func startDistFleet(db *tpch.DB, n int, sc service.Config, fanout int) (*dist.Coordinator, func(), error) {
+// shards of db plus a coordinator fronting them. The returned stop
+// function shuts the fleet down.
+func startDistFleet(db *tpch.DB, n int, sc service.Config) (*dist.Coordinator, func(), error) {
 	var runs []*server.Running
 	stop := func() {
 		for _, r := range runs {
@@ -55,7 +53,7 @@ func startDistFleet(db *tpch.DB, n int, sc service.Config, fanout int) (*dist.Co
 		runs = append(runs, run)
 		urls[i] = run.URL
 	}
-	c, err := dist.New(dist.Config{Shards: urls, DB: db, Service: sc, SiteFanout: fanout})
+	c, err := dist.New(dist.Config{Shards: urls, DB: db, Service: sc})
 	if err != nil {
 		stop()
 		return nil, nil, err
@@ -83,7 +81,7 @@ type distTierStats struct {
 // shards and verifies every result against the single-process
 // fingerprints.
 func runDistTier(db *tpch.DB, n, rounds int, sc service.Config, want map[int]string) (distTierStats, error) {
-	c, stop, err := startDistFleet(db, n, sc, 0)
+	c, stop, err := startDistFleet(db, n, sc)
 	if err != nil {
 		return distTierStats{}, err
 	}
@@ -220,7 +218,7 @@ func Federation(cfg Config) (*Report, error) {
 	db := cfg.DB()
 	sc := distServiceConfig(cfg)
 
-	c, stop, err := startDistFleet(db, 2, sc, 0)
+	c, stop, err := startDistFleet(db, 2, sc)
 	if err != nil {
 		return nil, err
 	}

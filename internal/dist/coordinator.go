@@ -41,6 +41,9 @@ const (
 	// latencyWindow is the sample capacity of each per-shard fragment
 	// round-trip window and of the time-to-first-chunk window.
 	latencyWindow = 1024
+	// siteFanout bounds how many independent fragment sites of one query
+	// execute concurrently.
+	siteFanout = 4
 )
 
 // Config parameterizes a Coordinator.
@@ -58,11 +61,6 @@ type Config struct {
 	// Service configures the residual-execution service (policy, flavors,
 	// vector size, warm start). Zero value takes service defaults.
 	Service service.Config
-	// SiteFanout bounds how many independent fragment sites execute
-	// concurrently (default 4). 1 runs sites sequentially in site order —
-	// still streaming over the wire, but with a deterministic shard-side
-	// learning sequence, which the bench suite relies on.
-	SiteFanout int
 }
 
 // shardConn is one shard's client plus its observability.
@@ -77,9 +75,8 @@ type shardConn struct {
 // HTTP surface in coordinator mode as in single-process mode, and
 // server.FleetReporter, so /metrics grows a fleet section.
 type Coordinator struct {
-	svc        *service.Service
-	shards     []*shardConn
-	siteFanout int
+	svc    *service.Service
+	shards []*shardConn
 
 	fragments      atomic.Int64 // fragments dispatched (one per site x shard)
 	ttfc           *stats.Window
@@ -100,17 +97,13 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.DB == nil {
 		return nil, fmt.Errorf("dist: Config.DB is required")
 	}
-	if cfg.SiteFanout < 1 {
-		cfg.SiteFanout = 4
-	}
 	svc := service.New(cfg.DB.SchemaOnly(), cfg.Service)
 	if err := svc.Err(); err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
 	}
 	c := &Coordinator{
-		svc:        svc,
-		siteFanout: cfg.SiteFanout,
-		ttfc:       stats.NewWindow(latencyWindow),
+		svc:  svc,
+		ttfc: stats.NewWindow(latencyWindow),
 	}
 	for _, url := range cfg.Shards {
 		c.shards = append(c.shards, &shardConn{
@@ -214,33 +207,22 @@ func (c *Coordinator) run(b *plan.Builder, finish func(*plan.Builder, *plan.Exec
 	sites := plan.FragmentSites(b)
 	merged := make([]*engine.Table, len(sites))
 	siteStats := make([]server.StatsJSON, len(sites))
-	if c.siteFanout <= 1 {
-		// Sequential sites in site order: the deterministic path.
-		for si, site := range sites {
-			var err error
-			merged[si], siteStats[si], err = c.runSite(site)
-			if err != nil {
-				return nil, st, err
-			}
-		}
-	} else {
-		sem := make(chan struct{}, c.siteFanout)
-		errs := make([]error, len(sites))
-		var wg sync.WaitGroup
-		for si, site := range sites {
-			wg.Add(1)
-			go func(si int, site *plan.FragmentSite) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				merged[si], siteStats[si], errs[si] = c.runSite(site)
-			}(si, site)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, st, err
-			}
+	sem := make(chan struct{}, siteFanout)
+	errs := make([]error, len(sites))
+	var wg sync.WaitGroup
+	for si, site := range sites {
+		wg.Add(1)
+		go func(si int, site *plan.FragmentSite) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			merged[si], siteStats[si], errs[si] = c.runSite(site)
+		}(si, site)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, st, err
 		}
 	}
 	// Fold per-site stats in site order after the fan-out, so the float

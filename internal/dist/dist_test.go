@@ -15,14 +15,14 @@ import (
 var testDB = tpch.Generate(0.002, 42)
 
 // startShards spins up n in-process shard servers over row-range shards
-// of testDB and returns their URLs. srvCfg parameterizes the shard
+// of db and returns their URLs. srvCfg parameterizes the shard
 // servers beyond the executing service (e.g. StreamChunkRows).
-func startShards(t *testing.T, n int, svcCfg service.Config, srvCfg server.Config) []string {
+func startShards(t *testing.T, db *tpch.DB, n int, svcCfg service.Config, srvCfg server.Config) []string {
 	t.Helper()
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
 		cfg := srvCfg
-		cfg.Service = service.New(testDB.Shard(i, n), svcCfg)
+		cfg.Service = service.New(db.Shard(i, n), svcCfg)
 		run, err := server.Start(server.NewServer(cfg), "")
 		if err != nil {
 			t.Fatalf("start shard %d: %v", i, err)
@@ -37,12 +37,12 @@ func startShards(t *testing.T, n int, svcCfg service.Config, srvCfg server.Confi
 	return urls
 }
 
-// startFleet spins up n shard servers plus a coordinator fronting them,
-// returning both the coordinator and the shard URLs.
-func startFleet(t *testing.T, n int, svcCfg service.Config) (*Coordinator, []string) {
+// startFleet spins up n shard servers over db plus a coordinator fronting
+// them, returning both the coordinator and the shard URLs.
+func startFleet(t *testing.T, db *tpch.DB, n int, svcCfg service.Config) (*Coordinator, []string) {
 	t.Helper()
-	urls := startShards(t, n, svcCfg, server.Config{})
-	c, err := New(Config{Shards: urls, DB: testDB, Service: svcCfg})
+	urls := startShards(t, db, n, svcCfg, server.Config{})
+	c, err := New(Config{Shards: urls, DB: db, Service: svcCfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestDistributedBitIdentity(t *testing.T) {
 			svcCfg.PipelineParallelism = p
 			// Small stream chunks so multi-chunk streams are the norm, not
 			// an sf-dependent accident.
-			urls := startShards(t, n, svcCfg, server.Config{StreamChunkRows: 64})
+			urls := startShards(t, testDB, n, svcCfg, server.Config{StreamChunkRows: 64})
 			c, err := New(Config{Shards: urls, DB: testDB, Service: svcCfg})
 			if err != nil {
 				t.Fatal(err)
@@ -137,7 +137,7 @@ func TestShardRanges(t *testing.T) {
 // through a gossip round, and warm-starts its sessions — the cross-process
 // warm-start the federation exists for.
 func TestFlavorFederation(t *testing.T) {
-	c, _ := startFleet(t, 2, service.DefaultConfig())
+	c, _ := startFleet(t, testDB, 2, service.DefaultConfig())
 
 	// Warm the fleet: distributed queries make every shard learn its
 	// fragment instances locally.
@@ -185,7 +185,7 @@ func TestFlavorFederation(t *testing.T) {
 // through the wire codec; and a cold process importing the fleet snapshot
 // warm-starts its decisions before its first join opens.
 func TestDecisionKnowledgeFederation(t *testing.T) {
-	c, urls := startFleet(t, 2, service.DefaultConfig())
+	c, urls := startFleet(t, testDB, 2, service.DefaultConfig())
 	for _, q := range []int{3, 5, 10} {
 		if _, _, err := c.Execute(q); err != nil {
 			t.Fatalf("Q%02d: %v", q, err)
@@ -233,7 +233,7 @@ func TestDecisionKnowledgeFederation(t *testing.T) {
 
 // TestGossipLoop: the interval loop runs rounds and stops cleanly.
 func TestGossipLoop(t *testing.T) {
-	c, _ := startFleet(t, 2, service.DefaultConfig())
+	c, _ := startFleet(t, testDB, 2, service.DefaultConfig())
 	if _, _, err := c.Execute(1); err != nil {
 		t.Fatal(err)
 	}

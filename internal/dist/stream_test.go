@@ -117,7 +117,7 @@ func TestStreamingFallback(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			// Tiny stream chunks so the mid-stream cut happens after a real
 			// chunk was folded into the merge.
-			urls := startShards(t, 2, svcCfg, server.Config{StreamChunkRows: 16})
+			urls := startShards(t, testDB, 2, svcCfg, server.Config{StreamChunkRows: 16})
 			var broken atomic.Bool
 			broken.Store(true)
 			urls[1] = proxyShard(t, urls[1], &broken, tc.stream(urls[1]))
@@ -161,7 +161,7 @@ func TestStreamingFallback(t *testing.T) {
 // provisional samples must not reach the windows.
 func TestStreamingFallbackCounters(t *testing.T) {
 	svcCfg := service.DefaultConfig()
-	urls := startShards(t, 2, svcCfg, server.Config{StreamChunkRows: 16})
+	urls := startShards(t, testDB, 2, svcCfg, server.Config{StreamChunkRows: 16})
 	var broken atomic.Bool
 	broken.Store(true)
 	urls[1] = proxyShard(t, urls[1], &broken, relayStream(urls[1], cutAfterFirstChunk))
@@ -227,7 +227,7 @@ func recordBodies(t *testing.T, backend string, mu *sync.Mutex, got *[]string) s
 // whatever the fleet size — i.e. it happens per site, not per shard.
 func TestFragmentEncodeOncePerSite(t *testing.T) {
 	svcCfg := service.DefaultConfig()
-	urls := startShards(t, 2, svcCfg, server.Config{})
+	urls := startShards(t, testDB, 2, svcCfg, server.Config{})
 	var mu sync.Mutex
 	bodies := make([][]string, 2)
 	for i := range urls {
