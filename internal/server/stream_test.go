@@ -25,65 +25,35 @@ func marshalQueryPlan(t *testing.T, q int) []byte {
 	return data
 }
 
-// TestPlanStreamBitIdentical: the streamed chunks, concatenated in
-// arrival order, are bit-identical to the buffered endpoint's result, the
-// trailer fingerprint matches, and a small chunk cap actually splits the
-// result into multiple frames.
+// TestPlanStreamBitIdentical: a small chunk cap splits the result into
+// frames of at most that many rows, the header carries the schema and the
+// trailer the stats. That the stitched chunks and the trailer fingerprint
+// equal in-process execution is the http-stream row of TestIdentityOracle
+// (internal/dist).
 func TestPlanStreamBitIdentical(t *testing.T) {
 	_, c := startTestServer(t, Config{StreamChunkRows: 7})
-	for _, q := range []int{1, 6, 13} {
-		body, err := EncodePlanRequest(PlanRequest{Plan: marshalQueryPlan(t, q), IncludeResult: true})
-		if err != nil {
-			t.Fatal(err)
+	var sizes []int
+	res, err := c.PlanStream(PlanRequest{Plan: marshalQueryPlan(t, 13)}, func(tj *TableJSON) error {
+		sizes = append(sizes, tj.Rows)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rows <= 7 {
+		t.Fatalf("Q13 returned %d rows; the chunk cap 7 cannot show", res.Rows)
+	}
+	for _, n := range sizes {
+		if n > 7 {
+			t.Errorf("chunk sizes %v exceed the cap 7", sizes)
+			break
 		}
-		buffered, err := c.PlanEncoded(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !buffered.OK() {
-			t.Fatalf("Q%02d buffered: status %d: %+v", q, buffered.Status, buffered.Err)
-		}
-
-		var chunks []*TableJSON
-		res, err := c.PlanStreamEncoded(body, func(tj *TableJSON) error {
-			chunks = append(chunks, tj)
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("Q%02d stream: %v", q, err)
-		}
-		if res.Fingerprint != buffered.Response.Fingerprint {
-			t.Errorf("Q%02d: stream fingerprint differs from buffered", q)
-		}
-		if res.Rows != buffered.Response.Rows {
-			t.Errorf("Q%02d: stream rows %d, buffered %d", q, res.Rows, buffered.Response.Rows)
-		}
-		if res.Rows > 7 && res.Chunks < 2 {
-			t.Errorf("Q%02d: %d rows arrived in %d chunks; chunk cap 7 not applied", q, res.Rows, res.Chunks)
-		}
-		if res.Schema == nil || len(res.Schema.Cols) == 0 {
-			t.Errorf("Q%02d: header carried no schema", q)
-		}
-		if res.Stats.LatencyUS <= 0 {
-			t.Errorf("Q%02d: trailer carried no stats", q)
-		}
-		// Stitch the chunks back together and compare bitwise.
-		whole := buffered.Response.Result
-		stitched := &TableJSON{Name: whole.Name, Cols: make([]ColumnJSON, len(whole.Cols))}
-		for ci := range whole.Cols {
-			stitched.Cols[ci] = ColumnJSON{Name: whole.Cols[ci].Name, Type: whole.Cols[ci].Type}
-		}
-		for _, ch := range chunks {
-			stitched.Rows += ch.Rows
-			for ci := range ch.Cols {
-				stitched.Cols[ci].I64 = append(stitched.Cols[ci].I64, ch.Cols[ci].I64...)
-				stitched.Cols[ci].F64 = append(stitched.Cols[ci].F64, ch.Cols[ci].F64...)
-				stitched.Cols[ci].Str = append(stitched.Cols[ci].Str, ch.Cols[ci].Str...)
-			}
-		}
-		if !stitched.Equal(whole) {
-			t.Errorf("Q%02d: stitched stream chunks differ from buffered result", q)
-		}
+	}
+	if res.Schema == nil || len(res.Schema.Cols) == 0 {
+		t.Error("header carried no schema")
+	}
+	if res.Stats.LatencyUS <= 0 {
+		t.Error("trailer carried no stats")
 	}
 }
 

@@ -378,13 +378,12 @@ func TestConfigKeepsCallerVWParams(t *testing.T) {
 	}
 }
 
-// TestParallelExecutionMatchesSerial: the service acceptance property of
-// pipeline parallelism — with PipelineParallelism P > 1 every query result
-// is identical to the serial plan's, and the partition sessions harvest
-// into the shared cache under exactly the serial plan's instance keys.
+// TestParallelExecutionMatchesSerial: with PipelineParallelism P > 1 the
+// partition sessions harvest into the shared cache under exactly the
+// serial plan's instance keys. That the results equal the serial plan's is
+// the service-p rows of TestIdentityOracle (internal/dist).
 func TestParallelExecutionMatchesSerial(t *testing.T) {
 	queries := []int{1, 3, 6, 12, 14}
-	want := baselineFingerprints(t, queries)
 
 	// The pipeline fan-out decision only exists when a pipeline actually
 	// fans out, so its keys are legitimately parallel-only; every other
@@ -416,12 +415,9 @@ func TestParallelExecutionMatchesSerial(t *testing.T) {
 		cfg.PipelineParallelism = p
 		svc := New(testDB, cfg)
 		for _, q := range queries {
-			tab, st, err := svc.Execute(q)
+			_, st, err := svc.Execute(q)
 			if err != nil {
 				t.Fatalf("P=%d Q%02d: %v", p, q, err)
-			}
-			if got := fingerprint(tab); got != want[q] {
-				t.Errorf("P=%d Q%02d: result differs from serial baseline", p, q)
 			}
 			if st.AdaptiveCalls == 0 {
 				t.Errorf("P=%d Q%02d: no adaptive calls recorded", p, q)

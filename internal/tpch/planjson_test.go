@@ -6,11 +6,8 @@ import (
 	"path/filepath"
 	"testing"
 
-	"microadapt/internal/core"
 	"microadapt/internal/engine"
-	"microadapt/internal/hw"
 	"microadapt/internal/plan"
-	"microadapt/internal/primitive"
 )
 
 // resolveTest resolves scan tables against the shared test database, the
@@ -63,40 +60,34 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPlanJSONExecutesIdentically executes round-tripped plans and asserts
-// the result tables are bit-identical to the original plans' — the
-// correctness contract the soak harness leans on when it replays wire
-// plans against in-process execution.
-func TestPlanJSONExecutesIdentically(t *testing.T) {
-	queries := []int{1, 6, 11, 14, 19, 22} // group-by, scalar subquery, map fn, case exprs, disjunct roots
-	if testing.Short() {
-		queries = []int{6, 14}
+// FuzzUnmarshalPlan: the plan codec is the network-facing input of
+// /v1/plan. Decoding arbitrary bytes must never panic, and whatever
+// decodes must re-marshal and decode again to the same plan (equal
+// Explain). Seeded with the 22 TPC-H plans; executing the round-tripped
+// plans is the planjson row of TestIdentityOracle (internal/dist).
+func FuzzUnmarshalPlan(f *testing.F) {
+	for _, q := range Queries() {
+		data, err := plan.MarshalPlan(q.Plan(testDB))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
 	}
-	session := func() *core.Session {
-		dict := primitive.NewDictionary(primitive.Defaults())
-		return core.NewSession(dict, hw.Machine1(), core.WithVectorSize(128), core.WithSeed(11))
-	}
-	for _, qn := range queries {
-		q := Query(qn)
-		orig := q.Plan(testDB)
-		data, err := plan.MarshalPlan(orig)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := plan.UnmarshalPlan(data, resolveTest)
 		if err != nil {
-			t.Fatalf("%s: marshal: %v", q.Name, err)
+			return
 		}
-		rebuilt, err := plan.UnmarshalPlan(data, resolveTest)
+		again, err := plan.MarshalPlan(b)
 		if err != nil {
-			t.Fatalf("%s: unmarshal: %v", q.Name, err)
+			t.Fatalf("decoded plan does not re-marshal: %v", err)
 		}
-		want, err := orig.Bind(session()).Run(orig.MainRoot())
+		b2, err := plan.UnmarshalPlan(again, resolveTest)
 		if err != nil {
-			t.Fatalf("%s: run original: %v", q.Name, err)
+			t.Fatalf("re-marshalled plan does not decode: %v\n%s", err, again)
 		}
-		got, err := rebuilt.Bind(session()).Run(rebuilt.MainRoot())
-		if err != nil {
-			t.Fatalf("%s: run rebuilt: %v", q.Name, err)
+		if got, want := b2.Explain(1), b.Explain(1); got != want {
+			t.Fatalf("explain drift after re-marshal:\ngot:\n%s\nwant:\n%s", got, want)
 		}
-		if tableFingerprint(got) != tableFingerprint(want) {
-			t.Errorf("%s: round-tripped plan result differs from original", q.Name)
-		}
-	}
+	})
 }

@@ -5,9 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"microadapt/internal/core"
-	"microadapt/internal/hw"
-	"microadapt/internal/primitive"
 	"microadapt/internal/storage"
 )
 
@@ -45,67 +42,21 @@ func TestEncodeShrinksResidentBytes(t *testing.T) {
 	}
 }
 
-// TestEncodedMatchesFlat is the acceptance property of compressed storage:
-// every TPC-H query must return a bit-identical table on encoded storage
-// vs flat, at every pipeline parallelism — under the full flavor set, so
-// eager/lazy decompression and operate-on-compressed selection all run.
+// TestEncodedMatchesFlat: every query over encoded storage scans through
+// the adaptive decompression flavor family (eager/lazy decompression or
+// operate-on-compressed selection). That its results equal flat storage's
+// is the enc-p rows of TestIdentityOracle (internal/dist).
 func TestEncodedMatchesFlat(t *testing.T) {
-	queries := Queries()
-	if testing.Short() {
-		// Scan-heavy partitioned plans plus one join-heavy control.
-		queries = []Spec{Query(1), Query(6), Query(12), Query(4)}
-	}
 	enc := encodedDB()
-	for _, q := range queries {
-		q := q
-		t.Run(q.Name, func(t *testing.T) {
-			for _, p := range []int{1, 2, 4} {
-				newSess := func() *core.Session {
-					return core.NewSession(primitive.NewDictionary(primitive.Everything()), hw.Machine1(),
-						core.WithVectorSize(128), core.WithSeed(7), core.WithParallelism(p))
-				}
-				flatTab, err := q.Run(testDB, newSess())
-				if err != nil {
-					t.Fatalf("%s flat P=%d: %v", q.Name, p, err)
-				}
-				s := newSess()
-				encTab, err := q.Run(enc, s)
-				if err != nil {
-					t.Fatalf("%s encoded P=%d: %v", q.Name, p, err)
-				}
-				if got, want := tableFingerprint(encTab), tableFingerprint(flatTab); got != want {
-					t.Errorf("%s: encoded result differs from flat at P=%d", q.Name, p)
-				}
-				if p == 1 && scanHeavy(q.ID) {
-					assertDecompressInstances(t, s, q.Name)
-				}
+	// Short: scan-heavy partitioned plans plus one join-heavy control.
+	eachQuery(t, []int{1, 6, 12, 4}, func(t *testing.T, q Spec) {
+		for _, inst := range runQuery(t, q, enc).AllInstances() {
+			if strings.HasPrefix(inst.Prim.Sig, "scan_decompress_") || strings.HasPrefix(inst.Prim.Sig, "selenc_") {
+				return
 			}
-		})
-	}
-}
-
-// scanHeavy marks queries whose plans scan encoded lineitem columns
-// directly (a decompression instance must exist).
-func scanHeavy(id int) bool {
-	switch id {
-	case 1, 6, 12, 14:
-		return true
-	}
-	return false
-}
-
-func assertDecompressInstances(t *testing.T, s *core.Session, name string) {
-	t.Helper()
-	found := false
-	for _, inst := range s.AllInstances() {
-		if strings.HasPrefix(inst.Prim.Sig, "scan_decompress_") || strings.HasPrefix(inst.Prim.Sig, "selenc_") {
-			found = true
-			break
 		}
-	}
-	if !found {
-		t.Errorf("%s on encoded storage created no decompression instances", name)
-	}
+		t.Errorf("%s on encoded storage created no decompression instances", q.Name)
+	})
 }
 
 // TestEncodedExplainAnnotates: explain over an encoded database marks the

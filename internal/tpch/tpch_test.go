@@ -2,6 +2,7 @@ package tpch
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"microadapt/internal/core"
@@ -13,14 +14,9 @@ import (
 // testDB is shared across tests (generation is the expensive part).
 var testDB = Generate(0.005, 42)
 
-func newSession(t testing.TB, o primitive.Options, chooser core.ChooserFactory) *core.Session {
-	t.Helper()
-	dict := primitive.NewDictionary(o)
-	opts := []core.SessionOption{core.WithVectorSize(128), core.WithSeed(7)}
-	if chooser != nil {
-		opts = append(opts, core.WithChooser(chooser))
-	}
-	return core.NewSession(dict, hw.Machine1(), opts...)
+func newSession(o primitive.Options, opts ...core.SessionOption) *core.Session {
+	opts = append([]core.SessionOption{core.WithVectorSize(128), core.WithSeed(7)}, opts...)
+	return core.NewSession(primitive.NewDictionary(o), hw.Machine1(), opts...)
 }
 
 // tableFingerprint renders a table to a canonical string for equivalence
@@ -110,7 +106,7 @@ func TestAllQueriesRun(t *testing.T) {
 	for _, q := range Queries() {
 		q := q
 		t.Run(q.Name, func(t *testing.T) {
-			s := newSession(t, primitive.Defaults(), nil)
+			s := newSession(primitive.Defaults())
 			tab, err := q.Run(testDB, s)
 			if err != nil {
 				t.Fatalf("%s failed: %v", q.Name, err)
@@ -128,149 +124,96 @@ func TestAllQueriesRun(t *testing.T) {
 	}
 }
 
-// TestQueriesFlavorEquivalence is the core correctness property of Micro
-// Adaptivity: flavors are functionally equivalent, so every query must
-// produce identical results under any flavor configuration and any
-// selection policy.
-func TestQueriesFlavorEquivalence(t *testing.T) {
-	configs := []struct {
-		name    string
-		opts    primitive.Options
-		chooser core.ChooserFactory
-	}{
-		{"defaults", primitive.Defaults(), nil},
-		{"everything-vwgreedy", primitive.Everything(), nil},
-		{"everything-roundrobin", primitive.Everything(), func(n int) core.Chooser { return core.NewRoundRobin(n) }},
-		{"branchset-epsgreedy", primitive.BranchSet(), nil},
-	}
-	if testing.Short() {
-		t.Skip("22 queries x 4 flavor configurations; skipped in -short mode")
+// eachQuery runs check as one subtest per TPC-H query; under -short only
+// on the queries in short (none: skip).
+func eachQuery(t *testing.T, short []int, check func(t *testing.T, q Spec)) {
+	if testing.Short() && len(short) == 0 {
+		t.Skip("one run per query; skipped in -short mode")
 	}
 	for _, q := range Queries() {
-		q := q
-		t.Run(q.Name, func(t *testing.T) {
-			var want string
-			for ci, cfg := range configs {
-				s := newSession(t, cfg.opts, cfg.chooser)
-				tab, err := q.Run(testDB, s)
-				if err != nil {
-					t.Fatalf("%s under %s failed: %v", q.Name, cfg.name, err)
-				}
-				got := tableFingerprint(tab)
-				if ci == 0 {
-					want = got
-					continue
-				}
-				if got != want {
-					t.Errorf("%s: config %s produced different results", q.Name, cfg.name)
-				}
-			}
-		})
+		if !testing.Short() || slices.Contains(short, q.ID) {
+			t.Run(q.Name, func(t *testing.T) { check(t, q) })
+		}
 	}
 }
 
-// TestQueriesJoinStrategyEquivalence is the correctness property of the
-// join-strategy decision: hash, merge (binary-search) and bloom-prefiltered
-// hash all return the lowest matching build row per probe tuple, so every
-// query must be bit-identical whichever arm is forced, serial or parallel.
-// Arms are pinned through WithInstanceChooser, which fragments inherit;
-// indices past a decision's arm count clamp to 0 (the anti-join decision
-// has no bloomhash arm).
+// runQuery runs q over db on a primitive.Everything() session with the
+// given extra options.
+func runQuery(t *testing.T, q Spec, db *DB, opts ...core.SessionOption) *core.Session {
+	t.Helper()
+	s := newSession(primitive.Everything(), opts...)
+	if _, err := q.Run(db, s); err != nil {
+		t.Fatalf("%s: %v", q.Name, err)
+	}
+	return s
+}
+
+// Result identity across flavors, decision arms, pipeline parallelism and
+// storage encoding is one harness, TestIdentityOracle in internal/dist.
+// The per-axis tests below check that each axis is really exercised, so
+// the oracle's rows are not identical by construction.
+
+// TestQueriesFlavorEquivalence: under primitive.Everything() with a
+// round-robin chooser, every query spends calls off its instances'
+// measured-best flavors, i.e. it really switches flavors.
+func TestQueriesFlavorEquivalence(t *testing.T) {
+	eachQuery(t, nil, func(t *testing.T, q Spec) {
+		s := runQuery(t, q, testDB, core.WithChooser(func(n int) core.Chooser { return core.NewRoundRobin(n) }))
+		if _, offBest := core.AdaptationCost(s.AllInstances()); offBest == 0 {
+			t.Errorf("%s: no primitive instance called more than one flavor", q.Name)
+		}
+	})
+}
+
+// TestQueriesJoinStrategyEquivalence: an arm forced through
+// WithInstanceChooser is the arm every decision of the query takes,
+// fragments included (they inherit the factory). Indices past a
+// decision's arm count clamp to 0 (the anti-join decision has no
+// bloomhash arm).
 func TestQueriesJoinStrategyEquivalence(t *testing.T) {
-	queries := Queries()
-	if testing.Short() {
-		// The join-heavy plans plus one join-free control query.
-		queries = []Spec{Query(3), Query(5), Query(17), Query(21), Query(1)}
-	}
-	forced := func(arm int) core.SessionOption {
-		return core.WithInstanceChooser(func(sig, label string, arms []string) core.Chooser {
-			if core.IsDecisionSig(sig) {
-				return core.NewFixed(arm)
-			}
-			return core.NewFixed(0)
-		})
-	}
-	for _, q := range queries {
-		q := q
-		t.Run(q.Name, func(t *testing.T) {
-			var want string
-			first := true
-			for _, p := range []int{1, 4} {
-				for arm := 0; arm < 3; arm++ {
-					dict := primitive.NewDictionary(primitive.Everything())
-					opts := []core.SessionOption{
-						core.WithVectorSize(128), core.WithSeed(7), forced(arm),
-					}
-					if p > 1 {
-						opts = append(opts, core.WithParallelism(p))
-					}
-					s := core.NewSession(dict, hw.Machine1(), opts...)
-					tab, err := q.Run(testDB, s)
-					if err != nil {
-						t.Fatalf("%s arm=%d P=%d: %v", q.Name, arm, p, err)
-					}
-					got := tableFingerprint(tab)
-					if first {
-						want, first = got, false
-						continue
-					}
-					if got != want {
-						t.Errorf("%s: arm=%d P=%d result differs from arm=0 P=1", q.Name, arm, p)
-					}
+	// Short: the join-heavy plans plus one join-free control query.
+	eachQuery(t, []int{3, 5, 17, 21, 1}, func(t *testing.T, q Spec) {
+		for arm := 0; arm < 3; arm++ {
+			forced := core.WithInstanceChooser(func(sig, label string, arms []string) core.Chooser {
+				if core.IsDecisionSig(sig) {
+					return core.NewFixed(arm)
+				}
+				return core.NewFixed(0)
+			})
+			for _, d := range runQuery(t, q, testDB, forced, core.WithParallelism(4)).AllDecisions() {
+				want := arm
+				if want >= len(d.Arms) {
+					want = 0
+				}
+				if d.PerArm[want].Calls != d.Calls {
+					t.Errorf("%s: forced arm %d, decision %s took arm %s on %d of %d calls",
+						q.Name, arm, d.Label, d.Arms[want], d.PerArm[want].Calls, d.Calls)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
-// TestParallelMatchesSerial is the acceptance property of morsel-driven
-// pipeline parallelism: with PipelineParallelism P > 1 every query must
-// return results identical to the serial plan, for every P. Queries without
-// a partitionable prefix run serially and pass trivially; the partitioned
-// ones (Q1, Q3, Q6, Q12, Q14, Q15) exercise the Parallel/Exchange path.
+// TestParallelMatchesSerial: a serial run spawns no fragments, and every
+// fragment session of a P=4 run carries its partition tag.
 func TestParallelMatchesSerial(t *testing.T) {
-	queries := Queries()
-	if testing.Short() {
-		// The partitioned plans plus one serial-only control query.
-		queries = []Spec{Query(1), Query(3), Query(6), Query(12), Query(14), Query(15), Query(4)}
-	}
-	for _, q := range queries {
-		q := q
-		t.Run(q.Name, func(t *testing.T) {
-			var want string
-			for _, p := range []int{1, 2, 4} {
-				dict := primitive.NewDictionary(primitive.Everything())
-				s := core.NewSession(dict, hw.Machine1(),
-					core.WithVectorSize(128), core.WithSeed(7), core.WithParallelism(p))
-				tab, err := q.Run(testDB, s)
-				if err != nil {
-					t.Fatalf("%s at P=%d: %v", q.Name, p, err)
-				}
-				got := tableFingerprint(tab)
-				if p == 1 {
-					want = got
-					if len(s.Fragments()) != 0 {
-						t.Fatalf("%s: serial run spawned %d fragments", q.Name, len(s.Fragments()))
-					}
-					continue
-				}
-				if got != want {
-					t.Errorf("%s: P=%d result differs from serial plan", q.Name, p)
-				}
-				for _, fs := range s.Fragments() {
-					if fs.Partition() < 0 {
-						t.Errorf("%s: fragment session without partition tag", q.Name)
-					}
-				}
+	// Short: the partitioned plans plus one serial-only control query.
+	eachQuery(t, []int{1, 3, 6, 12, 14, 15, 4}, func(t *testing.T, q Spec) {
+		if n := len(runQuery(t, q, testDB).Fragments()); n != 0 {
+			t.Errorf("%s: serial run spawned %d fragments", q.Name, n)
+		}
+		for _, fs := range runQuery(t, q, testDB, core.WithParallelism(4)).Fragments() {
+			if fs.Partition() < 0 {
+				t.Errorf("%s: fragment session without partition tag", q.Name)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestQ1Values cross-checks Q1 aggregates against a straightforward Go
 // reimplementation of the query.
 func TestQ1Values(t *testing.T) {
-	s := newSession(t, primitive.Everything(), nil)
+	s := newSession(primitive.Everything())
 	tab, err := Q1(testDB, s)
 	if err != nil {
 		t.Fatal(err)
@@ -336,7 +279,7 @@ func TestQ1Values(t *testing.T) {
 
 // TestQ6Value cross-checks the Q6 scalar.
 func TestQ6Value(t *testing.T) {
-	s := newSession(t, primitive.Everything(), nil)
+	s := newSession(primitive.Everything())
 	tab, err := Q6(testDB, s)
 	if err != nil {
 		t.Fatal(err)
@@ -360,7 +303,7 @@ func TestQ6Value(t *testing.T) {
 
 // TestQ12Values cross-checks Q12 counts.
 func TestQ12Values(t *testing.T) {
-	s := newSession(t, primitive.Everything(), nil)
+	s := newSession(primitive.Everything())
 	tab, err := Q12(testDB, s)
 	if err != nil {
 		t.Fatal(err)
