@@ -1,8 +1,5 @@
 //go:build !race
 
-// The race runtime allocates on its own, so AllocsPerRun is exact only
-// without -race.
-
 package dist
 
 import (
@@ -15,7 +12,8 @@ import (
 
 // TestFragmentEncodeAllocsIndependentOfFleet: encoding a fragment body
 // allocates the same, up to two allocations of slack, on a 1-shard and an
-// 8-shard coordinator: once per site, not once per shard (~8x).
+// 8-shard coordinator: once per site, not once per shard (~8x). It builds
+// without -race only, since the race runtime allocates on its own.
 func TestFragmentEncodeAllocsIndependentOfFleet(t *testing.T) {
 	allocs := func(shards int) float64 {
 		urls := make([]string, shards)

@@ -1,8 +1,10 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"microadapt/internal/core"
@@ -23,6 +25,12 @@ import (
 // essentially every customer has an order.
 var emptyAtOracleScale = map[int]bool{18: true, 20: true, 22: true}
 
+// distShortSkip lists the queries the dist rows skip under -short. Both
+// ship most of lineitem from every shard to the coordinator and cost
+// about half of the dist rows' -short time under -race; Q3, Q4 and Q17
+// keep that shape in -short, and full mode runs all 22 queries.
+var distShortSkip = map[int]bool{5: true, 21: true}
+
 // oracleRow is one execution configuration. Rows with plan set run the
 // spec's plan (every root, main root returned, as /v1/plan does) and
 // compare against the plan reference; the others run the spec itself.
@@ -36,10 +44,11 @@ type oracleRow struct {
 // across every tier: flavors, decision arms, pipeline parallelism,
 // storage encoding, the plan codec, the service, the HTTP surface and
 // distributed execution are functionally equivalent, so every query must
-// fingerprint-equal (server.Fingerprint) its reference under every row.
-// The references run serially on flat storage with the single-flavor
-// primitive.Defaults() build; the spec and plan references differ only
-// for queries with a Go delivery step.
+// return its reference table under every row — bit for bit in wire form
+// (server.EncodeTable: column names and types, integers, float bits,
+// strings). The references run serially on flat storage with the
+// single-flavor primitive.Defaults() build; the spec and plan references
+// differ only for queries with a Go delivery step.
 //
 // A failure names the query and the row, as in
 // TestIdentityOracle/Q05/arm1-p4, which is also the -run pattern that
@@ -47,22 +56,18 @@ type oracleRow struct {
 func TestIdentityOracle(t *testing.T) {
 	db := tpch.Generate(0.005, 42)
 	rows := oracleRows(t, db, db.Shard(0, 1).Encode()) // an encoded view of the same rows
-	ref := func() *core.Session {
-		return core.NewSession(primitive.NewDictionary(primitive.Defaults()), hw.Machine1(), core.WithVectorSize(128))
-	}
+	defaults := primitive.NewDictionary(primitive.Defaults())
+	ref := func() *core.Session { return core.NewSession(defaults, hw.Machine1(), core.WithVectorSize(128)) }
 	for _, sp := range tpch.Queries() {
 		if testing.Short() && !slices.Contains([]int{1, 3, 4, 5, 6, 12, 13, 14, 15, 17, 21}, sp.ID) {
 			continue
 		}
 		t.Run(sp.Name, func(t *testing.T) {
 			t.Parallel()
-			specRef, err := sp.Run(db, ref())
-			if err != nil {
-				t.Fatalf("%s spec reference: %v", sp.Name, err)
-			}
-			planRef, err := runRoots(sp.Plan(db), ref())
-			if err != nil {
-				t.Fatalf("%s plan reference: %v", sp.Name, err)
+			specRef, specErr := sp.Run(db, ref())
+			planRef, planErr := runRoots(sp.Plan(db), ref())
+			if err := errors.Join(specErr, planErr); err != nil {
+				t.Fatalf("%s reference: %v", sp.Name, err)
 			}
 			switch empty := specRef.Rows() == 0 || planRef.Rows() == 0; {
 			case empty && !emptyAtOracleScale[sp.ID]:
@@ -70,15 +75,19 @@ func TestIdentityOracle(t *testing.T) {
 			case !empty && emptyAtOracleScale[sp.ID]:
 				t.Errorf("%s: reference result is no longer empty; drop it from emptyAtOracleScale", sp.Name)
 			}
-			want := map[bool]string{false: server.Fingerprint(specRef), true: server.Fingerprint(planRef)}
+			want := map[bool]*engine.Table{false: specRef, true: planRef}
 			for _, r := range rows {
+				if testing.Short() && distShortSkip[sp.ID] && strings.HasPrefix(r.name, "dist-") {
+					continue
+				}
 				t.Run(r.name, func(t *testing.T) {
 					got, err := r.run(sp)
 					if err != nil {
 						t.Fatalf("%s %s: %v", sp.Name, r.name, err)
 					}
-					if fp := server.Fingerprint(got); fp != want[r.plan] {
-						t.Errorf("%s %s: fingerprint %s (%d rows), want %s", sp.Name, r.name, fp, got.Rows(), want[r.plan])
+					if w := want[r.plan]; !server.EncodeTable(got).Equal(server.EncodeTable(w)) {
+						t.Errorf("%s %s: wire form (column names, types, exact values) differs from the reference; fingerprint %s (%d rows), want %s (%d rows)",
+							sp.Name, r.name, server.Fingerprint(got), got.Rows(), server.Fingerprint(w), w.Rows())
 					}
 				})
 			}
@@ -195,7 +204,7 @@ func oracleRows(t *testing.T, db, enc *tpch.DB) []oracleRow {
 }
 
 // wireResult decodes a buffered response's result and checks it against
-// the fingerprint the server reported.
+// the row count and fingerprint the server reported.
 func wireResult(out *server.Outcome, err error) (*engine.Table, error) {
 	if err == nil && !out.OK() {
 		err = fmt.Errorf("status %d: %+v", out.Status, out.Err)
@@ -203,11 +212,12 @@ func wireResult(out *server.Outcome, err error) (*engine.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeChecked(out.Response.Result, out.Response.Fingerprint)
+	return decodeChecked(out.Response.Result, out.Response.Rows, out.Response.Fingerprint)
 }
 
 // streamResult streams a plan, stitches its chunks in arrival order under
-// the header's schema, and checks them against the trailer's fingerprint.
+// the header's schema, and checks them against the trailer's row count
+// and fingerprint.
 func streamResult(c *server.Client, planJSON []byte) (*engine.Table, error) {
 	var chunks []*server.TableJSON
 	res, err := c.PlanStream(server.PlanRequest{Plan: planJSON}, func(ch *server.TableJSON) error {
@@ -226,17 +236,18 @@ func streamResult(c *server.Client, planJSON []byte) (*engine.Table, error) {
 				append(w.F64Bits, col.F64Bits...), append(w.Str, col.Str...)
 		}
 	}
-	return decodeChecked(whole, res.Fingerprint)
+	return decodeChecked(whole, res.Rows, res.Fingerprint)
 }
 
-// decodeChecked decodes a wire table and checks its fingerprint.
-func decodeChecked(tj *server.TableJSON, fingerprint string) (*engine.Table, error) {
+// decodeChecked decodes a wire table and checks it against the row count
+// and fingerprint the server reported.
+func decodeChecked(tj *server.TableJSON, rows int, fingerprint string) (*engine.Table, error) {
 	tab, err := server.DecodeTable(tj)
 	if err != nil {
 		return nil, err
 	}
-	if fp := server.Fingerprint(tab); fp != fingerprint {
-		return nil, fmt.Errorf("server reported fingerprint %s, the decoded result hashes to %s", fingerprint, fp)
+	if fp := server.Fingerprint(tab); fp != fingerprint || tab.Rows() != rows {
+		return nil, fmt.Errorf("server reported %d rows, fingerprint %s; the decoded result has %d, %s", rows, fingerprint, tab.Rows(), fp)
 	}
 	return tab, nil
 }

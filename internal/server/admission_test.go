@@ -21,6 +21,37 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// pinWorker occupies the only worker of a zero-depth admission queue
+// until release is called. Such a queue admits a job only while its
+// worker waits on it, and a worker that has not started yet, or is
+// finishing a job, does not: the blocker retries its sheds until it is
+// admitted.
+func pinWorker(t *testing.T, a *Admission) (release func()) {
+	t.Helper()
+	running, unblock, done := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	go func() {
+		for {
+			err := a.Do(context.Background(), func() error { close(running); <-unblock; return nil })
+			if !errors.Is(err, ErrShed) {
+				done <- err
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	select {
+	case <-running:
+	case err := <-done:
+		t.Fatalf("blocker job was not admitted: %v", err)
+	}
+	return func() {
+		close(unblock)
+		if err := <-done; err != nil {
+			t.Fatalf("blocker job: %v", err)
+		}
+	}
+}
+
 // TestAdmissionShedsWhenFull pins the 429 path: with one busy worker and
 // the one queue slot occupied, the next request is shed immediately —
 // never queued, never executed.
@@ -104,7 +135,6 @@ func TestAdmissionDrain(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
 	for i := 0; i < 4; i++ {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"testing"
 	"time"
 )
@@ -37,18 +36,7 @@ func TestRetryPolicyDelay(t *testing.T) {
 func TestClientRetriesSheds(t *testing.T) {
 	run, c := startTestServer(t, Config{Workers: 1, QueueDepth: -1, RetryAfter: 10 * time.Millisecond})
 	c.WithRetry(RetryPolicy{Max: 50, Base: 5 * time.Millisecond, Cap: 20 * time.Millisecond})
-
-	running := make(chan struct{})
-	release := make(chan struct{})
-	blockerDone := make(chan error, 1)
-	go func() {
-		blockerDone <- run.Server.adm.Do(context.Background(), func() error {
-			close(running)
-			<-release
-			return nil
-		})
-	}()
-	<-running
+	release := pinWorker(t, run.Server.adm)
 
 	done := make(chan struct{})
 	var out *Outcome
@@ -59,10 +47,7 @@ func TestClientRetriesSheds(t *testing.T) {
 	}()
 	// Hold the worker long enough that the client must shed at least once.
 	time.Sleep(50 * time.Millisecond)
-	close(release)
-	if berr := <-blockerDone; berr != nil {
-		t.Fatalf("blocker job: %v", berr)
-	}
+	release()
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"microadapt/internal/core"
-	"microadapt/internal/engine"
 	"microadapt/internal/hw"
 	"microadapt/internal/primitive"
 	"microadapt/internal/service"
@@ -42,6 +41,9 @@ func startTestServer(t *testing.T, cfg Config) (*Running, *Client) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
+		// A dialed but never used keep-alive connection stays "new" to the
+		// server, and Shutdown waits up to 5s for it; drop the client side.
+		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		if err := run.Shutdown(ctx); err != nil {
@@ -53,19 +55,6 @@ func startTestServer(t *testing.T, cfg Config) (*Running, *Client) {
 		t.Fatal(err)
 	}
 	return run, c
-}
-
-// baselineTable runs query q in process on a single-flavor build — the
-// ground truth the server's adaptive execution must reproduce bitwise.
-func baselineTable(t *testing.T, q int) *engine.Table {
-	t.Helper()
-	dict := primitive.NewDictionary(primitive.Defaults())
-	s := core.NewSession(dict, hw.Machine1(), core.WithVectorSize(128), core.WithSeed(3))
-	tab, err := tpch.Query(q).Run(testDB, s)
-	if err != nil {
-		t.Fatalf("baseline Q%02d: %v", q, err)
-	}
-	return tab
 }
 
 // TestServerQueryBitIdentical: a /v1/query response carries the query's
@@ -240,9 +229,14 @@ func TestServerSessionEviction(t *testing.T) {
 func TestServerConcurrentClients(t *testing.T) {
 	_, c := startTestServer(t, Config{Workers: 4, QueueDepth: 256})
 	queries := []int{1, 6, 12, 14}
-	want := make(map[int]string)
+	want := make(map[int]string) // in process on a single-flavor build
 	for _, q := range queries {
-		want[q] = Fingerprint(baselineTable(t, q))
+		s := core.NewSession(primitive.NewDictionary(primitive.Defaults()), hw.Machine1(), core.WithVectorSize(128), core.WithSeed(3))
+		tab, err := tpch.Query(q).Run(testDB, s)
+		if err != nil {
+			t.Fatalf("baseline Q%02d: %v", q, err)
+		}
+		want[q] = Fingerprint(tab)
 	}
 
 	const clients, perClient = 8, 4
@@ -365,24 +359,14 @@ func TestServerShedsUnderSaturation(t *testing.T) {
 	// Retries off: this test counts raw sheds, so the client's backoff
 	// loop must not absorb (and re-trigger) them.
 	c.WithRetry(RetryPolicy{})
-	running := make(chan struct{})
-	release := make(chan struct{})
-	blockerDone := make(chan error, 1)
-	go func() {
-		blockerDone <- run.Server.adm.Do(context.Background(), func() error {
-			close(running)
-			<-release
-			return nil
-		})
-	}()
-	<-running
+	release := pinWorker(t, run.Server.adm)
+	shedBefore := run.Server.adm.Stats().Shed // the blocker's own sheds
 
 	const n = 16
 	outcomes := make([]*Outcome, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -390,10 +374,7 @@ func TestServerShedsUnderSaturation(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	close(release)
-	if err := <-blockerDone; err != nil {
-		t.Fatalf("blocker job: %v", err)
-	}
+	release()
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
 			t.Fatalf("request %d: protocol error %v", i, errs[i])
@@ -408,11 +389,12 @@ func TestServerShedsUnderSaturation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Admission.Shed != int64(n) {
-		t.Errorf("metrics shed = %d, want %d", m.Admission.Shed, n)
+	if got := m.Admission.Shed - shedBefore; got != int64(n) {
+		t.Errorf("metrics shed = %d, want %d", got, n)
 	}
-	// The server is not wedged: a lone retry succeeds.
-	out, err := c.Query(QueryRequest{Query: 1})
+	// The server is not wedged: a lone query succeeds, retrying only the
+	// sheds of the moment the freed worker takes to wait on the queue.
+	out, err := c.WithRetry(DefaultRetry).Query(QueryRequest{Query: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

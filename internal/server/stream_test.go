@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -43,11 +44,8 @@ func TestPlanStreamBitIdentical(t *testing.T) {
 	if res.Rows <= 7 {
 		t.Fatalf("Q13 returned %d rows; the chunk cap 7 cannot show", res.Rows)
 	}
-	for _, n := range sizes {
-		if n > 7 {
-			t.Errorf("chunk sizes %v exceed the cap 7", sizes)
-			break
-		}
+	if slices.Max(sizes) > 7 {
+		t.Errorf("chunk sizes %v exceed the cap 7", sizes)
 	}
 	if res.Schema == nil || len(res.Schema.Cols) == 0 {
 		t.Error("header carried no schema")

@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -133,7 +134,6 @@ func TestWarmStartAcrossPolicies(t *testing.T) {
 	// lazy bucket creation, cached priors) under concurrency — the test is
 	// meaningful under -race for them too.
 	for _, pol := range []string{"vw-greedy", "eps-greedy", "ucb1", "thompson", "ctx-greedy", "ctx-vw-greedy"} {
-		pol := pol
 		t.Run(pol, func(t *testing.T) {
 			cfg := testConfig(true)
 			cfg.Policy = pol
@@ -379,60 +379,31 @@ func TestConfigKeepsCallerVWParams(t *testing.T) {
 }
 
 // TestParallelExecutionMatchesSerial: with PipelineParallelism P > 1 the
-// partition sessions harvest into the shared cache under exactly the
-// serial plan's instance keys. That the results equal the serial plan's is
-// the service-p rows of TestIdentityOracle (internal/dist).
+// partition sessions of Q3 (a partitioned scan feeding joins) harvest into
+// the shared cache under exactly the serial plan's instance keys. That the
+// results equal the serial plan's is the service-p rows of
+// TestIdentityOracle (internal/dist).
 func TestParallelExecutionMatchesSerial(t *testing.T) {
-	queries := []int{1, 3, 6, 12, 14}
-
 	// The pipeline fan-out decision only exists when a pipeline actually
 	// fans out, so its keys are legitimately parallel-only; every other
 	// key — primitive instances and operator decisions alike — must match
 	// the serial plan's exactly.
-	stripFanout := func(keys []string) []string {
-		out := keys[:0]
-		for _, k := range keys {
+	keys := func(p int) (out []string) {
+		cfg := testConfig(true)
+		cfg.PipelineParallelism = p
+		svc := New(testDB, cfg)
+		if _, st, err := svc.Execute(3); err != nil || st.AdaptiveCalls == 0 {
+			t.Fatalf("P=%d: err %v, %d adaptive calls", p, err, st.AdaptiveCalls)
+		}
+		for _, k := range svc.Cache().Keys() {
 			if !strings.HasPrefix(k, core.DecisionSig("parallelism")+"@") {
 				out = append(out, k)
 			}
 		}
 		return out
 	}
-
-	serialKeys := func() []string {
-		cfg := testConfig(true)
-		svc := New(testDB, cfg)
-		for _, q := range queries {
-			if _, _, err := svc.Execute(q); err != nil {
-				t.Fatalf("serial Q%02d: %v", q, err)
-			}
-		}
-		return svc.Cache().Keys()
-	}()
-
-	for _, p := range []int{2, 4} {
-		cfg := testConfig(true)
-		cfg.PipelineParallelism = p
-		svc := New(testDB, cfg)
-		for _, q := range queries {
-			_, st, err := svc.Execute(q)
-			if err != nil {
-				t.Fatalf("P=%d Q%02d: %v", p, q, err)
-			}
-			if st.AdaptiveCalls == 0 {
-				t.Errorf("P=%d Q%02d: no adaptive calls recorded", p, q)
-			}
-		}
-		gotKeys := stripFanout(svc.Cache().Keys())
-		if len(gotKeys) != len(serialKeys) {
-			t.Fatalf("P=%d: %d cache keys, serial has %d — partition tags leaked into keys?\n%v\nvs\n%v",
-				p, len(gotKeys), len(serialKeys), gotKeys, serialKeys)
-		}
-		for i := range gotKeys {
-			if gotKeys[i] != serialKeys[i] {
-				t.Errorf("P=%d: cache key %q differs from serial %q", p, gotKeys[i], serialKeys[i])
-			}
-		}
+	if serial, parallel := keys(1), keys(4); !slices.Equal(parallel, serial) {
+		t.Errorf("cache keys at P=4 differ from serial — partition tags leaked into keys?\n%v\nvs\n%v", parallel, serial)
 	}
 }
 

@@ -28,7 +28,6 @@ func goldenExplain(q int) string {
 //	go test ./internal/tpch -run TestExplainGolden -update
 func TestExplainGolden(t *testing.T) {
 	for _, q := range Queries() {
-		q := q
 		t.Run(q.Name, func(t *testing.T) {
 			got := goldenExplain(q.ID)
 			path := filepath.Join("testdata", "explain", fmt.Sprintf("q%02d.golden", q.ID))

@@ -13,7 +13,6 @@ import (
 // flavor knowledge land under single-process cache keys.
 func TestFragmentJSONRoundTrip(t *testing.T) {
 	for _, q := range Queries() {
-		q := q
 		t.Run(q.Name, func(t *testing.T) {
 			b := q.Plan(testDB)
 			sites := plan.FragmentSites(b)

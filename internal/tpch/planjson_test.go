@@ -23,7 +23,6 @@ func resolveTest(name string) (*engine.Table, bool) { return testDB.TableByName(
 // is canonical, not just lossless).
 func TestPlanJSONRoundTrip(t *testing.T) {
 	for _, q := range Queries() {
-		q := q
 		t.Run(q.Name, func(t *testing.T) {
 			orig := q.Plan(testDB)
 			data, err := plan.MarshalPlan(orig)

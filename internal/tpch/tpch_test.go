@@ -2,7 +2,6 @@ package tpch
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
 	"microadapt/internal/core"
@@ -17,12 +16,6 @@ var testDB = Generate(0.005, 42)
 func newSession(o primitive.Options, opts ...core.SessionOption) *core.Session {
 	opts = append([]core.SessionOption{core.WithVectorSize(128), core.WithSeed(7)}, opts...)
 	return core.NewSession(primitive.NewDictionary(o), hw.Machine1(), opts...)
-}
-
-// tableFingerprint renders a table to a canonical string for equivalence
-// checks across flavor configurations.
-func tableFingerprint(t *engine.Table) string {
-	return engine.TableString(t, 0) + fmt.Sprintf("rows=%d", t.Rows())
 }
 
 func TestGenerateShapes(t *testing.T) {
@@ -89,13 +82,12 @@ func TestGenerateDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates three databases; skipped in -short mode")
 	}
-	a := Generate(0.002, 7)
-	b := Generate(0.002, 7)
-	if got, want := tableFingerprint(a.Lineitem), tableFingerprint(b.Lineitem); got != want {
+	lineitem := func(seed int64) string { return engine.TableString(Generate(0.002, seed).Lineitem, 0) }
+	a := lineitem(7)
+	if a != lineitem(7) {
 		t.Error("same seed produced different lineitem data")
 	}
-	c := Generate(0.002, 8)
-	if tableFingerprint(a.Lineitem) == tableFingerprint(c.Lineitem) {
+	if a == lineitem(8) {
 		t.Error("different seed produced identical lineitem data")
 	}
 }
@@ -104,7 +96,6 @@ func TestGenerateDeterministic(t *testing.T) {
 // build and checks it produces a well-formed result.
 func TestAllQueriesRun(t *testing.T) {
 	for _, q := range Queries() {
-		q := q
 		t.Run(q.Name, func(t *testing.T) {
 			s := newSession(primitive.Defaults())
 			tab, err := q.Run(testDB, s)
@@ -124,14 +115,11 @@ func TestAllQueriesRun(t *testing.T) {
 	}
 }
 
-// eachQuery runs check as one subtest per TPC-H query; under -short only
-// on the queries in short (none: skip).
-func eachQuery(t *testing.T, short []int, check func(t *testing.T, q Spec)) {
-	if testing.Short() && len(short) == 0 {
-		t.Skip("one run per query; skipped in -short mode")
-	}
+// eachQuery runs check as one subtest per TPC-H query, under -short only
+// on query short.
+func eachQuery(t *testing.T, short int, check func(t *testing.T, q Spec)) {
 	for _, q := range Queries() {
-		if !testing.Short() || slices.Contains(short, q.ID) {
+		if !testing.Short() || q.ID == short {
 			t.Run(q.Name, func(t *testing.T) { check(t, q) })
 		}
 	}
@@ -157,7 +145,7 @@ func runQuery(t *testing.T, q Spec, db *DB, opts ...core.SessionOption) *core.Se
 // round-robin chooser, every query spends calls off its instances'
 // measured-best flavors, i.e. it really switches flavors.
 func TestQueriesFlavorEquivalence(t *testing.T) {
-	eachQuery(t, nil, func(t *testing.T, q Spec) {
+	eachQuery(t, 1, func(t *testing.T, q Spec) {
 		s := runQuery(t, q, testDB, core.WithChooser(func(n int) core.Chooser { return core.NewRoundRobin(n) }))
 		if _, offBest := core.AdaptationCost(s.AllInstances()); offBest == 0 {
 			t.Errorf("%s: no primitive instance called more than one flavor", q.Name)
@@ -171,8 +159,7 @@ func TestQueriesFlavorEquivalence(t *testing.T) {
 // decision's arm count clamp to 0 (the anti-join decision has no
 // bloomhash arm).
 func TestQueriesJoinStrategyEquivalence(t *testing.T) {
-	// Short: the join-heavy plans plus one join-free control query.
-	eachQuery(t, []int{3, 5, 17, 21, 1}, func(t *testing.T, q Spec) {
+	eachQuery(t, 5, func(t *testing.T, q Spec) {
 		for arm := 0; arm < 3; arm++ {
 			forced := core.WithInstanceChooser(func(sig, label string, arms []string) core.Chooser {
 				if core.IsDecisionSig(sig) {
@@ -197,8 +184,7 @@ func TestQueriesJoinStrategyEquivalence(t *testing.T) {
 // TestParallelMatchesSerial: a serial run spawns no fragments, and every
 // fragment session of a P=4 run carries its partition tag.
 func TestParallelMatchesSerial(t *testing.T) {
-	// Short: the partitioned plans plus one serial-only control query.
-	eachQuery(t, []int{1, 3, 6, 12, 14, 15, 4}, func(t *testing.T, q Spec) {
+	eachQuery(t, 1, func(t *testing.T, q Spec) {
 		if n := len(runQuery(t, q, testDB).Fragments()); n != 0 {
 			t.Errorf("%s: serial run spawned %d fragments", q.Name, n)
 		}
