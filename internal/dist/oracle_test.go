@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"testing"
 
 	"microadapt/internal/core"
@@ -24,12 +23,6 @@ import (
 // empty at larger ones too: the generator draws o_custkey uniformly, so
 // essentially every customer has an order.
 var emptyAtOracleScale = map[int]bool{18: true, 20: true, 22: true}
-
-// distShortSkip lists the queries the dist rows skip under -short. Both
-// ship most of lineitem from every shard to the coordinator and cost
-// about half of the dist rows' -short time under -race; Q3, Q4 and Q17
-// keep that shape in -short, and full mode runs all 22 queries.
-var distShortSkip = map[int]bool{5: true, 21: true}
 
 // oracleRow is one execution configuration. Rows with plan set run the
 // spec's plan (every root, main root returned, as /v1/plan does) and
@@ -77,9 +70,6 @@ func TestIdentityOracle(t *testing.T) {
 			}
 			want := map[bool]*engine.Table{false: specRef, true: planRef}
 			for _, r := range rows {
-				if testing.Short() && distShortSkip[sp.ID] && strings.HasPrefix(r.name, "dist-") {
-					continue
-				}
 				t.Run(r.name, func(t *testing.T) {
 					got, err := r.run(sp)
 					if err != nil {
@@ -204,7 +194,7 @@ func oracleRows(t *testing.T, db, enc *tpch.DB) []oracleRow {
 }
 
 // wireResult decodes a buffered response's result and checks it against
-// the row count and fingerprint the server reported.
+// the row count the server reported.
 func wireResult(out *server.Outcome, err error) (*engine.Table, error) {
 	if err == nil && !out.OK() {
 		err = fmt.Errorf("status %d: %+v", out.Status, out.Err)
@@ -212,12 +202,11 @@ func wireResult(out *server.Outcome, err error) (*engine.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeChecked(out.Response.Result, out.Response.Rows, out.Response.Fingerprint)
+	return decodeChecked(out.Response.Result, out.Response.Rows)
 }
 
 // streamResult streams a plan, stitches its chunks in arrival order under
-// the header's schema, and checks them against the trailer's row count
-// and fingerprint.
+// the header's schema, and checks them against the trailer's row count.
 func streamResult(c *server.Client, planJSON []byte) (*engine.Table, error) {
 	var chunks []*server.TableJSON
 	res, err := c.PlanStream(server.PlanRequest{Plan: planJSON}, func(ch *server.TableJSON) error {
@@ -236,18 +225,18 @@ func streamResult(c *server.Client, planJSON []byte) (*engine.Table, error) {
 				append(w.F64Bits, col.F64Bits...), append(w.Str, col.Str...)
 		}
 	}
-	return decodeChecked(whole, res.Rows, res.Fingerprint)
+	return decodeChecked(whole, res.Rows)
 }
 
 // decodeChecked decodes a wire table and checks it against the row count
-// and fingerprint the server reported.
-func decodeChecked(tj *server.TableJSON, rows int, fingerprint string) (*engine.Table, error) {
+// the server reported. Bit identity is the oracle's wire-form Equal.
+func decodeChecked(tj *server.TableJSON, rows int) (*engine.Table, error) {
 	tab, err := server.DecodeTable(tj)
 	if err != nil {
 		return nil, err
 	}
-	if fp := server.Fingerprint(tab); fp != fingerprint || tab.Rows() != rows {
-		return nil, fmt.Errorf("server reported %d rows, fingerprint %s; the decoded result has %d, %s", rows, fingerprint, tab.Rows(), fp)
+	if tab.Rows() != rows {
+		return nil, fmt.Errorf("server reported %d rows; the decoded result has %d", rows, tab.Rows())
 	}
 	return tab, nil
 }

@@ -1,9 +1,9 @@
 package dist
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -41,9 +41,11 @@ func proxyShard(t *testing.T, backend string, broken *atomic.Bool, stream http.H
 }
 
 // relayStream forwards the streaming request to the backend and relays
-// its frame lines (header first, at index 0) through edit, which may
-// rewrite a line or return nil to cut the connection before it.
-func relayStream(backend string, edit func(i int, line []byte) []byte) http.HandlerFunc {
+// its frames (header first, at index 0) through edit, which may rewrite a
+// frame's payload or return nil to cut the connection before it. Frames
+// are read by their 5-byte prefix: a kind byte and a uint32
+// little-endian payload length.
+func relayStream(backend string, edit func(i int, kind byte, payload []byte) []byte) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(r.Body)
 		if err != nil {
@@ -59,17 +61,22 @@ func relayStream(backend string, edit func(i int, line []byte) []byte) http.Hand
 			io.Copy(w, resp.Body)
 			return
 		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		br := bufio.NewReader(resp.Body)
+		w.Header().Set("Content-Type", "application/octet-stream")
+		var prefix [5]byte
 		for i := 0; ; i++ {
-			line, err := br.ReadBytes('\n')
-			if err != nil {
+			if _, err := io.ReadFull(resp.Body, prefix[:]); err != nil {
 				return
 			}
-			if line = edit(i, line); line == nil {
+			payload := make([]byte, binary.LittleEndian.Uint32(prefix[1:]))
+			if _, err := io.ReadFull(resp.Body, payload); err != nil {
+				return
+			}
+			if payload = edit(i, prefix[0], payload); payload == nil {
 				panic(http.ErrAbortHandler) // cut the connection mid-stream
 			}
-			w.Write(line)
+			binary.LittleEndian.PutUint32(prefix[1:], uint32(len(payload)))
+			w.Write(prefix[:])
+			w.Write(payload)
 			if fl, ok := w.(http.Flusher); ok {
 				fl.Flush()
 			}
@@ -79,17 +86,20 @@ func relayStream(backend string, edit func(i int, line []byte) []byte) http.Hand
 
 // cutAfterFirstChunk relays the header and at most one chunk frame: a
 // shard dying mid-stream after real rows were already delivered.
-func cutAfterFirstChunk(i int, line []byte) []byte {
+func cutAfterFirstChunk(i int, _ byte, payload []byte) []byte {
 	if i >= 2 {
 		return nil
 	}
-	return line
+	return payload
 }
 
 // lieAboutDigest relays the stream intact except for the trailer's
-// sha256, which no longer matches the chunk lines.
-func lieAboutDigest(_ int, line []byte) []byte {
-	return bytes.Replace(line, []byte(`"sha256":"`), []byte(`"sha256":"0`), 1)
+// sha256, which no longer matches the chunk payloads.
+func lieAboutDigest(_ int, kind byte, payload []byte) []byte {
+	if kind != 'T' {
+		return payload
+	}
+	return bytes.Replace(payload, []byte(`"sha256":"`), []byte(`"sha256":"0`), 1)
 }
 
 // TestStreamingFallback: there is no fallback. A shard whose stream

@@ -100,7 +100,7 @@ type Config struct {
 	// LatencyWindow is the sample capacity of the latency distribution
 	// (default 4096).
 	LatencyWindow int
-	// StreamChunkRows caps the rows per NDJSON chunk frame on
+	// StreamChunkRows caps the rows per binary chunk frame on
 	// /v1/plan/stream (default 4096).
 	StreamChunkRows int
 	// Clock is injectable time for session-eviction tests (default
@@ -258,10 +258,12 @@ func (s *Server) checkSession(w http.ResponseWriter, id string) bool {
 	return true
 }
 
-// execute admits one decoded request and runs it, handling deadline,
-// shedding, metrics, and session accounting uniformly for both endpoints.
+// execute admits one decoded request and runs job in an admission slot,
+// handling deadline, shedding, latency, adaptation counters and session
+// accounting uniformly for every query endpoint. On failure it writes the
+// error answer and reports false; on success the caller writes the 200.
 func (s *Server) execute(w http.ResponseWriter, r *http.Request, sessionID string, timeoutMS int,
-	run func() (*QueryResponse, error)) {
+	job func() (service.JobStats, error)) bool {
 	timeout := s.defaultTimeout
 	if timeoutMS > 0 {
 		timeout = time.Duration(timeoutMS) * time.Millisecond
@@ -270,24 +272,33 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, sessionID strin
 	defer cancel()
 
 	start := time.Now()
-	var resp *QueryResponse
-	err := s.adm.Do(ctx, func() error {
-		var jerr error
-		resp, jerr = run()
-		return jerr
+	var st service.JobStats
+	err := s.adm.Do(ctx, func() (err error) {
+		st, err = job()
+		return err
 	})
 	if err != nil {
 		s.writeError(w, err)
-		return
+		return false
 	}
 	s.latency.Add(float64(time.Since(start)))
-	s.adaptive.Add(resp.Stats.AdaptiveCalls)
-	s.offBest.Add(resp.Stats.OffBestCalls)
+	s.adaptive.Add(st.AdaptiveCalls)
+	s.offBest.Add(st.OffBestCalls)
 	if sessionID != "" {
-		s.sess.record(sessionID, resp.Stats.AdaptiveCalls, resp.Stats.OffBestCalls)
-		resp.Session = sessionID
+		s.sess.record(sessionID, st.AdaptiveCalls, st.OffBestCalls)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return true
+}
+
+// queryResponse builds a buffered endpoint's body. Callers build it
+// inside the admitted job, so fingerprinting and encoding count against
+// the worker and the request's latency.
+func queryResponse(tab *engine.Table, st service.JobStats, includeResult bool) *QueryResponse {
+	resp := &QueryResponse{Rows: tab.Rows(), Fingerprint: Fingerprint(tab), Stats: statsJSON(st)}
+	if includeResult {
+		resp.Result = EncodeTable(tab).EscapeNonFinite()
+	}
+	return resp
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -302,46 +313,54 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !s.checkSession(w, req.Session) {
 		return
 	}
-	s.execute(w, r, req.Session, req.TimeoutMS, func() (*QueryResponse, error) {
+	var resp *QueryResponse
+	if s.execute(w, r, req.Session, req.TimeoutMS, func() (service.JobStats, error) {
 		tab, st, err := s.svc.Execute(req.Query)
-		if err != nil {
-			return nil, err
+		if err == nil {
+			resp = queryResponse(tab, st, req.IncludeResult)
+			resp.Query = req.Query
 		}
-		resp := &QueryResponse{Query: req.Query, Rows: tab.Rows(), Fingerprint: Fingerprint(tab), Stats: statsJSON(st)}
-		if req.IncludeResult {
-			resp.Result = EncodeTable(tab).EscapeNonFinite()
-		}
-		return resp, nil
-	})
+		return st, err
+	}) {
+		resp.Session = req.Session
+		writeJSON(w, http.StatusOK, resp)
+	}
 }
 
-func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
+// decodePlan decodes a plan request and validates and rebuilds its plan
+// before admission: a malformed plan is answered 400 without consuming a
+// queue slot, and only plans that passed the codec's full validation ever
+// reach a worker. Both plan endpoints start here.
+func (s *Server) decodePlan(w http.ResponseWriter, r *http.Request) (PlanRequest, *plan.Builder, bool) {
 	var req PlanRequest
 	if !s.decodeBody(w, r, &req) {
-		return
+		return req, nil, false
 	}
-	// Validate and rebuild the plan before admission: a malformed plan is
-	// answered 400 without consuming a queue slot, and only plans that
-	// passed the codec's full validation ever reach a worker.
 	b, err := plan.UnmarshalPlan(req.Plan, s.svc.DB().TableByName)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
+		return req, nil, false
+	}
+	return req, b, s.checkSession(w, req.Session)
+}
+
+func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
+	req, b, ok := s.decodePlan(w, r)
+	if !ok {
 		return
 	}
-	if !s.checkSession(w, req.Session) {
-		return
-	}
-	s.execute(w, r, req.Session, req.TimeoutMS, func() (*QueryResponse, error) {
+	var resp *QueryResponse
+	if s.execute(w, r, req.Session, req.TimeoutMS, func() (service.JobStats, error) {
 		tab, st, err := s.svc.ExecutePlan(b)
-		if err != nil {
-			return nil, err
+		if err == nil {
+			resp = queryResponse(tab, st, req.IncludeResult)
+			resp.Plan = b.Name()
 		}
-		resp := &QueryResponse{Plan: b.Name(), Rows: tab.Rows(), Fingerprint: Fingerprint(tab), Stats: statsJSON(st)}
-		if req.IncludeResult {
-			resp.Result = EncodeTable(tab).EscapeNonFinite()
-		}
-		return resp, nil
-	})
+		return st, err
+	}) {
+		resp.Session = req.Session
+		writeJSON(w, http.StatusOK, resp)
+	}
 }
 
 // handleFlavorsGet exports the flavor cache's current knowledge. The

@@ -1,17 +1,29 @@
-// Streaming variant of /v1/plan: the result travels as NDJSON frames —
-// one schema header, size-capped row chunks in the binary columnar form
-// (wirebin.go), then a trailer carrying the stats, the result
-// fingerprint, and a sha256 over the exact chunk-line bytes — so a
-// coordinator can fold partial tables into its merge while later chunks
-// are still in flight. It is the only way one tier fetches a result from
-// another; a stream that does not verify is an error, with no fallback.
+// Streaming variant of /v1/plan: the result travels as a sequence of
+// length-prefixed binary frames — one schema header, size-capped row
+// chunks whose payloads are the binary columnar form (wirebin.go)
+// itself, then a trailer carrying the totals, the stats and a sha256 over
+// the chunk payloads — so a coordinator can fold partial tables into its
+// merge while later chunks are still in flight. It is the only way one
+// tier fetches a result from another; a stream that does not verify is an
+// error, with no fallback.
+//
+// Every frame is
+//
+//	kind    1 byte: 'H' header, 'C' chunk, 'T' trailer, 'E' error
+//	length  uint32 little-endian payload length, at most maxFrameBytes
+//	payload length bytes
+//
+// The header's payload is the MWT1 encoding of the zero-row result table
+// (the schema); each chunk's is the MWT1 encoding of at most
+// Config.StreamChunkRows rows, in row order; the trailer's is a JSON
+// streamTrailer (it holds no column values); an error frame's is a UTF-8
+// message, sent when a failure follows the committed 200.
 package server
 
 import (
-	"bufio"
 	"bytes"
-	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -21,168 +33,119 @@ import (
 	"time"
 
 	"microadapt/internal/engine"
-	"microadapt/internal/plan"
 	"microadapt/internal/service"
 )
 
-// Frame discriminators of the NDJSON stream.
+// Frame kinds of a /v1/plan/stream body.
 const (
-	FrameHeader  = "header"
-	FrameChunk   = "chunk"
-	FrameTrailer = "trailer"
-	FrameError   = "error"
+	frameHeader  byte = 'H'
+	frameChunk   byte = 'C'
+	frameTrailer byte = 'T'
+	frameError   byte = 'E'
 )
 
-// StreamFrame is one NDJSON line of a streaming plan response. Frame says
-// which of the field groups is populated.
-type StreamFrame struct {
-	Frame string `json:"frame"`
+// framePrefixLen is the size of every frame's kind-and-length prefix.
+const framePrefixLen = 5
 
-	// Header fields: the plan name, the result schema as a zero-row wire
-	// table, and the server's row cap per chunk.
-	Plan      string     `json:"plan,omitempty"`
-	Schema    *TableJSON `json:"schema,omitempty"`
-	ChunkRows int        `json:"chunk_rows,omitempty"`
+// maxFrameBytes caps one frame's payload. The reader rejects a larger
+// length claim before allocating for it, and the writer sends an error
+// frame instead of a larger frame. At the default 4096-row chunk cap it
+// allows 4 KiB per row; the widest TPC-H row, a whole lineitem row, is
+// about 140 bytes in MWT1, so its chunks stay below 600 KiB.
+const maxFrameBytes = 16 << 20
 
-	// Chunk field: one size-capped slice of the result, in row order, in
-	// the binary columnar form (wirebin.go), base64 on the wire. The chunk
-	// digest hashes the frame's exact line bytes.
-	Bin []byte `json:"bin,omitempty"`
-
-	// Trailer fields: totals, the hex sha256 over the exact bytes of every
-	// chunk line (newlines excluded), the whole-result fingerprint, and
-	// the execution stats.
-	Rows        int        `json:"rows,omitempty"`
-	Chunks      int        `json:"chunks,omitempty"`
-	SHA256      string     `json:"sha256,omitempty"`
-	Fingerprint string     `json:"fingerprint,omitempty"`
-	Stats       *StatsJSON `json:"stats,omitempty"`
-	Session     string     `json:"session,omitempty"`
-
-	// Error field: a mid-stream failure after the 200 status is committed.
-	Error string `json:"error,omitempty"`
+// streamTrailer is the trailer frame's payload: the totals, the hex sha256
+// over every chunk payload in order, and the execution stats.
+type streamTrailer struct {
+	Rows   int       `json:"rows"`
+	Chunks int       `json:"chunks"`
+	SHA256 string    `json:"sha256"`
+	Stats  StatsJSON `json:"stats"`
 }
 
 // handlePlanStream validates and executes a plan exactly like /v1/plan —
 // same admission, deadline, shed and session semantics, all resolved
 // before the status line is written — then streams the result instead of
-// buffering it into one body.
+// buffering it into one body. Frames are written after the admission slot
+// is released, so a slow reader does not hold a worker.
 func (s *Server) handlePlanStream(w http.ResponseWriter, r *http.Request) {
-	var req PlanRequest
-	if !s.decodeBody(w, r, &req) {
+	req, b, ok := s.decodePlan(w, r)
+	if !ok {
 		return
 	}
-	b, err := plan.UnmarshalPlan(req.Plan, s.svc.DB().TableByName)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
-		return
-	}
-	if !s.checkSession(w, req.Session) {
-		return
-	}
-	timeout := s.defaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	start := time.Now()
 	var tab *engine.Table
 	var st service.JobStats
-	if err := s.adm.Do(ctx, func() error {
-		var jerr error
-		tab, st, jerr = s.svc.ExecutePlan(b)
-		return jerr
-	}); err != nil {
-		s.writeError(w, err)
-		return
+	if s.execute(w, r, req.Session, req.TimeoutMS, func() (_ service.JobStats, err error) {
+		tab, st, err = s.svc.ExecutePlan(b)
+		return st, err
+	}) {
+		streamTable(w, tab, s.streamChunkRows, statsJSON(st))
 	}
-	s.latency.Add(float64(time.Since(start)))
-	s.adaptive.Add(st.AdaptiveCalls)
-	s.offBest.Add(st.OffBestCalls)
-	if req.Session != "" {
-		s.sess.record(req.Session, st.AdaptiveCalls, st.OffBestCalls)
-	}
-	s.streamTable(w, b.Name(), req.Session, tab, statsJSON(st))
 }
 
-// streamTable writes the frame sequence for one result table. The 200 is
-// committed before the first frame; any later failure can only be
-// reported in-band as an error frame. Chunk frames carry the binary
-// columnar body; the header's zero-row schema and the trailer are JSON
-// (they hold no column values to speak of).
-func (s *Server) streamTable(w http.ResponseWriter, name, session string, tab *engine.Table, st StatsJSON) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
+// streamTable writes the frame sequence for one result table, in chunks
+// of at most chunkRows rows. The 200 is committed before the first frame;
+// any later failure can only be reported in-band as an error frame.
+func streamTable(w http.ResponseWriter, tab *engine.Table, chunkRows int, st StatsJSON) {
+	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
-	writeLine := func(line []byte) bool {
-		if _, err := w.Write(append(line, '\n')); err != nil {
+	// send writes one frame, or an error frame in its place if err is set
+	// or the payload is over the cap, and flushes it so every frame
+	// reaches the client as soon as it is produced. It reports whether
+	// the stream may go on.
+	send := func(kind byte, payload []byte, err error) bool {
+		if err == nil && len(payload) > maxFrameBytes {
+			err = fmt.Errorf("server: stream: %d-byte frame exceeds maxFrameBytes (%d)", len(payload), maxFrameBytes)
+		}
+		if err != nil {
+			kind, payload = frameError, []byte(err.Error())
+		}
+		prefix := [framePrefixLen]byte{kind}
+		binary.LittleEndian.PutUint32(prefix[1:], uint32(len(payload)))
+		if _, werr := w.Write(prefix[:]); werr != nil {
 			return false // client went away; nothing more to say
 		}
-		if fl != nil {
-			fl.Flush()
-		}
-		return true
-	}
-	fail := func(err error) {
-		el, _ := json.Marshal(StreamFrame{Frame: FrameError, Error: err.Error()})
-		writeLine(el)
-	}
-	writeFrame := func(f *StreamFrame) bool {
-		line, err := json.Marshal(f)
-		if err != nil {
-			fail(err)
+		if _, werr := w.Write(payload); werr != nil {
 			return false
 		}
-		return writeLine(line)
+		if fl, ok := w.(http.Flusher); ok {
+			fl.Flush()
+		}
+		return err == nil
 	}
 
-	schema := EncodeTable(tab.Slice(0, 0))
-	if !writeFrame(&StreamFrame{Frame: FrameHeader, Plan: name, Schema: schema, ChunkRows: s.streamChunkRows}) {
+	schema, err := MarshalTableBin(EncodeTable(tab.Slice(0, 0)))
+	if !send(frameHeader, schema, err) {
 		return
 	}
 	h := sha256.New()
 	chunks := 0
-	for lo := 0; lo < tab.Rows(); lo += s.streamChunkRows {
-		hi := min(lo+s.streamChunkRows, tab.Rows())
+	for lo := 0; lo < tab.Rows(); lo += chunkRows {
+		hi := min(lo+chunkRows, tab.Rows())
 		data, err := MarshalTableBin(EncodeTable(tab.Slice(lo, hi)))
-		if err != nil {
-			fail(err)
+		if !send(frameChunk, data, err) {
 			return
 		}
-		line, err := json.Marshal(StreamFrame{Frame: FrameChunk, Bin: data})
-		if err != nil {
-			fail(err)
-			return
-		}
-		h.Write(line)
-		if !writeLine(line) {
-			return
-		}
+		h.Write(data)
 		chunks++
 	}
-	writeFrame(&StreamFrame{
-		Frame:       FrameTrailer,
-		Rows:        tab.Rows(),
-		Chunks:      chunks,
-		SHA256:      hex.EncodeToString(h.Sum(nil)),
-		Fingerprint: Fingerprint(tab),
-		Stats:       &st,
-		Session:     session,
+	trailer, err := json.Marshal(streamTrailer{
+		Rows:   tab.Rows(),
+		Chunks: chunks,
+		SHA256: hex.EncodeToString(h.Sum(nil)),
+		Stats:  st,
 	})
+	send(frameTrailer, trailer, err)
 }
 
 // StreamResult is the verified outcome of one streamed plan execution:
 // what the trailer claimed, cross-checked against what actually arrived.
 type StreamResult struct {
-	Plan        string
-	Session     string
-	Schema      *TableJSON
-	Rows        int
-	Chunks      int
-	Fingerprint string
-	Stats       StatsJSON
+	// Schema is the header's zero-row result table.
+	Schema *TableJSON
+	Rows   int
+	Chunks int
+	Stats  StatsJSON
 }
 
 // shedStreamError carries a 429 out of one streaming attempt so the retry
@@ -214,11 +177,11 @@ func (c *Client) PlanStream(req PlanRequest, onChunk func(*TableJSON) error) (*S
 // PlanStreamEncoded is PlanStream with a pre-encoded request body. Shed
 // (429) answers retry with backoff exactly like the buffered client —
 // safely, because a shed is decided before any chunk is delivered. Any
-// other non-200 answer, and any failure after the first frame
-// (truncation, a chunk without a valid binary body, hash or count
-// mismatch, remote error frame, onChunk error), surfaces as an error;
-// rows already delivered to onChunk are unverified and the caller must
-// discard them.
+// other non-200 answer, and any failure after the status line
+// (truncation, a malformed frame, a chunk that does not decode, hash or
+// count mismatch, remote error frame, onChunk error), surfaces as an
+// error; rows already delivered to onChunk are unverified and the caller
+// must discard them.
 func (c *Client) PlanStreamEncoded(body []byte, onChunk func(*TableJSON) error) (*StreamResult, error) {
 	for attempt := 0; ; attempt++ {
 		res, err := c.planStreamOnce(body, onChunk)
@@ -251,85 +214,82 @@ func (c *Client) planStreamOnce(body []byte, onChunk func(*TableJSON) error) (*S
 		}
 		return nil, fmt.Errorf("server: stream: status %d: %s", resp.StatusCode, er.Error)
 	}
+	return readStream(resp.Body, onChunk)
+}
 
-	br := bufio.NewReader(resp.Body)
+// readStream reads one stream body from r: a header, chunks decoded and
+// handed to onChunk in order, then a trailer they must match, then the
+// end of r. A frame is checked for its kind, its place in the sequence and
+// its length claim before any of its payload is read.
+func readStream(r io.Reader, onChunk func(*TableJSON) error) (*StreamResult, error) {
 	h := sha256.New()
 	res := &StreamResult{}
-	sawHeader := false
-	rows, chunks := 0, 0
+	var prefix [framePrefixLen]byte
 	for {
-		line, err := readFrameLine(br)
-		if err != nil {
+		if _, err := io.ReadFull(r, prefix[:]); err != nil {
 			// EOF (or any read error) before the trailer: the peer died
 			// mid-stream or the connection was cut — the result is
 			// unverifiable and must be discarded.
-			return nil, fmt.Errorf("server: stream: truncated after %d chunks: %w", chunks, err)
+			return nil, fmt.Errorf("server: stream: truncated after %d chunks: %w", res.Chunks, err)
 		}
-		var f StreamFrame
-		if err := json.Unmarshal(line, &f); err != nil {
-			return nil, fmt.Errorf("server: stream: malformed frame %q: %w", line, err)
+		kind, n := prefix[0], binary.LittleEndian.Uint32(prefix[1:])
+		switch {
+		case kind != frameHeader && kind != frameChunk && kind != frameTrailer && kind != frameError:
+			return nil, fmt.Errorf("server: stream: unknown frame kind %q", kind)
+		case n > maxFrameBytes:
+			return nil, fmt.Errorf("server: stream: %q frame claims %d bytes, over maxFrameBytes (%d)", kind, n, maxFrameBytes)
+		case kind == frameHeader && res.Schema != nil:
+			return nil, errors.New("server: stream: duplicate header frame")
+		case kind != frameHeader && kind != frameError && res.Schema == nil:
+			return nil, fmt.Errorf("server: stream: %q frame before header", kind)
 		}
-		switch f.Frame {
-		case FrameHeader:
-			if sawHeader {
-				return nil, errors.New("server: stream: duplicate header frame")
-			}
-			sawHeader = true
-			res.Plan, res.Schema = f.Plan, f.Schema
-		case FrameChunk:
-			if !sawHeader {
-				return nil, errors.New("server: stream: chunk before header")
-			}
-			if len(f.Bin) == 0 {
-				return nil, fmt.Errorf("server: stream: chunk %d has no bin body", chunks)
-			}
-			tab, err := UnmarshalTableBin(f.Bin)
+		payload := make([]byte, n)
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return nil, fmt.Errorf("server: stream: truncated in %q frame after %d chunks: %w", kind, res.Chunks, err)
+		}
+
+		switch kind {
+		case frameHeader:
+			schema, err := UnmarshalTableBin(payload)
 			if err != nil {
-				return nil, fmt.Errorf("server: stream: chunk %d: %w", chunks, err)
+				return nil, fmt.Errorf("server: stream: header: %w", err)
 			}
-			// Digest the exact line bytes, same as the server.
-			h.Write(line)
-			rows += tab.Rows
-			chunks++
+			res.Schema = schema
+		case frameChunk:
+			tab, err := UnmarshalTableBin(payload)
+			if err != nil {
+				return nil, fmt.Errorf("server: stream: chunk %d: %w", res.Chunks, err)
+			}
+			h.Write(payload)
+			res.Rows += tab.Rows
+			res.Chunks++
 			if onChunk != nil {
 				if err := onChunk(tab); err != nil {
 					return nil, err
 				}
 			}
-		case FrameTrailer:
-			if !sawHeader {
-				return nil, errors.New("server: stream: trailer before header")
+		case frameTrailer:
+			var tr streamTrailer
+			if err := json.Unmarshal(payload, &tr); err != nil {
+				return nil, fmt.Errorf("server: stream: malformed trailer: %w", err)
 			}
-			if got := hex.EncodeToString(h.Sum(nil)); got != f.SHA256 {
-				return nil, fmt.Errorf("server: stream: chunk digest %s does not match trailer %s", got, f.SHA256)
+			if got := hex.EncodeToString(h.Sum(nil)); got != tr.SHA256 {
+				return nil, fmt.Errorf("server: stream: chunk digest %s does not match trailer %s", got, tr.SHA256)
 			}
-			if rows != f.Rows || chunks != f.Chunks {
+			if res.Rows != tr.Rows || res.Chunks != tr.Chunks {
 				return nil, fmt.Errorf("server: stream: received %d rows in %d chunks, trailer claims %d in %d",
-					rows, chunks, f.Rows, f.Chunks)
+					res.Rows, res.Chunks, tr.Rows, tr.Chunks)
 			}
-			res.Session, res.Rows, res.Chunks, res.Fingerprint = f.Session, f.Rows, f.Chunks, f.Fingerprint
-			if f.Stats != nil {
-				res.Stats = *f.Stats
+			// The trailer ends the body. Reading up to the end also lets
+			// the transport reuse the connection; a read error there
+			// cannot change a result that has already verified.
+			if n, _ := io.ReadFull(r, prefix[:1]); n > 0 {
+				return nil, errors.New("server: stream: data after trailer")
 			}
+			res.Stats = tr.Stats
 			return res, nil
-		case FrameError:
-			return nil, fmt.Errorf("server: stream: remote error: %s", f.Error)
-		default:
-			return nil, fmt.Errorf("server: stream: unknown frame kind %q", f.Frame)
+		case frameError:
+			return nil, fmt.Errorf("server: stream: remote error: %s", payload)
 		}
 	}
-}
-
-// readFrameLine reads one NDJSON line without a size cap (a chunk line is
-// bounded by the server's chunk-row cap, not by bufio.Scanner's token
-// limit), returning it with the trailing newline stripped.
-func readFrameLine(br *bufio.Reader) ([]byte, error) {
-	line, err := br.ReadBytes('\n')
-	if err != nil {
-		if err == io.EOF && len(bytes.TrimSpace(line)) > 0 {
-			return nil, fmt.Errorf("partial frame at EOF: %w", err)
-		}
-		return nil, err
-	}
-	return bytes.TrimSuffix(line, []byte{'\n'}), nil
 }

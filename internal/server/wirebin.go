@@ -1,7 +1,8 @@
 // Binary columnar wire encoding for result tables: the packed
-// little-endian column body every /v1/plan/stream chunk frame carries,
-// base64 in its "bin" field. It is the only body between tiers; the
-// buffered /v1/query and /v1/plan endpoints answer JSON only.
+// little-endian column body that is the whole payload of every
+// /v1/plan/stream header and chunk frame (stream.go). It is the only body
+// between tiers; the buffered /v1/query and /v1/plan endpoints answer
+// JSON only.
 //
 // Layout (all integers little-endian; uvarint is encoding/binary's
 // unsigned varint):
