@@ -9,7 +9,6 @@
 //	madapt exp fig2 table11            # specific experiments
 //	madapt exp -sf 0.05 -vecsize 256 table7
 //	madapt tpch -q 12 -flavors everything -policy ucb1:c=2
-//	madapt bench-concurrent -policy thompson -workers 8
 //	madapt policies                    # list the policy registry
 //	madapt flavors                     # dump the primitive dictionary
 //	madapt list                        # list experiment ids
@@ -25,13 +24,13 @@ import (
 
 	"microadapt/internal/bench"
 	"microadapt/internal/engine"
+	"microadapt/internal/hw"
 	"microadapt/internal/policy"
 	"microadapt/internal/primitive"
 	"microadapt/internal/server"
 	"microadapt/internal/service"
 	"microadapt/internal/tpch"
-
-	"microadapt/internal/hw"
+	"microadapt/internal/traffic"
 )
 
 func main() {
@@ -47,8 +46,6 @@ func main() {
 		err = cmdExplain(os.Args[2:])
 	case "tpch":
 		err = cmdTPCH(os.Args[2:])
-	case "bench-concurrent":
-		err = cmdBenchConcurrent(os.Args[2:])
 	case "distverify":
 		err = cmdDistVerify(os.Args[2:])
 	case "soak":
@@ -76,7 +73,6 @@ func usage() {
   madapt exp [-sf F] [-seed N] [-vecsize N] [-machine machineK] <id>... | all
   madapt explain [-sf F] [-q N] [-pipeline-parallel P] [-encoded]
   madapt tpch [-sf F] [-q N] [-flavors defaults|everything|branch|compiler|fission|compute|unroll|decompress] [-policy SPEC] [-pipeline-parallel P] [-encoded]
-  madapt bench-concurrent [-workers N] [-jobs N] [-duration D] [-mix 1,6,12|all] [-flavors SET] [-policy SPEC] [-pipeline-parallel P] [-encoded] [-cold-only]
   madapt distverify -addr URL [-sf F] [-seed N] [-mix 1,6,12|all]
   madapt soak [-addr URL] [-duration D] [-rate R] [-clients N] [-mix 1,6,12] [-zipf S] [-burst] [-plan-every N] [-sample-every N] [-sf F] [-seed N]
   madapt policies
@@ -245,61 +241,6 @@ func cmdTPCH(args []string) error {
 	return nil
 }
 
-// cmdBenchConcurrent drives the concurrent adaptive query service: a
-// worker pool running a TPC-H mix over one shared database, cold sessions
-// first and then sessions warm-started from the shared flavor-knowledge
-// cache, reporting throughput, latency percentiles and the exploration tax
-// each phase paid.
-func cmdBenchConcurrent(args []string) error {
-	fs := flag.NewFlagSet("bench-concurrent", flag.ExitOnError)
-	cfg, finish := benchFlags(fs)
-	workers := fs.Int("workers", 4, "worker pool size")
-	jobs := fs.Int("jobs", 64, "queries per phase (0 = time-bounded by -duration)")
-	duration := fs.Duration("duration", 0, "per-phase wall cap when -jobs 0")
-	mixFlag := fs.String("mix", "1,6,12", "comma-separated TPC-H query numbers, or \"all\"")
-	flavors := fs.String("flavors", "everything", "flavor configuration")
-	spec := fs.String("policy", "vw-greedy", "selection policy spec (see: madapt policies)")
-	pp := fs.Int("pipeline-parallel", 1, "intra-query pipeline parallelism (morsel partitions)")
-	encoded := fs.Bool("encoded", false, "run the load over a compressed-resident database")
-	coldOnly := fs.Bool("cold-only", false, "skip the warm-start phase")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := finish(); err != nil {
-		return err
-	}
-	opts, err := flavorOptions(*flavors)
-	if err != nil {
-		return err
-	}
-	if _, err := policy.NewFactory(*spec, cfg.PolicyEnv()); err != nil {
-		return err
-	}
-	mix, err := parseMix(*mixFlag)
-	if err != nil {
-		return err
-	}
-	if *jobs <= 0 && *duration <= 0 {
-		return fmt.Errorf("need -jobs > 0 or -duration > 0")
-	}
-	rep, err := bench.BenchConcurrent(*cfg, bench.ConcurrentOptions{
-		Workers:             *workers,
-		Jobs:                *jobs,
-		Duration:            *duration,
-		Mix:                 mix,
-		Flavors:             opts,
-		Policy:              *spec,
-		ColdOnly:            *coldOnly,
-		PipelineParallelism: *pp,
-		Encoded:             *encoded,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Println(rep.String())
-	return nil
-}
-
 // cmdDistVerify checks a running server — single-process, shard, or a
 // coordinator fronting a fleet — for bit-identical results: every query
 // of the mix is executed remotely and its fingerprint compared against
@@ -384,7 +325,7 @@ func cmdSoak(args []string) error {
 		Duration:    *duration,
 		Rate:        *rate,
 		Clients:     *clients,
-		Mix:         bench.ZipfMix(*zipf, mix...),
+		Mix:         traffic.ZipfMix(*zipf, mix...),
 		Seed:        *trafficSeed,
 		PlanEvery:   *planEvery,
 		SampleEvery: *sampleEvery,
@@ -393,7 +334,7 @@ func cmdSoak(args []string) error {
 		Out:         os.Stdout,
 	}
 	if *burst {
-		cfg.Bursts = []bench.Phase{{
+		cfg.Bursts = []traffic.Phase{{
 			Start:          *duration / 3,
 			Duration:       *duration / 3,
 			RateMultiplier: 3,

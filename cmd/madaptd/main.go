@@ -31,8 +31,8 @@
 //	DELETE /v1/session/{id}    drop a session
 //	POST   /v1/query           {"query": 6, "session": "...", ...}; JSON result
 //	POST   /v1/plan            {"plan": <plan JSON>, ...}; JSON result
-//	POST   /v1/plan/stream     same request, NDJSON chunked response
-//	                           (header / binary chunk* / trailer frames)
+//	POST   /v1/plan/stream     same request, length-prefixed binary frames
+//	                           (header, chunk*, then trailer or error)
 package main
 
 import (
@@ -107,7 +107,6 @@ func main() {
 	db := tpch.Generate(*sf, *seed)
 
 	svcCfg := service.DefaultConfig()
-	svcCfg.Workers = *workers
 	svcCfg.Policy = *policy
 	svcCfg.PipelineParallelism = *pp
 	svcCfg.EncodedStorage = *encoded

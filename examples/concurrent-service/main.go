@@ -1,9 +1,11 @@
-// Concurrent service: many TPC-H queries in flight at once over one shared
-// database, one fresh session per query, with a shared flavor-knowledge
-// cache. The demonstration runs the same load twice — cold sessions first,
-// then sessions warm-started from what the cold phase learned — and shows
-// the exploration tax (calls spent on flavors a session later abandons)
-// shrinking, the cross-session amortization the service exists for.
+// Concurrent service: one shared database, one fresh session per query,
+// and a shared flavor-knowledge cache. The demonstration runs the same
+// query sequence twice — cold sessions first, then sessions warm-started
+// from a priming pass — and shows the exploration tax (calls spent on
+// flavors a session later abandons) shrinking, the cross-session
+// amortization the service exists for. Execute is safe to call from many
+// goroutines; this example calls it in a loop so its numbers are the same
+// on every run.
 package main
 
 import (
@@ -13,41 +15,45 @@ import (
 	"microadapt"
 )
 
+// offBestPerJob runs jobs queries of mix round-robin and returns their
+// mean off-best calls.
+func offBestPerJob(svc *microadapt.Service, mix []int, jobs int) float64 {
+	var sum microadapt.JobStats
+	for i := 0; i < jobs; i++ {
+		_, st, err := svc.Execute(mix[i%len(mix)])
+		if err != nil {
+			log.Fatal(err)
+		}
+		sum.OffBestCalls += st.OffBestCalls
+	}
+	return float64(sum.OffBestCalls) / float64(jobs)
+}
+
 func main() {
 	db := microadapt.GenerateTPCH(0.01, 42)
 	mix := []int{1, 6, 12, 14}
-	load := microadapt.LoadConfig{Mix: mix, Jobs: 48}
+	const jobs = 48
 
 	// Phase 1: every session explores from scratch.
 	cold := microadapt.DefaultServiceConfig()
-	cold.Workers = 4
 	cold.WarmStart = false
 	cold.Seed = 7
-	coldMetrics, err := microadapt.NewService(db, cold).RunLoad(load)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("cold:", coldMetrics)
+	coldTax := offBestPerJob(microadapt.NewService(db, cold), mix, jobs)
 
-	// Phase 2: same load, but sessions seed their choosers from the shared
-	// cache through the WarmStarter capability — the same code path works
-	// for any registry policy (try cold.Policy = "ucb1" or "thompson").
-	// The first pass over the mix populates the cache; the measured load
-	// then runs warm.
+	// Phase 2: same queries, but sessions seed their choosers from the
+	// shared cache through the WarmStarter capability — the same code path
+	// works for any registry policy (try cold.Policy = "ucb1" or
+	// "thompson"). One pass over the mix populates the cache; the measured
+	// phase then runs warm.
 	warm := cold
 	warm.WarmStart = true
 	svc := microadapt.NewService(db, warm)
-	if _, err := svc.RunLoad(microadapt.LoadConfig{Mix: mix, Jobs: len(mix)}); err != nil {
-		log.Fatal(err)
-	}
-	warmMetrics, err := svc.RunLoad(load)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("warm:", warmMetrics)
+	offBestPerJob(svc, mix, len(mix))
+	warmTax := offBestPerJob(svc, mix, jobs)
+	seeded, coldInsts := svc.SeededInstances()
 
-	fmt.Printf("\nwarm start: %.1f -> %.1f off-best calls/job; %d instance keys cached\n",
-		coldMetrics.OffBestPerJob(), warmMetrics.OffBestPerJob(), svc.Cache().Len())
+	fmt.Printf("warm start: %.1f -> %.1f off-best calls/job; %d/%d instances seeded; %d instance keys cached\n",
+		coldTax, warmTax, seeded, seeded+coldInsts, svc.Cache().Len())
 
 	fmt.Println("\nbest known flavor per cached instance (first 10):")
 	for i, key := range svc.Cache().Keys() {

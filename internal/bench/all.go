@@ -13,11 +13,11 @@ type Experiment struct {
 	Run   func(cfg Config) (*Report, error)
 }
 
-// serialOnly pins a paper-reproduction experiment to serial execution:
-// these experiments introspect per-instance histories by serial plan label
+// serialOnly pins an experiment to serial execution: the paper
+// reproductions introspect per-instance histories by serial plan label
 // (mustInstance, APH charts), which a partitioned plan splits across
-// fragment sessions. Only the scaling experiment varies parallelism, and it
-// does so itself.
+// fragment sessions, and a serial run is what makes every report the same
+// bytes on every run.
 func serialOnly(run func(Config) (*Report, error)) func(Config) (*Report, error) {
 	return func(cfg Config) (*Report, error) {
 		cfg.PipelineParallelism = 0
@@ -25,35 +25,37 @@ func serialOnly(run func(Config) (*Report, error)) func(Config) (*Report, error)
 	}
 }
 
-// Experiments returns the full registry, in the paper's order.
+// Experiments returns the full registry, in the paper's order. Every entry
+// runs serially on virtual cycles and seeded generators, so its report is
+// deterministic (testdata/paper pins each one).
 func Experiments() []Experiment {
 	exps := []Experiment{
-		{"table1", "Table 1: execution-stage breakdown", serialOnly(Table1)},
-		{"fig1", "Figure 1: (no-)branching vs selectivity", serialOnly(Fig1)},
-		{"fig2", "Figure 2: (no-)branching in TPC-H Q12", serialOnly(Fig2)},
-		{"fig4", "Figure 4: compiler APHs", serialOnly(Fig4)},
-		{"fig5", "Figure 5: mergejoin by machine", serialOnly(Fig5)},
-		{"fig6", "Figure 6: bloom-filter loop fission", serialOnly(Fig6)},
-		{"table4", "Table 4: hand vs compiler unrolling", serialOnly(Table4)},
-		{"fig8", "Figure 8: full computation speedup", serialOnly(Fig8)},
-		{"fig10", "Figure 10: vw-greedy demonstration", serialOnly(Fig10)},
-		{"table5", "Table 5: MAB algorithms on traces", serialOnly(Table5)},
+		{"table1", "Table 1: execution-stage breakdown", Table1},
+		{"fig1", "Figure 1: (no-)branching vs selectivity", Fig1},
+		{"fig2", "Figure 2: (no-)branching in TPC-H Q12", Fig2},
+		{"fig4", "Figure 4: compiler APHs", Fig4},
+		{"fig5", "Figure 5: mergejoin by machine", Fig5},
+		{"fig6", "Figure 6: bloom-filter loop fission", Fig6},
+		{"table4", "Table 4: hand vs compiler unrolling", Table4},
+		{"fig8", "Figure 8: full computation speedup", Fig8},
+		{"fig10", "Figure 10: vw-greedy demonstration", Fig10},
+		{"table5", "Table 5: MAB algorithms on traces", Table5},
 	}
 	for _, spec := range flavorSetSpecs {
 		id := spec.id
-		exps = append(exps, Experiment{id, spec.title, serialOnly(func(cfg Config) (*Report, error) {
+		exps = append(exps, Experiment{id, spec.title, func(cfg Config) (*Report, error) {
 			return FlavorSetTable(cfg, id)
-		})})
+		}})
 	}
 	exps = append(exps,
-		Experiment{"fig11", "Figure 11: micro adaptive APHs", serialOnly(Fig11)},
-		Experiment{"table11", "Table 11: TPC-H overall", serialOnly(Table11)},
-		Experiment{"policycmp", "Policy comparison: cold vs. warm per policy", serialOnly(PolicyComparison)},
-		Experiment{"scaling", "Pipeline scaling: wall time and off-best vs. parallelism", Scaling},
-		Experiment{"storage", "Compressed storage: flavor-adaptive scans vs. flat", serialOnly(StorageComparison)},
-		Experiment{"dist", "Distributed execution: shard scaling with bit-identity", DistScaling},
-		Experiment{"federation", "Flavor-knowledge federation: cold vs. warm-started shard", Federation},
+		Experiment{"fig11", "Figure 11: micro adaptive APHs", Fig11},
+		Experiment{"table11", "Table 11: TPC-H overall", Table11},
+		Experiment{"policycmp", "Policy comparison: cold vs. warm per policy", PolicyComparison},
+		Experiment{"storage", "Compressed storage: flavor-adaptive scans vs. flat", StorageComparison},
 	)
+	for i := range exps {
+		exps[i].Run = serialOnly(exps[i].Run)
+	}
 	return exps
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"microadapt/internal/core"
-	"microadapt/internal/policy"
 	"microadapt/internal/primitive"
 	"microadapt/internal/tpch"
 )
@@ -20,13 +19,12 @@ func tinyConfig() Config {
 
 func TestExperimentRegistry(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != 22 {
-		t.Errorf("experiments = %d, want 22 (every table and figure + policycmp + scaling + storage + dist + federation)", len(exps))
+	if len(exps) != 19 {
+		t.Errorf("experiments = %d, want 19 (every table and figure + policycmp + storage)", len(exps))
 	}
 	want := []string{"table1", "fig1", "fig2", "fig4", "fig5", "fig6", "table4",
 		"fig8", "fig10", "table5", "table6", "table7", "table8", "table9",
-		"table10", "fig11", "table11", "policycmp", "scaling", "storage",
-		"dist", "federation"}
+		"table10", "fig11", "table11", "policycmp", "storage"}
 	for _, id := range want {
 		if _, ok := ByID(id); !ok {
 			t.Errorf("missing experiment %s", id)
@@ -45,13 +43,8 @@ func TestMicroExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("micro experiments take ~10s; skipped in -short mode")
 	}
-	cfg := tinyConfig()
 	for _, id := range []string{"fig1", "fig5", "fig6", "table4", "fig8"} {
-		e, _ := ByID(id)
-		rep, err := e.Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
+		rep := tinyReport(t, id)
 		if rep.ID != id || len(rep.Body) < 100 {
 			t.Errorf("%s: malformed report", id)
 		}
@@ -68,27 +61,10 @@ func TestTPCHExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TPC-H experiments skipped in -short mode")
 	}
-	cfg := tinyConfig()
 	for _, id := range []string{"table1", "fig2", "fig4", "fig10", "table6", "table9", "fig11", "table11"} {
-		e, _ := ByID(id)
-		rep, err := e.Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if len(rep.Body) < 50 {
+		if rep := tinyReport(t, id); len(rep.Body) < 50 {
 			t.Errorf("%s: empty report", id)
 		}
-	}
-}
-
-func TestFig1ShapeMatchesPaper(t *testing.T) {
-	cfg := tinyConfig()
-	rep, err := Fig1(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(rep.Body, "cross-over points") {
-		t.Error("fig1 should report cross-over points")
 	}
 }
 
@@ -96,11 +72,7 @@ func TestFig6CrossoverOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig6 sweeps four machines over seven filter sizes (~11s); skipped in -short mode")
 	}
-	cfg := tinyConfig()
-	rep, err := Fig6(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := tinyReport(t, "fig6")
 	// The paper's headline: machine 1 crosses over at a smaller filter
 	// size than machine 4.
 	lines := strings.Split(rep.Body, "\n")
@@ -125,43 +97,6 @@ func TestFig6CrossoverOrdering(t *testing.T) {
 	}
 	if m4Cross != "4M" {
 		t.Errorf("machine4 cross-over = %q, want 4M", m4Cross)
-	}
-}
-
-// TestBenchConcurrent smoke-tests the concurrent-service benchmark: both
-// phases must run, and the report must show the warm-start comparison.
-func TestBenchConcurrent(t *testing.T) {
-	cfg := tinyConfig()
-	rep, err := BenchConcurrent(cfg, ConcurrentOptions{
-		Workers: 2,
-		Jobs:    8,
-		Mix:     []int{6, 12},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"cold", "warm", "off-best", "jobs/s"} {
-		if !strings.Contains(rep.Body, want) {
-			t.Errorf("report missing %q:\n%s", want, rep.Body)
-		}
-	}
-	// Cold-only skips the warm phase.
-	rep, err = BenchConcurrent(cfg, ConcurrentOptions{Workers: 2, Jobs: 4, Mix: []int{6}, ColdOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(rep.Body, "warm start:") {
-		t.Error("cold-only report should not include the warm-start summary")
-	}
-	// Pipeline parallelism composes with the worker pool.
-	rep, err = BenchConcurrent(cfg, ConcurrentOptions{
-		Workers: 2, Jobs: 6, Mix: []int{1, 6}, PipelineParallelism: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(rep.Body, "pipeline-parallel 4") {
-		t.Errorf("report missing the pipeline-parallel setting:\n%s", rep.Body)
 	}
 }
 
@@ -202,23 +137,6 @@ func TestPaperExperimentsPinSerial(t *testing.T) {
 	}
 }
 
-// TestScalingExperimentRuns smoke-tests the scaling experiment: every
-// (query, P) cell must appear, with the serial row carrying no speedup.
-func TestScalingExperimentRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs 3 queries x 3 parallelism degrees x 3 reps; skipped in -short mode")
-	}
-	rep, err := Scaling(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"Q01", "Q06", "Q12", "off-best%", "cache-keys"} {
-		if !strings.Contains(rep.Body, want) {
-			t.Errorf("report missing %q:\n%s", want, rep.Body)
-		}
-	}
-}
-
 func TestDBCaching(t *testing.T) {
 	cfg := tinyConfig()
 	if cfg.DB() != cfg.DB() {
@@ -238,28 +156,6 @@ func TestFixedArmClamps(t *testing.T) {
 	}
 	if f(8).Choose(core.ChooseContext{}) != 5 {
 		t.Error("fixed policy should use the requested arm when available")
-	}
-}
-
-// TestPolicyComparisonRuns smoke-tests the policycmp experiment: every
-// warm-startable registry policy must survive both phases and appear in
-// the report.
-func TestPolicyComparisonRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("policycmp runs two service phases per policy; skipped in -short mode")
-	}
-	cfg := tinyConfig()
-	rep, err := PolicyComparison(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, def := range policy.Definitions() {
-		if def.WarmStart && !strings.Contains(rep.Body, def.Name) {
-			t.Errorf("report missing policy %s:\n%s", def.Name, rep.Body)
-		}
-	}
-	if !strings.Contains(rep.Body, "off-best") {
-		t.Error("report should explain the off-best metric")
 	}
 }
 
@@ -292,13 +188,14 @@ func TestSkewedContextualBeatsContextFree(t *testing.T) {
 	}
 }
 
-// TestStorageComparisonRuns smoke-tests the compressed-storage experiment:
-// every query must report both storage forms with identical results, the
-// resident-bytes line must show a reduction, and at least one instance must
-// learn an operate-on-compressed selection flavor.
+// TestStorageComparisonRuns checks the compressed-storage experiment's
+// claims: every query reports both storage forms, the resident-bytes line
+// is there, and at least one instance learns an operate-on-compressed
+// selection flavor. That encoded results equal flat ones is the identity
+// oracle's enc-p rows (internal/dist).
 func TestStorageComparisonRuns(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs 6 queries x 2 storage forms x 3 reps; skipped in -short mode")
+		t.Skip("runs 6 queries x 2 storage forms; skipped in -short mode")
 	}
 	rep, err := StorageComparison(tinyConfig())
 	if err != nil {
@@ -309,25 +206,7 @@ func TestStorageComparisonRuns(t *testing.T) {
 			t.Errorf("report missing %q:\n%s", want, rep.Body)
 		}
 	}
-	if strings.Contains(rep.Body, "NO") {
-		t.Errorf("encoded results diverged from flat:\n%s", rep.Body)
-	}
 	if strings.Contains(rep.Body, "\n0 instances learned an operate-on-compressed") {
 		t.Errorf("no operate-on-compressed winner was learned:\n%s", rep.Body)
-	}
-}
-
-// TestBenchConcurrentEncoded: the concurrent service composes with
-// compressed-resident storage end to end.
-func TestBenchConcurrentEncoded(t *testing.T) {
-	cfg := tinyConfig()
-	rep, err := BenchConcurrent(cfg, ConcurrentOptions{
-		Workers: 2, Jobs: 6, Mix: []int{6}, Encoded: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(rep.Body, "encoded storage") {
-		t.Errorf("report missing encoded-storage annotation:\n%s", rep.Body)
 	}
 }

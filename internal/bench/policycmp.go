@@ -14,27 +14,33 @@ import (
 )
 
 // PolicyComparison runs every warm-startable policy in the registry over
-// the same concurrent TPC-H mix twice — cold sessions against an empty
-// knowledge cache, then sessions warm-started from a priming pass — and
-// reports the off-best-call rate (the exploration tax) of each phase. It
-// is the experiment the policy-agnostic warm-start API exists for: the
-// cache speaks to policies only through the Snapshotter/WarmStarter
+// the same TPC-H mix twice — cold sessions against an empty knowledge
+// cache, then sessions warm-started from a priming pass — and reports the
+// off-best-call rate (the exploration tax) of each phase. It is the
+// experiment the policy-agnostic warm-start API exists for: the cache
+// speaks to policies only through the Snapshotter/WarmStarter
 // capabilities, so one table covers vw-greedy, the ε-strategies, ucb1 and
-// thompson without a line of policy-specific harness code.
+// thompson without a line of policy-specific harness code. Jobs run one
+// after another, so the table is the same on every run.
 func PolicyComparison(cfg Config) (*Report, error) {
 	db := cfg.DB()
 	mix := []int{1, 6, 12}
 	const jobs = 18
 
 	base := service.Config{
-		Workers:    2,
 		Flavors:    primitive.Everything(),
 		Machine:    cfg.Machine.ScaledCaches(cfg.cacheScale()),
 		VectorSize: cfg.VectorSize,
 		VW:         cfg.VW,
 		Seed:       cfg.Seed,
 	}
-	load := service.LoadConfig{Mix: mix, Jobs: jobs}
+	perJob := func(st service.JobStats) float64 { return float64(st.OffBestCalls) / jobs }
+	pct := func(st service.JobStats) float64 {
+		if st.AdaptiveCalls == 0 {
+			return 0
+		}
+		return 100 * float64(st.OffBestCalls) / float64(st.AdaptiveCalls)
+	}
 
 	rows := [][]string{{"policy", "cold off-best/job", "cold off-best%", "warm off-best/job", "warm off-best%", "cold/warm"}}
 	for _, def := range policy.Definitions() {
@@ -46,7 +52,7 @@ func PolicyComparison(cfg Config) (*Report, error) {
 
 		coldCfg := pcfg
 		coldCfg.WarmStart = false
-		cold, err := service.New(db, coldCfg).RunLoad(load)
+		cold, err := runPhase(service.New(db, coldCfg), mix, jobs)
 		if err != nil {
 			return nil, fmt.Errorf("policycmp %s cold: %w", def.Name, err)
 		}
@@ -56,26 +62,26 @@ func PolicyComparison(cfg Config) (*Report, error) {
 		svc := service.New(db, warmCfg)
 		// Priming pass: one run of each mix query fills the cache the way
 		// earlier traffic would; excluded from the measured warm phase.
-		if _, err := svc.RunLoad(service.LoadConfig{Mix: mix, Jobs: len(mix)}); err != nil {
+		if _, err := runPhase(svc, mix, len(mix)); err != nil {
 			return nil, fmt.Errorf("policycmp %s prime: %w", def.Name, err)
 		}
-		warm, err := svc.RunLoad(load)
+		warm, err := runPhase(svc, mix, jobs)
 		if err != nil {
 			return nil, fmt.Errorf("policycmp %s warm: %w", def.Name, err)
 		}
 
 		ratio := "inf"
-		if warm.OffBestPerJob() > 0 {
-			ratio = fmt.Sprintf("%.1fx", cold.OffBestPerJob()/warm.OffBestPerJob())
-		} else if cold.OffBestPerJob() == 0 {
+		if warm.OffBestCalls > 0 {
+			ratio = fmt.Sprintf("%.1fx", perJob(cold)/perJob(warm))
+		} else if cold.OffBestCalls == 0 {
 			ratio = "-"
 		}
 		rows = append(rows, []string{
 			def.Name,
-			fmt.Sprintf("%.1f", cold.OffBestPerJob()),
-			fmt.Sprintf("%.1f", 100*cold.OffBestFraction()),
-			fmt.Sprintf("%.1f", warm.OffBestPerJob()),
-			fmt.Sprintf("%.1f", 100*warm.OffBestFraction()),
+			fmt.Sprintf("%.1f", perJob(cold)),
+			fmt.Sprintf("%.1f", pct(cold)),
+			fmt.Sprintf("%.1f", perJob(warm)),
+			fmt.Sprintf("%.1f", pct(warm)),
 			ratio,
 		})
 	}
@@ -103,6 +109,21 @@ func PolicyComparison(cfg Config) (*Report, error) {
 		Title: "Policy comparison: cold vs. warm-started exploration tax per registered policy",
 		Body:  b.String(),
 	}, nil
+}
+
+// runPhase executes jobs queries, cycling through mix, one after another
+// and sums their adaptive and off-best calls.
+func runPhase(svc *service.Service, mix []int, jobs int) (service.JobStats, error) {
+	var sum service.JobStats
+	for i := 0; i < jobs; i++ {
+		_, st, err := svc.Execute(mix[i%len(mix)])
+		if err != nil {
+			return sum, err
+		}
+		sum.AdaptiveCalls += st.AdaptiveCalls
+		sum.OffBestCalls += st.OffBestCalls
+	}
+	return sum, nil
 }
 
 // skewPhase is one recurring regime of the skewed workload.

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"microadapt/internal/core"
-	"microadapt/internal/engine"
 	"microadapt/internal/primitive"
 	"microadapt/internal/stats"
 	"microadapt/internal/tpch"
@@ -22,73 +20,44 @@ import (
 var storageQueries = []int{1, 6, 10, 12, 14, 17}
 
 // StorageComparison measures compressed columnar storage against flat: per
-// query, mean wall time, primitive cycles and the off-best fraction under
-// both storage forms, plus the resident-bytes reduction of the analyzer's
-// encodings and the decompression flavors each instance's bandit learned —
-// the paper's decompression scenario (its flagship example of a primitive
-// whose best implementation is data-dependent) on real TPC-H data.
+// query, primitive cycles and the off-best fraction under both storage
+// forms, plus the resident-bytes reduction of the analyzer's encodings and
+// the decompression flavors each instance's bandit learned — the paper's
+// decompression scenario (its flagship example of a primitive whose best
+// implementation is data-dependent) on real TPC-H data. Each cell is one
+// cold session: at a fixed seed a repeat would measure the same cycles.
+// That encoded results equal flat ones is the identity oracle's enc-p rows
+// (internal/dist).
 func StorageComparison(cfg Config) (*Report, error) {
-	const reps = 3
 	flatDB := cfg.DB()
 	encDB := cfg.EncodedDB()
 	flatBytes, residentBytes := encDB.StorageFootprint()
 
 	opts := primitive.Everything()
-	rows := [][]string{{"query", "storage", "wall(mean)", "prim Mcycles", "off-best%", "identical"}}
+	rows := [][]string{{"query", "storage", "prim Mcycles", "off-best%"}}
 	var winners []decompressWinner
 	for _, qn := range storageQueries {
 		q := tpch.Query(qn)
-		var flatFP string
 		for _, mode := range []struct {
 			name string
 			db   *tpch.DB
 		}{{"flat", flatDB}, {"encoded", encDB}} {
-			var wall time.Duration
-			var cycles float64
-			var adaptive, offBest int64
-			var fps []string
-			for r := 0; r < reps; r++ {
-				s := cfg.TPCHSession(opts, nil)
-				start := time.Now()
-				tab, err := q.Run(mode.db, s)
-				if err != nil {
-					return nil, fmt.Errorf("storage %s %s: %w", q.Name, mode.name, err)
-				}
-				wall += time.Since(start)
-				cycles += s.Ctx.PrimCycles
-				a, ob := offBestCalls(s)
-				adaptive += a
-				offBest += ob
-				fps = append(fps, engine.TableString(tab, 0))
-				if mode.name == "encoded" && r == reps-1 {
-					winners = append(winners, collectDecompressWinners(s, q.Name)...)
-				}
+			s := cfg.TPCHSession(opts, nil)
+			if _, err := q.Run(mode.db, s); err != nil {
+				return nil, fmt.Errorf("storage %s %s: %w", q.Name, mode.name, err)
 			}
-			identical := "-"
-			if mode.name == "flat" {
-				flatFP = fps[0]
+			if mode.name == "encoded" {
+				winners = append(winners, collectDecompressWinners(s, q.Name)...)
 			}
-			// Every rep of either storage form must match the flat result;
-			// a divergence in any single rep flags the whole cell.
-			allMatch := true
-			for _, fp := range fps {
-				if fp != flatFP {
-					allMatch = false
-				}
-			}
-			if mode.name == "encoded" || !allMatch {
-				identical = map[bool]string{true: "yes", false: "NO"}[allMatch]
-			}
+			adaptive, offBest := core.AdaptationCost(s.AllInstances())
 			offPct := 0.0
 			if adaptive > 0 {
 				offPct = 100 * float64(offBest) / float64(adaptive)
 			}
 			rows = append(rows, []string{
 				q.Name, mode.name,
-				(wall / reps).Round(time.Microsecond).String(),
-				fmt.Sprintf("%.2f", cycles/reps/1e6),
+				fmt.Sprintf("%.2f", s.Ctx.PrimCycles/1e6),
 				fmt.Sprintf("%.1f", offPct),
-				identical,
 			})
 		}
 	}
@@ -106,19 +75,13 @@ func StorageComparison(cfg Config) (*Report, error) {
 			onCompressed++
 		}
 	}
-	fmt.Fprintf(&b, "\n%d instances learned an operate-on-compressed selection; %d reps per cell, cold\nsessions (policy %s). Lineitem encodings:\n%s",
-		onCompressed, reps, cfg.policySpec(), encDB.Lineitem.Enc.Summary())
+	fmt.Fprintf(&b, "\n%d instances learned an operate-on-compressed selection; one cold session\nper cell (policy %s). Lineitem encodings:\n%s",
+		onCompressed, cfg.policySpec(), encDB.Lineitem.Enc.Summary())
 	return &Report{
 		ID:    "storage",
 		Title: "Compressed storage: flavor-adaptive scans vs. flat",
 		Body:  b.String(),
 	}, nil
-}
-
-// offBestCalls is the session-wide core.AdaptationCost — the same
-// exploration-tax accounting the concurrent service reports per job.
-func offBestCalls(s *core.Session) (adaptive, offBest int64) {
-	return core.AdaptationCost(s.AllInstances())
 }
 
 // decompressWinner is one instance's measured-cheapest flavor.

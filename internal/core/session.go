@@ -315,12 +315,6 @@ func (s *Session) Decision(name, label string, arms []string) *Decision {
 	return d
 }
 
-// Decisions returns the session's own decision points, in creation order.
-func (s *Session) Decisions() []*Decision { return s.decisions }
-
-// DecisionByLabel returns a registered decision point or nil.
-func (s *Session) DecisionByLabel(label string) *Decision { return s.decByLabel[label] }
-
 // AllDecisions returns the session's decision points followed by those of
 // every fragment session it spawned, mirroring AllInstances.
 func (s *Session) AllDecisions() []*Decision {

@@ -31,7 +31,9 @@ const costRounds = 3
 // "dist-n4"), then once on shard 0 of 2 cold ("federation-cold") and
 // once warm-started from the knowledge the 2-shard fleet gossiped
 // ("federation-warm"). Every distributed result must fingerprint-equal
-// the single-process one.
+// the single-process one, and the warm-started shard must pay fewer
+// off-best calls than the cold one: that is what federation is for, and
+// checking it here keeps -update from quietly pinning a regression.
 func costReplay(t *testing.T) string {
 	db := tpch.Generate(0.01, 42)
 	shard0 := db.Shard(0, 2)
@@ -49,7 +51,7 @@ func costReplay(t *testing.T) string {
 	}
 
 	want := map[int]string{} // single-process result fingerprints
-	run := func(entry string, rounds int, ex server.Executor) {
+	run := func(entry string, rounds int, ex server.Executor) (offBest int64) {
 		for r := 0; r < rounds; r++ {
 			for _, q := range costMix {
 				tab, st, err := ex.Execute(q)
@@ -64,8 +66,10 @@ func costReplay(t *testing.T) string {
 				}
 				fmt.Fprintf(&out, "%-15s r%d Q%02d prim_cycles=%.0f adaptive_calls=%d off_best_calls=%d\n",
 					entry, r, q, st.PrimCycles, st.AdaptiveCalls, st.OffBestCalls)
+				offBest += st.OffBestCalls
 			}
 		}
+		return offBest
 	}
 
 	run("single", costRounds, service.New(db, sc))
@@ -79,10 +83,12 @@ func costReplay(t *testing.T) string {
 	if _, err := n2.GossipOnce(); err != nil {
 		t.Fatalf("gossip: %v", err)
 	}
-	run("federation-cold", 1, service.New(shard0, sc))
+	cold := run("federation-cold", 1, service.New(shard0, sc))
 	warm := service.New(shard0, sc)
 	warm.Cache().Import(n2.Cache().Export())
-	run("federation-warm", 1, warm)
+	if warmOffBest := run("federation-warm", 1, warm); warmOffBest >= cold {
+		t.Errorf("federation-warm off_best_calls = %d, want < federation-cold's %d", warmOffBest, cold)
+	}
 	return out.String()
 }
 

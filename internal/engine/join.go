@@ -97,9 +97,6 @@ type Join struct {
 // JoinOption configures a Join.
 type JoinOption func(*Join)
 
-// HashJoinOption is the historical name of JoinOption.
-type HashJoinOption = JoinOption
-
 // WithBloom sets the bits per build key the bloomhash arm uses (8 when
 // unset). It is a hint for one arm, not a mandate: the strategy decision
 // still chooses whether the filter is worth building.

@@ -28,8 +28,5 @@ func (p *BranchPredictor) Record(taken bool) (mispredict bool) {
 	return mispredict
 }
 
-// State exposes the counter value (0..3) for tests.
-func (p *BranchPredictor) State() uint8 { return p.state }
-
 // Reset returns the predictor to its initial not-taken bias.
 func (p *BranchPredictor) Reset() { p.state = 0 }

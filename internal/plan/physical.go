@@ -81,19 +81,6 @@ func (e *Exec) ScalarI64(n *Node, col string) (int64, error) {
 	return t.Col(col).GetI64(0), nil
 }
 
-// ScalarF64 materializes n and returns row 0 of the named column as
-// float64.
-func (e *Exec) ScalarF64(n *Node, col string) (float64, error) {
-	t, err := e.Run(n)
-	if err != nil {
-		return 0, err
-	}
-	if t.Rows() == 0 {
-		return 0, fmt.Errorf("plan: scalar %s.%s over empty result", n.label, col)
-	}
-	return t.Col(col).GetF64(0), nil
-}
-
 // lower produces the operator a single consumer pulls n's stream from:
 // a fresh scan for stored tables and already-materialized nodes, a full
 // materialization for shared subtrees, and an inline pipeline otherwise.

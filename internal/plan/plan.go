@@ -433,10 +433,6 @@ func (n *Node) Label() string { return n.label }
 // Kind returns the node's operator kind.
 func (n *Node) Kind() Kind { return n.kind }
 
-// Inputs returns the node's children (build before probe, left before
-// right).
-func (n *Node) Inputs() []*Node { return n.in }
-
 // Idx resolves a column name in the node's output schema; it panics on an
 // unknown name, like every schema lookup at plan-build time.
 func (n *Node) Idx(name string) int { return n.sch.MustIndexOf(name) }

@@ -91,13 +91,6 @@ func NewAdmission(cfg AdmissionConfig) *Admission {
 	return a
 }
 
-// NewImmediateAdmission builds a controller whose queue holds nothing
-// beyond the executing requests: admission requires a ready worker. Tests
-// and the shed-behavior CI smoke use it for deterministic overload.
-func NewImmediateAdmission(workers int) *Admission {
-	return NewAdmission(AdmissionConfig{Workers: workers, QueueDepth: -1})
-}
-
 // Do admits job, waits for a worker to run it, and returns its error.
 //
 //   - ErrDraining: the server is shutting down; job did not run.

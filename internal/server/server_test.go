@@ -23,7 +23,6 @@ var testDB = tpch.Generate(0.002, 42)
 
 func testService(warm bool) *service.Service {
 	cfg := service.DefaultConfig()
-	cfg.Workers = 4
 	cfg.WarmStart = warm
 	cfg.Seed = 7
 	return service.New(testDB, cfg)

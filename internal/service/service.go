@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -17,8 +16,6 @@ import (
 
 // Config parameterizes a Service.
 type Config struct {
-	// Workers is the size of the worker pool (default: GOMAXPROCS).
-	Workers int
 	// Flavors selects the registered flavor sets (default: Everything).
 	Flavors primitive.Options
 	// Machine is the virtual machine profile queries run on.
@@ -58,7 +55,6 @@ type Config struct {
 // DefaultConfig returns a ready-to-run service configuration.
 func DefaultConfig() Config {
 	return Config{
-		Workers:    runtime.GOMAXPROCS(0),
 		Flavors:    primitive.Everything(),
 		Machine:    hw.Machine1(),
 		VectorSize: 128,
@@ -99,9 +95,6 @@ type Service struct {
 
 // New builds a service over an already generated database.
 func New(db *tpch.DB, cfg Config) *Service {
-	if cfg.Workers < 1 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	if cfg.VectorSize < 1 {
 		cfg.VectorSize = 128
 	}
@@ -245,7 +238,8 @@ func (svc *Service) buildSession(seed int64, part int) *core.Session {
 	return core.NewSession(svc.dict, svc.cfg.Machine, opts...)
 }
 
-// JobStats summarizes one executed query for the load generator.
+// JobStats summarizes one executed query: its latency, virtual cycles and
+// exploration tax.
 type JobStats struct {
 	Query         int
 	Latency       time.Duration

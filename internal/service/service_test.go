@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"microadapt/internal/core"
 	"microadapt/internal/engine"
@@ -21,7 +20,6 @@ var testDB = tpch.Generate(0.002, 42)
 
 func testConfig(warm bool) Config {
 	cfg := DefaultConfig()
-	cfg.Workers = 4
 	cfg.WarmStart = warm
 	cfg.Seed = 7
 	return cfg
@@ -236,106 +234,21 @@ func TestWarmStartDisabled(t *testing.T) {
 	}
 }
 
-func TestRunLoadMetrics(t *testing.T) {
+// TestExecuteValidation: a query number outside 1-22 is an error, not a
+// panic.
+func TestExecuteValidation(t *testing.T) {
 	svc := New(testDB, testConfig(true))
-	m, err := svc.RunLoad(LoadConfig{Mix: []int{6, 12}, Jobs: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Jobs != 12 || m.Errors != 0 {
-		t.Errorf("jobs=%d errors=%d, want 12/0", m.Jobs, m.Errors)
-	}
-	if m.JobsPerSec <= 0 {
-		t.Error("throughput should be positive")
-	}
-	if m.P50 > m.P95 || m.P95 > m.MaxLatency {
-		t.Errorf("latency percentiles out of order: p50=%v p95=%v max=%v", m.P50, m.P95, m.MaxLatency)
-	}
-	if m.AdaptiveCalls <= 0 {
-		t.Error("no adaptive calls measured")
-	}
-	if s := m.String(); len(s) < 40 {
-		t.Errorf("summary too short: %q", s)
-	}
-}
-
-func TestRunLoadDurationBound(t *testing.T) {
-	svc := New(testDB, testConfig(true))
-	m, err := svc.RunLoad(LoadConfig{Mix: []int{6}, Duration: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Jobs == 0 {
-		t.Error("time-bounded load ran no jobs")
-	}
-}
-
-// TestRunLoadDeadlineInterruptsBlockedSend: with every worker busy at
-// expiry, the producer is blocked on the jobs channel; the deadline must
-// break that send so the run ends promptly instead of queueing one more
-// job per worker after the deadline.
-func TestRunLoadDeadlineInterruptsBlockedSend(t *testing.T) {
-	cfg := testConfig(false)
-	cfg.Workers = 1 // one in-flight job blocks the producer immediately
-	svc := New(testDB, cfg)
-	start := time.Now()
-	m, err := svc.RunLoad(LoadConfig{Mix: []int{1}, Duration: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The single worker finishes its in-flight query (plus at most the one
-	// job buffered in the send); a runaway producer would keep going.
-	if m.Jobs > 2 {
-		t.Errorf("deadline let %d jobs start, want <= 2", m.Jobs)
-	}
-	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Errorf("time-bounded run took %v", elapsed)
-	}
-}
-
-// TestRunLoadExcludesErroredJobs: failed jobs count as errors but
-// contribute no latency samples — a stream of failures must not fabricate
-// percentiles.
-func TestRunLoadExcludesErroredJobs(t *testing.T) {
-	cfg := testConfig(false)
-	cfg.Policy = "no-such-policy" // every Execute fails fast
-	svc := New(testDB, cfg)
-	m, err := svc.RunLoad(LoadConfig{Mix: []int{6}, Jobs: 8})
-	if err == nil {
-		t.Fatal("expected the first job error to surface")
-	}
-	if m.Errors != m.Jobs || m.Jobs != 8 {
-		t.Errorf("jobs=%d errors=%d, want 8/8", m.Jobs, m.Errors)
-	}
-	if m.P50 != 0 || m.P95 != 0 || m.P99 != 0 || m.MaxLatency != 0 {
-		t.Errorf("errored jobs leaked into latency percentiles: p50=%v p95=%v p99=%v max=%v",
-			m.P50, m.P95, m.P99, m.MaxLatency)
-	}
-	if m.JobsPerSec != 0 {
-		t.Errorf("throughput counted errored jobs: %v", m.JobsPerSec)
-	}
-}
-
-func TestRunLoadValidation(t *testing.T) {
-	svc := New(testDB, testConfig(true))
-	if _, err := svc.RunLoad(LoadConfig{Jobs: 1}); err == nil {
-		t.Error("empty mix should error")
-	}
-	if _, err := svc.RunLoad(LoadConfig{Mix: []int{99}, Jobs: 1}); err == nil {
-		t.Error("bad query number should error")
-	}
-	if _, err := svc.RunLoad(LoadConfig{Mix: []int{1}}); err == nil {
-		t.Error("missing Jobs and Duration should error")
-	}
-	if _, _, err := svc.Execute(0); err == nil {
-		t.Error("Execute(0) should error")
+	for _, q := range []int{0, 23} {
+		if _, _, err := svc.Execute(q); err == nil {
+			t.Errorf("Execute(%d) should error", q)
+		}
 	}
 }
 
 // TestZeroValueConfigWorks: a hand-built Config (not derived from
 // DefaultConfig) must not panic on the first query.
 func TestZeroValueConfigWorks(t *testing.T) {
-	svc := New(testDB, Config{Workers: 1})
+	svc := New(testDB, Config{})
 	if _, _, err := svc.Execute(6); err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +263,7 @@ func TestZeroValueConfigWorks(t *testing.T) {
 // unset, silently discarding an ExploitPeriod/ExploreLength/WarmupSkip the
 // caller did set. Each unset field must default individually.
 func TestConfigKeepsCallerVWParams(t *testing.T) {
-	cfg := Config{Workers: 1, VW: core.VWParams{ExploitPeriod: 5, ExploreLength: 3}}
+	cfg := Config{VW: core.VWParams{ExploitPeriod: 5, ExploreLength: 3}}
 	svc := New(testDB, cfg)
 	vw := svc.Config().VW
 	if vw.ExploitPeriod != 5 {
@@ -368,7 +281,7 @@ func TestConfigKeepsCallerVWParams(t *testing.T) {
 	}
 	// Caller-set fields survive in the other direction too: ExplorePeriod
 	// set, the rest unset.
-	svc = New(testDB, Config{Workers: 1, VW: core.VWParams{ExplorePeriod: 256}})
+	svc = New(testDB, Config{VW: core.VWParams{ExplorePeriod: 256}})
 	vw = svc.Config().VW
 	if vw.ExplorePeriod != 256 {
 		t.Errorf("caller-set ExplorePeriod clobbered: got %d, want 256", vw.ExplorePeriod)

@@ -130,12 +130,12 @@ func TestWarmStartCrossesEncodings(t *testing.T) {
 	}
 }
 
-// TestServiceEncodedStorage: the service flag encodes the database and the
-// load still runs with warm start across sessions.
+// TestServiceEncodedStorage: the service flag encodes the database and
+// repeated queries still run with warm start across sessions.
 func TestServiceEncodedStorage(t *testing.T) {
 	db := tpch.Generate(0.002, 7)
 	svc := New(db, Config{
-		Workers: 2, VectorSize: 128, Seed: 3,
+		VectorSize: 128, Seed: 3,
 		EncodedStorage: true, WarmStart: true,
 	})
 	if !db.Encoded() {

@@ -78,10 +78,9 @@ type (
 	Service = service.Service
 	// ServiceConfig parameterizes a Service.
 	ServiceConfig = service.Config
-	// LoadConfig describes a load-generation run against a Service.
-	LoadConfig = service.LoadConfig
-	// LoadMetrics aggregates throughput, latency and adaptation overhead.
-	LoadMetrics = service.Metrics
+	// JobStats summarizes one executed query: latency, virtual cycles and
+	// the exploration tax (off-best calls).
+	JobStats = service.JobStats
 	// PlanBuilder accumulates the logical plan DAG of one query; the
 	// physical planner lowers it onto engine operators, derives instance
 	// labels from plan position, and fans morsel-partitionable
@@ -332,7 +331,7 @@ func RunAllExperiments(cfg ExperimentConfig, w io.Writer) error {
 func ExperimentIDs() []string { return bench.IDs() }
 
 // DefaultServiceConfig returns a ready-to-run concurrent-service
-// configuration (GOMAXPROCS workers, all flavors, warm start on).
+// configuration (all flavors, vw-greedy, warm start on).
 func DefaultServiceConfig() ServiceConfig { return service.DefaultConfig() }
 
 // NewService builds a concurrent adaptive query service over db. Sessions

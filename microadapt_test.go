@@ -94,8 +94,8 @@ func TestFacadeMachines(t *testing.T) {
 
 func TestFacadeExperiments(t *testing.T) {
 	ids := microadapt.ExperimentIDs()
-	if len(ids) != 22 {
-		t.Errorf("experiment ids = %d, want 22", len(ids))
+	if len(ids) != 19 {
+		t.Errorf("experiment ids = %d, want 19", len(ids))
 	}
 	cfg := microadapt.DefaultExperimentConfig()
 	cfg.SF = 0.002
@@ -159,15 +159,21 @@ func TestFacadePolicyRegistry(t *testing.T) {
 func TestFacadeService(t *testing.T) {
 	db := microadapt.GenerateTPCH(0.002, 3)
 	cfg := microadapt.DefaultServiceConfig()
-	cfg.Workers = 2
 	cfg.Seed = 5
 	svc := microadapt.NewService(db, cfg)
-	m, err := svc.RunLoad(microadapt.LoadConfig{Mix: []int{6, 12}, Jobs: 8})
-	if err != nil {
-		t.Fatal(err)
+	var sum microadapt.JobStats
+	for _, q := range []int{6, 12, 6, 12} {
+		tab, st, err := svc.Execute(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tab.Rows() == 0 || st.Query != q {
+			t.Errorf("Q%02d: %d rows, stats for Q%02d", q, tab.Rows(), st.Query)
+		}
+		sum.AdaptiveCalls += st.AdaptiveCalls
 	}
-	if m.Jobs != 8 || m.Errors != 0 {
-		t.Errorf("jobs=%d errors=%d", m.Jobs, m.Errors)
+	if sum.AdaptiveCalls == 0 {
+		t.Error("no adaptive calls measured")
 	}
 	if svc.Cache().Len() == 0 {
 		t.Error("service cache should hold learned flavor knowledge")
