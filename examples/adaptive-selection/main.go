@@ -66,9 +66,9 @@ func runPolicy(name string, chooser microadapt.ChooserFactory) float64 {
 	}
 	fmt.Printf("%-22s %12.0f cycles  (%.2f cycles/tuple)\n",
 		name, inst.Cycles, inst.CyclesPerTuple())
-	for fi, fs := range inst.PerFlavor {
+	for fi, fs := range inst.PerArm {
 		if fs.Calls > 0 {
-			fmt.Printf("    %-24s used for %5d calls\n", inst.Prim.Flavors[fi].Name, fs.Calls)
+			fmt.Printf("    %-24s used for %5d calls\n", inst.Arms[fi], fs.Calls)
 		}
 	}
 	return inst.Cycles

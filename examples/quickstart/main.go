@@ -40,12 +40,12 @@ func main() {
 		}
 		fmt.Printf("  %-48s %6d calls, %5.2f cycles/tuple\n",
 			inst.Label, inst.Calls, inst.CyclesPerTuple())
-		for fi, fs := range inst.PerFlavor {
+		for fi, fs := range inst.PerArm {
 			if fs.Calls == 0 {
 				continue
 			}
 			fmt.Printf("      %-28s %6d calls  %6.2f cycles/tuple\n",
-				inst.Prim.Flavors[fi].Name, fs.Calls, fs.CyclesPerTuple())
+				inst.Arms[fi], fs.Calls, fs.CyclesPerTuple())
 		}
 	}
 }

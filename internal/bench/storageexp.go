@@ -99,13 +99,13 @@ func collectDecompressWinners(s *core.Session, qname string) []decompressWinner 
 		if len(inst.Prim.Flavors) <= 1 || inst.Calls == 0 {
 			continue
 		}
-		best := inst.BestMeasuredFlavor()
+		best := inst.BestMeasuredArm()
 		if best < 0 {
 			continue
 		}
 		out = append(out, decompressWinner{
 			label:  qname + ": " + core.BaseLabel(inst.Label),
-			flavor: inst.Prim.Flavors[best].Name,
+			flavor: inst.Arms[best],
 		})
 	}
 	return out

@@ -1,121 +1,33 @@
 package core
 
-import "strings"
-
-// Decision is an operator-level decision point: a named set of arms
-// ("hash", "merge", "bloomhash"; a partition fan-out; a table sizing) with
-// a cost signal, chosen per plan position by the same policy machinery
-// that picks primitive flavors. Where an Instance's arms are the flavors
-// of a dictionary primitive, a Decision's arms are whatever strategies the
+// Decision is an operator-level adaptive Point: a named set of arms
+// ("hash", "merge", "bloomhash"; a table sizing) with a cost signal,
+// chosen per plan position by the same policy machinery that picks
+// primitive flavors. Where an Instance's arms are the flavors of a
+// dictionary primitive, a Decision's arms are whatever strategies the
 // operator enumerates — the generalization Cuttlefish showed works one
-// level above primitives.
+// level above primitives. Its Sig is DecisionSig(name).
 //
 // A Decision is resolved far less often than a primitive is called
 // (typically once per operator Open), so its cost signal is coarse: the
 // operator reports, per resolution, the tuples the strategy processed and
-// the cycles (or nanoseconds — units only need to be consistent per
-// decision name) it attributes to the strategy.
+// the virtual cycles it attributes to the strategy.
 type Decision struct {
-	Name  string   // decision kind, e.g. "join-strategy"
-	Label string   // plan-position label, e.g. "Q3/hj1/strategy"
-	Arms  []string // stable arm names, in arm order
-
-	chooser Chooser
-
-	// Profiling, mirroring Instance.
-	Calls   int
-	Tuples  int64
-	Cycles  float64
-	PerArm  []FlavorStats
-	LastArm int
+	Point
 }
-
-// decisionSigPrefix namespaces decision identities away from dictionary
-// primitive signatures in chooser factories and knowledge caches.
-const decisionSigPrefix = "decision:"
-
-// DecisionSig returns the signature-shaped identity of a decision kind;
-// it flows through InstanceChooserFactory and the knowledge cache exactly
-// like a primitive signature, so "decision:join-strategy@Q3/hj1/strategy"
-// and "sel_htlookup_slng_col@Q3/hj1/..." live in one namespace.
-func DecisionSig(name string) string { return decisionSigPrefix + name }
-
-// IsDecisionSig reports whether a signature names a decision rather than a
-// dictionary primitive — the test chooser factories use it to pin flavors
-// while leaving operator strategies at their defaults (or vice versa).
-func IsDecisionSig(sig string) bool { return strings.HasPrefix(sig, decisionSigPrefix) }
 
 // NewDecision builds a decision point over the named arms using the given
 // chooser (constructed for len(arms) arms).
 func NewDecision(name, label string, arms []string, chooser Chooser) *Decision {
-	return &Decision{
-		Name: name, Label: label, Arms: arms,
-		chooser: chooser,
-		PerArm:  make([]FlavorStats, len(arms)),
-	}
+	return &Decision{newPoint(DecisionSig(name), label, arms, chooser)}
 }
-
-// Chooser exposes the decision's policy.
-func (d *Decision) Chooser() Chooser { return d.chooser }
 
 // Choose resolves the decision under the given features and returns the
 // arm index (clamped — a misbehaving policy must not crash the operator).
 // Single-arm decisions short-circuit.
-func (d *Decision) Choose(feat Features) int {
-	arm := 0
-	if len(d.Arms) > 1 {
-		arm = d.chooser.Choose(ChooseContext{Feat: feat})
-		if arm < 0 || arm >= len(d.Arms) {
-			arm = 0
-		}
-	}
-	d.LastArm = arm
-	return arm
-}
+func (d *Decision) Choose(feat Features) int { return d.choose(ChooseContext{Feat: feat}) }
 
 // Observe reports the measured outcome of the most recent Choose: how many
 // tuples the chosen strategy processed and what it cost. Operators call it
 // once per resolution (typically at Close), after the cost is known.
-func (d *Decision) Observe(tuples int, cost float64) {
-	d.Calls++
-	d.Tuples += int64(tuples)
-	d.Cycles += cost
-	fs := &d.PerArm[d.LastArm]
-	fs.Calls++
-	fs.Tuples += int64(tuples)
-	fs.Cycles += cost
-	d.chooser.Observe(Observation{Arm: d.LastArm, Tuples: tuples, Cycles: cost})
-}
-
-// BestMeasuredArm returns the arm with the lowest measured mean cost among
-// arms that processed at least one tuple, or -1.
-func (d *Decision) BestMeasuredArm() int {
-	best, bestCost := -1, 0.0
-	for i := range d.PerArm {
-		fs := &d.PerArm[i]
-		if fs.Tuples == 0 {
-			continue
-		}
-		if c := fs.CyclesPerTuple(); best < 0 || c < bestCost {
-			best, bestCost = i, c
-		}
-	}
-	return best
-}
-
-// DecisionAdaptationCost sums, over multi-arm decisions, total resolutions
-// and resolutions that used an arm other than the decision's measured best
-// — the operator-level analogue of AdaptationCost, folded into the same
-// off-best accounting by the service and the bench harness.
-func DecisionAdaptationCost(ds []*Decision) (adaptive, offBest int64) {
-	for _, d := range ds {
-		if len(d.Arms) <= 1 {
-			continue
-		}
-		adaptive += int64(d.Calls)
-		if best := d.BestMeasuredArm(); best >= 0 {
-			offBest += int64(d.Calls - d.PerArm[best].Calls)
-		}
-	}
-	return adaptive, offBest
-}
+func (d *Decision) Observe(tuples int, cost float64) { d.record(tuples, cost) }

@@ -82,7 +82,15 @@ type Primitive struct {
 	Sig     string // e.g. "select_<_sint_col_sint_val"
 	Class   string // cost/flavor class, one of the hw.Class* constants
 	Flavors []*Flavor
+
+	names []string // flavor names in arm order, appended with Flavors
 }
+
+// FlavorNames returns the registered flavor names in arm order: the arm
+// names of every instance of the primitive, which translate a session's
+// arm indices into the name-keyed cross-session knowledge cache. The slice
+// is shared and must not be modified.
+func (p *Primitive) FlavorNames() []string { return p.names }
 
 // FlavorIndex returns the index of the flavor with the given name, or -1.
 func (p *Primitive) FlavorIndex(name string) int {
@@ -147,6 +155,7 @@ func (d *Dictionary) AddFlavor(sig, class string, f *Flavor) error {
 		}
 	}
 	p.Flavors = append(p.Flavors, f)
+	p.names = append(p.names, f.Name)
 	return nil
 }
 

@@ -5,116 +5,39 @@ import (
 	"microadapt/internal/hw"
 )
 
-// FlavorStats aggregates the profiling of one flavor within one instance.
-type FlavorStats struct {
-	Calls  int
-	Tuples int64
-	Cycles float64
-}
-
-// CyclesPerTuple returns the flavor's mean cost within the instance.
-func (s FlavorStats) CyclesPerTuple() float64 {
-	if s.Tuples == 0 {
-		return 0
-	}
-	return s.Cycles / float64(s.Tuples)
-}
-
 // Instance is a primitive instance: one occurrence of a primitive function
 // in a query plan (§1.1 "Primitive Instances"). Different instances of the
-// same primitive process different data streams, so each carries its own
-// profiling state, Approximated Performance History, flavor chooser, and
-// virtual-hardware state (its branch predictor site).
+// same primitive process different data streams, so each is its own
+// adaptive Point over the primitive's flavors, and carries its own
+// Approximated Performance History and virtual-hardware state (its branch
+// predictor site).
 type Instance struct {
-	Prim  *Primitive
-	Label string // plan-unique name, e.g. "Q12/select_>=_sint_col_sint_val#1"
+	Point
+	Prim *Primitive
 
-	chooser Chooser
-	hist    *aph.History
+	hist *aph.History
 
-	// Classical profiling (totals).
-	Calls    int
-	Tuples   int64
-	Cycles   float64
 	Produced int64 // output tuples (selection primitives: qualifying tuples)
-
-	// Per-flavor profiling.
-	PerFlavor []FlavorStats
 
 	// Pred is the branch predictor state of this instance's data-
 	// dependent branch site, shared across flavors (it is the same
 	// branch in all builds).
 	Pred hw.BranchPredictor
-
-	// LastArm is the flavor used by the most recent call.
-	LastArm int
 }
 
 // NewInstance builds an instance of prim using the given chooser. The
-// chooser must have been constructed for len(prim.Flavors) arms.
+// chooser must have been constructed for len(prim.Flavors) arms (a
+// Session gives it one at registration).
 func NewInstance(prim *Primitive, label string, chooser Chooser) *Instance {
-	return &Instance{
-		Prim:      prim,
-		Label:     label,
-		chooser:   chooser,
-		hist:      aph.New(),
-		PerFlavor: make([]FlavorStats, len(prim.Flavors)),
-	}
+	return &Instance{Point: newPoint(prim.Sig, label, prim.FlavorNames(), chooser), Prim: prim, hist: aph.New()}
 }
-
-// Chooser exposes the instance's policy.
-func (inst *Instance) Chooser() Chooser { return inst.chooser }
 
 // History returns the instance's Approximated Performance History.
 func (inst *Instance) History() *aph.History { return inst.hist }
 
-// CyclesPerTuple returns the instance's overall mean cost.
-func (inst *Instance) CyclesPerTuple() float64 {
-	if inst.Tuples == 0 {
-		return 0
-	}
-	return inst.Cycles / float64(inst.Tuples)
-}
-
-// BestMeasuredFlavor returns the arm with the lowest measured mean cost
-// (cycles/tuple) among flavors that processed at least one tuple, or -1
-// when nothing was measured yet.
-func (inst *Instance) BestMeasuredFlavor() int {
-	best, bestCost := -1, 0.0
-	for i := range inst.PerFlavor {
-		fs := &inst.PerFlavor[i]
-		if fs.Tuples == 0 {
-			continue
-		}
-		if c := fs.CyclesPerTuple(); best < 0 || c < bestCost {
-			best, bestCost = i, c
-		}
-	}
-	return best
-}
-
-// AdaptationCost sums, over instances with more than one flavor, the total
-// adaptive calls and the calls that used a flavor other than the
-// instance's measured best — the exploration (plus wrong-exploitation)
-// overhead that warm starts are meant to shrink. The service and the
-// bench harness both report it; keeping the accounting here keeps their
-// numbers comparable.
-func AdaptationCost(insts []*Instance) (adaptive, offBest int64) {
-	for _, inst := range insts {
-		if len(inst.Prim.Flavors) <= 1 {
-			continue
-		}
-		adaptive += int64(inst.Calls)
-		if best := inst.BestMeasuredFlavor(); best >= 0 {
-			offBest += int64(inst.Calls - inst.PerFlavor[best].Calls)
-		}
-	}
-	return adaptive, offBest
-}
-
 // Run executes one call of the instance: it asks the chooser for a flavor,
-// invokes it, and feeds the observed (tuples, cycles) back into the
-// chooser, the APH and the profiling counters. It returns the number of
+// invokes it, and feeds the observed (tuples, cycles) back into the APH,
+// the profiling counters and the chooser. It returns the number of
 // produced tuples.
 func (inst *Instance) Run(ctx *ExecCtx, c *Call) int {
 	c.Inst = inst
@@ -130,28 +53,13 @@ func (inst *Instance) Run(ctx *ExecCtx, c *Call) int {
 			c.Feat.Selectivity = 1
 		}
 	}
-	arm := 0
-	if len(inst.Prim.Flavors) > 1 {
-		arm = inst.chooser.Choose(ChooseContext{Inst: inst, Call: c, Feat: c.Feat})
-		if arm < 0 || arm >= len(inst.Prim.Flavors) {
-			arm = 0 // a misbehaving policy must not crash the engine
-		}
-	}
-	fl := inst.Prim.Flavors[arm]
-	produced, cycles := fl.Fn(ctx, c)
+	arm := inst.choose(ChooseContext{Inst: inst, Call: c, Feat: c.Feat})
+	produced, cycles := inst.Prim.Flavors[arm].Fn(ctx, c)
 
 	tuples := c.Live()
-	inst.LastArm = arm
-	inst.Calls++
-	inst.Tuples += int64(tuples)
-	inst.Cycles += cycles
 	inst.Produced += int64(produced)
-	fs := &inst.PerFlavor[arm]
-	fs.Calls++
-	fs.Tuples += int64(tuples)
-	fs.Cycles += cycles
 	inst.hist.Add(tuples, cycles)
-	inst.chooser.Observe(Observation{Arm: arm, Tuples: tuples, Cycles: cycles})
+	inst.record(tuples, cycles)
 	ctx.PrimCycles += cycles
 	return produced
 }

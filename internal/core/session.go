@@ -12,15 +12,13 @@ import (
 // ChooserFactory builds a fresh Chooser for an instance with n flavors.
 type ChooserFactory func(n int) Chooser
 
-// InstanceChooserFactory builds a Chooser knowing which decision point it
+// InstanceChooserFactory builds a Chooser knowing which adaptive point it
 // is for: the identity signature (a dictionary primitive signature, or
 // DecisionSig(name) for an operator-level decision), the plan-unique
 // label, and the arm names in arm order (flavor names for primitive
 // instances, strategy names for decisions). This is the hook warm-started
 // sessions use to look up prior per-arm knowledge under the point's
-// stable identity before the first call runs; arm names arrive here so
-// the factory never needs a dictionary lookup that would fail for
-// non-primitive decisions.
+// stable identity, Key(sig, label), before the first call runs.
 type InstanceChooserFactory func(sig, label string, arms []string) Chooser
 
 // FragmentSpawner builds the session one parallel pipeline fragment runs
@@ -232,9 +230,9 @@ func PartitionLabel(label string, part int) string {
 
 // BaseLabel strips a trailing partition tag, returning the plan label all
 // partitions of one plan node share; labels without a tag pass through.
-// Cross-session identity (primitive.InstanceKey) is built on base labels,
-// which is what makes P per-partition bandits aggregate their knowledge
-// under one cache key.
+// Cross-session identity (Key) is built on base labels, which is what
+// makes P per-partition bandits aggregate their knowledge under one cache
+// key.
 func BaseLabel(label string) string {
 	i := strings.LastIndex(label, partitionSep)
 	if i < 0 {
@@ -252,67 +250,56 @@ func BaseLabel(label string) string {
 	return label[:i]
 }
 
-// Instance returns the instance registered under label, creating it (bound
-// to the signature's flavors and a fresh chooser) on first use. Each plan
-// node uses a distinct label, so two uses of the same primitive in a plan
-// learn independently, as in the paper. Fragment sessions tag the label
-// with their partition so profiling stays per-partition while BaseLabel
+// register is the one registration path of both point kinds. It tags
+// label with the session's partition and returns the point filed under
+// it; on first use it builds the point, gives it a chooser from the
+// session's factory and files it. Each plan node uses a distinct label, so
+// two uses of the same primitive in a plan learn independently, as in the
+// paper. Partition tags keep profiling per partition, while BaseLabel
 // still collapses all partitions onto the serial plan's label.
-func (s *Session) Instance(sig, label string) *Instance {
+func register[T interface{ point() *Point }](s *Session, byLabel map[string]T, all *[]T, label string, build func(label string) T) T {
 	if s.partition >= 0 {
 		label = PartitionLabel(label, s.partition)
 	}
-	if inst, ok := s.byLabel[label]; ok {
-		return inst
+	if x, ok := byLabel[label]; ok {
+		return x
 	}
-	prim := s.Dict.MustLookup(sig)
-	if len(prim.Flavors) == 0 {
-		panic("core: primitive has no flavors: " + sig)
-	}
-	var chooser Chooser
+	x := build(label)
+	p := x.point()
 	if s.newInstChooser != nil {
-		names := make([]string, len(prim.Flavors))
-		for i, f := range prim.Flavors {
-			names[i] = f.Name
-		}
-		chooser = s.newInstChooser(sig, label, names)
+		p.chooser = s.newInstChooser(p.Sig, p.Label, p.Arms)
 	} else {
-		chooser = s.newChooser(len(prim.Flavors))
+		p.chooser = s.newChooser(len(p.Arms))
 	}
-	inst := NewInstance(prim, label, chooser)
-	s.instances = append(s.instances, inst)
-	s.byLabel[label] = inst
-	return inst
+	byLabel[label] = x
+	*all = append(*all, x)
+	return x
+}
+
+// Instance returns the instance registered under label, creating it over
+// the signature's flavors on first use.
+func (s *Session) Instance(sig, label string) *Instance {
+	return register(s, s.byLabel, &s.instances, label, func(label string) *Instance {
+		prim := s.Dict.MustLookup(sig)
+		if len(prim.Flavors) == 0 {
+			panic("core: primitive has no flavors: " + sig)
+		}
+		return NewInstance(prim, label, nil)
+	})
 }
 
 // Decision returns the operator-level decision point registered under
-// label, creating it (bound to the named arms and a fresh chooser) on
-// first use — the exact Instance protocol one level up: fragment sessions
-// tag the label with their partition, warm-started sessions build the
-// chooser through the same instance-aware factory (under the identity
-// DecisionSig(name)), and knowledge harvesting walks AllDecisions like
-// AllInstances. Arms must be stable across sessions for a given name:
-// cross-session knowledge is exchanged by arm name.
+// label, creating it over the named arms on first use: the Instance
+// protocol one level up, under the identity DecisionSig(name). Arms must
+// be stable across sessions for a given name: cross-session knowledge is
+// exchanged by arm name.
 func (s *Session) Decision(name, label string, arms []string) *Decision {
-	if s.partition >= 0 {
-		label = PartitionLabel(label, s.partition)
-	}
-	if d, ok := s.decByLabel[label]; ok {
-		return d
-	}
-	if len(arms) == 0 {
-		panic("core: decision has no arms: " + name)
-	}
-	var chooser Chooser
-	if s.newInstChooser != nil {
-		chooser = s.newInstChooser(DecisionSig(name), label, arms)
-	} else {
-		chooser = s.newChooser(len(arms))
-	}
-	d := NewDecision(name, label, arms, chooser)
-	s.decisions = append(s.decisions, d)
-	s.decByLabel[label] = d
-	return d
+	return register(s, s.decByLabel, &s.decisions, label, func(label string) *Decision {
+		if len(arms) == 0 {
+			panic("core: decision has no arms: " + name)
+		}
+		return NewDecision(name, label, arms, nil)
+	})
 }
 
 // AllDecisions returns the session's decision points followed by those of
@@ -324,6 +311,26 @@ func (s *Session) AllDecisions() []*Decision {
 	out := append([]*Decision(nil), s.decisions...)
 	for _, fs := range s.fragments {
 		out = append(out, fs.AllDecisions()...)
+	}
+	return out
+}
+
+// AllPoints returns every adaptive point one query execution created: the
+// session's instances and decisions, then those of each fragment session
+// it spawned. Knowledge harvesting and the adaptation ledger walk it.
+func (s *Session) AllPoints() []*Point {
+	return s.appendPoints(make([]*Point, 0, len(s.instances)+len(s.decisions)))
+}
+
+func (s *Session) appendPoints(out []*Point) []*Point {
+	for _, inst := range s.instances {
+		out = append(out, &inst.Point)
+	}
+	for _, d := range s.decisions {
+		out = append(out, &d.Point)
+	}
+	for _, fs := range s.fragments {
+		out = fs.appendPoints(out)
 	}
 	return out
 }

@@ -26,7 +26,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"microadapt/internal/core"
 	"microadapt/internal/engine"
 	"microadapt/internal/plan"
 	"microadapt/internal/server"
@@ -249,12 +248,7 @@ func (c *Coordinator) run(b *plan.Builder, finish func(*plan.Builder, *plan.Exec
 	if err != nil {
 		return nil, st, err
 	}
-	c.svc.Cache().Harvest(s)
-	st.PrimCycles += s.Ctx.PrimCycles
-	st.Instances += len(s.AllInstances())
-	adaptive, offBest := core.AdaptationCost(s.AllInstances())
-	st.AdaptiveCalls += adaptive
-	st.OffBestCalls += offBest
+	c.svc.Harvest(s, &st)
 	return tab, st, nil
 }
 

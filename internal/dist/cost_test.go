@@ -27,11 +27,12 @@ const costRounds = 3
 // costReplay runs the golden workload and renders one line per (entry,
 // round, query). Over TPC-H sf=0.01 seed=42 and service.DefaultConfig()
 // with Seed 42 it runs the mix costRounds times single-process
-// ("single") and distributed over 2 and 4 in-process shards ("dist-n2",
-// "dist-n4"), then once on shard 0 of 2 cold ("federation-cold") and
-// once warm-started from the knowledge the 2-shard fleet gossiped
-// ("federation-warm"). Every distributed result must fingerprint-equal
-// the single-process one, and the warm-started shard must pay fewer
+// ("single"), single-process at PipelineParallelism 4 ("single-p4"), and
+// distributed over 2 and 4 in-process shards ("dist-n2", "dist-n4"),
+// then once on shard 0 of 2 cold ("federation-cold") and once
+// warm-started from the knowledge the 2-shard fleet gossiped
+// ("federation-warm"). Every parallel and distributed result must
+// fingerprint-equal the serial one, and the warm-started shard must pay fewer
 // off-best calls than the cold one: that is what federation is for, and
 // checking it here keeps -update from quietly pinning a regression.
 func costReplay(t *testing.T) string {
@@ -61,7 +62,7 @@ func costReplay(t *testing.T) string {
 				switch fp := server.Fingerprint(tab); {
 				case entry == "single":
 					want[q] = fp
-				case strings.HasPrefix(entry, "dist-") && fp != want[q]:
+				case !strings.HasPrefix(entry, "federation-") && fp != want[q]:
 					t.Errorf("%s r%d Q%02d: result differs from single-process", entry, r, q)
 				}
 				fmt.Fprintf(&out, "%-15s r%d Q%02d prim_cycles=%.0f adaptive_calls=%d off_best_calls=%d\n",
@@ -73,6 +74,9 @@ func costReplay(t *testing.T) string {
 	}
 
 	run("single", costRounds, service.New(db, sc))
+	p4 := sc
+	p4.PipelineParallelism = 4
+	run("single-p4", costRounds, service.New(db, p4))
 	n2, _ := startFleet(t, db, 2, sc)
 	run("dist-n2", costRounds, n2)
 	n4, _ := startFleet(t, db, 4, sc)

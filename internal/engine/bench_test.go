@@ -84,7 +84,7 @@ func BenchmarkPipelineHashJoin(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := benchEngSession()
-		j := NewHashJoin(s, NewScan(s, build), NewScan(s, tab), "j", "k", "a",
+		j := NewJoin(s, NewScan(s, build), NewScan(s, tab), "j", "k", "a",
 			[]string{"p"}, WithBloom(8))
 		if _, err := Materialize(j); err != nil {
 			b.Fatal(err)
@@ -131,7 +131,7 @@ func BenchmarkHashJoinProbeNext(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := core.NewSession(benchDictDefaults(), hw.Machine1(), core.WithVectorSize(64), core.WithSeed(4))
-		j := NewHashJoin(s, NewScan(s, buildTab), NewScan(s, probeTab), "j",
+		j := NewJoin(s, NewScan(s, buildTab), NewScan(s, probeTab), "j",
 			"k", "key", nil, WithKind(SemiJoin))
 		if err := j.Open(); err != nil {
 			b.Fatal(err)

@@ -340,7 +340,7 @@ func TestHashJoinInner(t *testing.T) {
 	probe := NewTable("probe",
 		vector.Schema{{Name: "k", Type: vector.I32}},
 		[]*vector.Vector{vector.FromI32(probeIDs)})
-	j := NewHashJoin(s, NewScan(s, build), NewScan(s, probe), "j", "id", "k",
+	j := NewJoin(s, NewScan(s, build), NewScan(s, probe), "j", "id", "k",
 		[]string{"val", "name"})
 	out, err := Materialize(j)
 	if err != nil {
@@ -368,7 +368,7 @@ func TestHashJoinSemiAntiAndBloom(t *testing.T) {
 		vector.Schema{{Name: "k", Type: vector.I32}},
 		[]*vector.Vector{vector.FromI32(probeIDs)})
 
-	semi := NewHashJoin(s, NewScan(s, build), NewScan(s, probe), "semi", "id", "k",
+	semi := NewJoin(s, NewScan(s, build), NewScan(s, probe), "semi", "id", "k",
 		nil, WithKind(SemiJoin), WithBloom(8))
 	out, err := Materialize(semi)
 	if err != nil {
@@ -379,7 +379,7 @@ func TestHashJoinSemiAntiAndBloom(t *testing.T) {
 	}
 
 	s2 := testSession(t)
-	anti := NewHashJoin(s2, NewScan(s2, build), NewScan(s2, probe), "anti", "id", "k",
+	anti := NewJoin(s2, NewScan(s2, build), NewScan(s2, probe), "anti", "id", "k",
 		nil, WithKind(AntiJoin))
 	out2, err := Materialize(anti)
 	if err != nil {

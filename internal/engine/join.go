@@ -122,12 +122,6 @@ func NewJoin(sess *core.Session, build, probe Operator, label, buildKey, probeKe
 	return h
 }
 
-// NewHashJoin is the historical name of NewJoin, kept for callers that
-// predate the strategy decision.
-func NewHashJoin(sess *core.Session, build, probe Operator, label, buildKey, probeKey string, payload []string, opts ...JoinOption) *Join {
-	return NewJoin(sess, build, probe, label, buildKey, probeKey, payload, opts...)
-}
-
 // Schema implements Operator: probe columns, then payload columns.
 func (h *Join) Schema() vector.Schema {
 	if h.sch != nil {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"microadapt/internal/core"
 	"microadapt/internal/vector"
@@ -27,7 +26,7 @@ func (m Morsel) Rows() int { return m.Hi - m.Lo }
 // Select/Project stack the plan runs below the exchange). Builders must use
 // the same plan labels as the serial plan; fs tags them with the partition
 // so the per-partition bandits stay distinct inside the query while
-// collapsing to one primitive.InstanceKey for cross-session knowledge.
+// collapsing to one core.Key for cross-session knowledge.
 //
 // ParallelPipeline also invokes the builder for the serial fallback, with
 // the coordinator session itself and the full row range — so one builder
@@ -74,20 +73,17 @@ type fragment struct {
 type Parallel struct {
 	sess  *core.Session
 	frags []*fragment
-
-	fanoutDec *core.Decision // set by ParallelPipeline; observed after run
-	rows      int
 }
 
 // NewParallel partitions rows into parts morsels and builds one pipeline
 // fragment per morsel. parts must be >= 2 (use ParallelPipeline for the
-// serial fallback decision); rows are split evenly with the remainder
+// serial fallback); rows are split evenly with the remainder
 // spread over the leading partitions.
 func NewParallel(sess *core.Session, rows, parts int, build FragmentBuilder) (*Parallel, error) {
 	if parts < 2 {
 		return nil, fmt.Errorf("engine: NewParallel needs >= 2 partitions, got %d", parts)
 	}
-	p := &Parallel{sess: sess, rows: rows}
+	p := &Parallel{sess: sess}
 	for i := 0; i < parts; i++ {
 		m := Morsel{Part: i, Lo: rows * i / parts, Hi: rows * (i + 1) / parts}
 		fs := sess.Fragment(i)
@@ -175,7 +171,6 @@ type Exchange struct {
 
 	done   chan struct{} // closed to release blocked producers
 	wg     sync.WaitGroup
-	start  time.Time
 	folded bool
 }
 
@@ -193,7 +188,6 @@ func (e *Exchange) Schema() vector.Schema { return e.par.frags[0].root.Schema() 
 func (e *Exchange) Open() error {
 	e.frag = 0
 	e.folded = false
-	e.start = time.Now()
 	e.done = make(chan struct{})
 	for _, f := range e.par.frags {
 		f.ch = make(chan *vector.Batch, exchangeBufBatches)
@@ -281,10 +275,9 @@ func (e *Exchange) Next() (*vector.Batch, error) {
 }
 
 // shutdown releases any still-blocked producers, waits for all of them to
-// exit, observes the fan-out decision with the real wall time of the
-// streamed pipeline, and folds the fragments' cycle accounting into the
-// coordinator session so whole-query accounting (JobStats, Table 1
-// breakdowns) sees the sum of all partitions. It runs exactly once per
+// exit, and folds the fragments' cycle accounting into the coordinator
+// session so whole-query accounting (JobStats, Table 1 breakdowns) sees
+// the sum of all partitions. It runs exactly once per
 // Open, whether the stream was fully drained, failed, or closed early.
 func (e *Exchange) shutdown() {
 	if e.folded {
@@ -293,14 +286,6 @@ func (e *Exchange) shutdown() {
 	e.folded = true
 	close(e.done)
 	e.wg.Wait()
-	if d := e.par.fanoutDec; d != nil {
-		// The fan-out decision's signal is real wall time, not simulated
-		// cycles: partitioning does not change the virtual cycle sum, only
-		// how long the overlapped pipeline takes on actual cores. Units are
-		// nanoseconds — consistent within the decision, which is all
-		// Observe requires.
-		d.Observe(e.par.rows, float64(time.Since(e.start).Nanoseconds()))
-	}
 	sess := e.par.sess
 	for _, f := range e.par.frags {
 		sess.Ctx.PrimCycles += f.sess.Ctx.PrimCycles
@@ -323,7 +308,7 @@ func (e *Exchange) Close() {
 // PartitionCount returns the fan-out ParallelPipeline uses for a scan of
 // rows at pipeline parallelism p: min(p, rows/minMorselRows), floored at 1
 // (serial). The physical planner calls it to annotate explain output with
-// the same decision the runtime will take.
+// the fan-out the runtime will use.
 func PartitionCount(p, rows int) int {
 	if max := rows / minMorselRows; p > max {
 		p = max
@@ -334,39 +319,22 @@ func PartitionCount(p, rows int) int {
 	return p
 }
 
-// fanoutArms are the arms of the per-pipeline fan-out decision: run the
-// eligible partition count as configured, or halve it. Halving wins when
-// the morsels are small enough that per-fragment session and goroutine
-// overhead eats the speedup; the configured count wins on scan-heavy
-// pipelines. When the eligible count is already 2 the arms coincide —
-// harmless, the decision just learns they cost the same.
-var fanoutArms = []string{"xfull", "xhalf"}
-
 // ParallelPipeline builds the scan-heavy prefix of a plan either serially
 // or as a Parallel/Exchange fan-out, depending on the session's pipeline
-// parallelism and the scanned row count. label is the pipeline's plan
-// position (the top node's label), which keys the fan-out decision.
-//
-// With parallelism P > 1 and at least two minMorselRows-sized morsels,
-// rows are range-partitioned into PartitionCount(P, rows) fragments —
-// subject to the "parallelism" decision, which may halve the fan-out.
+// parallelism and the scanned row count. With parallelism P > 1 and at
+// least two minMorselRows-sized morsels, rows are range-partitioned into
+// exactly PartitionCount(P, rows) fragments, the fan-out explain prints.
 // Otherwise the builder runs once with the coordinator session and the
 // full range, producing exactly the serial plan (identical instance
-// labels included). Either way the rows streamed are bit-identical; the
-// decision only moves wall time.
-func ParallelPipeline(sess *core.Session, label string, rows int, build FragmentBuilder) (Operator, error) {
+// labels included). Either way the rows streamed are bit-identical.
+func ParallelPipeline(sess *core.Session, rows int, build FragmentBuilder) (Operator, error) {
 	parts := PartitionCount(sess.Parallelism(), rows)
 	if parts < 2 {
 		return build(sess, Morsel{Part: 0, Lo: 0, Hi: rows})
-	}
-	dec := sess.Decision("parallelism", label+"/parallelism", fanoutArms)
-	if fanoutArms[dec.Choose(core.Features{})] == "xhalf" && parts/2 >= 2 {
-		parts /= 2
 	}
 	par, err := NewParallel(sess, rows, parts, build)
 	if err != nil {
 		return nil, err
 	}
-	par.fanoutDec = dec
 	return NewExchange(par), nil
 }

@@ -57,7 +57,7 @@ func TestRangeScanBounds(t *testing.T) {
 func TestExchangeMatchesSerial(t *testing.T) {
 	tab := numbersTable(4000)
 	serialSess := parallelSession(t, 1)
-	serialOp, err := ParallelPipeline(serialSess, "T", tab.Rows(), selProjPipeline(tab, 31000))
+	serialOp, err := ParallelPipeline(serialSess, tab.Rows(), selProjPipeline(tab, 31000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestExchangeMatchesSerial(t *testing.T) {
 
 	for _, p := range []int{2, 4, 7} {
 		s := parallelSession(t, p)
-		op, err := ParallelPipeline(s, "T", tab.Rows(), selProjPipeline(tab, 31000))
+		op, err := ParallelPipeline(s, tab.Rows(), selProjPipeline(tab, 31000))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestExchangeMatchesSerial(t *testing.T) {
 func TestParallelPipelineSmallScanStaysSerial(t *testing.T) {
 	tab := numbersTable(600) // < 2*minMorselRows
 	s := parallelSession(t, 8)
-	op, err := ParallelPipeline(s, "T", tab.Rows(), selProjPipeline(tab, 1<<30))
+	op, err := ParallelPipeline(s, tab.Rows(), selProjPipeline(tab, 1<<30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,14 +134,14 @@ func TestParallelPipelineSmallScanStaysSerial(t *testing.T) {
 func TestExchangeFragmentError(t *testing.T) {
 	tab := numbersTable(4000)
 	s := parallelSession(t, 2)
-	if _, err := ParallelPipeline(s, "T", tab.Rows(), func(fs *core.Session, m Morsel) (Operator, error) {
+	if _, err := ParallelPipeline(s, tab.Rows(), func(fs *core.Session, m Morsel) (Operator, error) {
 		return nil, fmt.Errorf("no fragment for morsel %d", m.Part)
 	}); err == nil {
 		t.Error("builder error did not surface")
 	}
 
 	s = parallelSession(t, 2)
-	op, err := ParallelPipeline(s, "T", tab.Rows(), func(fs *core.Session, m Morsel) (Operator, error) {
+	op, err := ParallelPipeline(s, tab.Rows(), func(fs *core.Session, m Morsel) (Operator, error) {
 		return &panicOp{}, nil
 	})
 	if err != nil {
@@ -159,7 +159,7 @@ func TestExchangeFragmentError(t *testing.T) {
 func TestExchangeEarlyClose(t *testing.T) {
 	s := parallelSession(t, 4)
 	tab := numbersTable(40000) // large enough that producers outpace one Next
-	op, err := ParallelPipeline(s, "T", tab.Rows(), func(fs *core.Session, m Morsel) (Operator, error) {
+	op, err := ParallelPipeline(s, tab.Rows(), func(fs *core.Session, m Morsel) (Operator, error) {
 		return NewRangeScan(fs, tab, m.Lo, m.Hi, "id", "val"), nil
 	})
 	if err != nil {
@@ -228,7 +228,7 @@ func TestExchangeBackpressureOverlap(t *testing.T) {
 
 func mustPipeline(t *testing.T, s *core.Session, tab *Table, build FragmentBuilder) Operator {
 	t.Helper()
-	op, err := ParallelPipeline(s, "T", tab.Rows(), build)
+	op, err := ParallelPipeline(s, tab.Rows(), build)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestHashJoinHandlesOverWideBatches(t *testing.T) {
 	s := testSession(t) // vector size 16
 	build := numbersTable(50)
 	probe := numbersTable(400)
-	j := NewHashJoin(s, NewScan(s, build, "id", "val"), &wideOp{tab: probe, step: 128},
+	j := NewJoin(s, NewScan(s, build, "id", "val"), &wideOp{tab: probe, step: 128},
 		"wide/join", "id", "id", []string{"val"})
 	got, err := Materialize(j)
 	if err != nil {
@@ -323,7 +323,7 @@ func TestHashAggHandlesOverWideBatches(t *testing.T) {
 func TestExchangeNextAfterClose(t *testing.T) {
 	s := parallelSession(t, 4)
 	tab := numbersTable(4096)
-	op, err := ParallelPipeline(s, "T", tab.Rows(), func(fs *core.Session, m Morsel) (Operator, error) {
+	op, err := ParallelPipeline(s, tab.Rows(), func(fs *core.Session, m Morsel) (Operator, error) {
 		return NewRangeScan(fs, tab, m.Lo, m.Hi), nil
 	})
 	if err != nil {

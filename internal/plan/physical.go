@@ -226,18 +226,7 @@ func (e *Exec) pipeline(n *Node) (engine.Operator, error) {
 		pushPreds, resolved[bottom] = push, rest
 		pushLabel = nd.label
 	}
-	// The fan-out decision is keyed by the pipeline's plan position: the
-	// topmost node of the chain (the scan itself for bare-scan chains).
-	pipeLabel := ""
-	switch {
-	case len(c.stack) > 0:
-		pipeLabel = c.stack[0].label
-	case c.scan != nil:
-		pipeLabel = c.scan.label
-	default:
-		pipeLabel = c.base.label
-	}
-	return engine.ParallelPipeline(e.sess, pipeLabel, table.Rows(), func(fs *core.Session, m engine.Morsel) (engine.Operator, error) {
+	return engine.ParallelPipeline(e.sess, table.Rows(), func(fs *core.Session, m engine.Morsel) (engine.Operator, error) {
 		var op engine.Operator
 		if encoded {
 			es := engine.NewEncodedRangeScan(fs, table, c.scan.label, m.Lo, m.Hi, cols...)

@@ -130,8 +130,8 @@ func TestSharedSubtreeMaterializedOnce(t *testing.T) {
 	for _, inst := range s.Instances() {
 		if strings.HasPrefix(inst.Label, "T/sel0/") {
 			var tuples int64
-			for i := range inst.PerFlavor {
-				tuples += inst.PerFlavor[i].Tuples
+			for i := range inst.PerArm {
+				tuples += inst.PerArm[i].Tuples
 			}
 			if tuples != 100 {
 				t.Errorf("shared select processed %d tuples, want 100 (one execution)", tuples)

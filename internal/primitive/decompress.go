@@ -12,8 +12,8 @@ import (
 
 // The decompression flavor family. Encoded-column scans do their data-path
 // work through two primitive classes, both keyed by element type only —
-// never by encoding, so a logical scan keeps its InstanceKey (and its
-// cross-session warm-start knowledge) when the analyzer re-encodes a column:
+// never by encoding, so a logical scan keeps its cache key (core.Key) and its
+// cross-session warm-start knowledge when the analyzer re-encodes a column:
 //
 //   - scan_decompress_<t>_col materializes an encoded column into a batch
 //     vector. Flavors: "eager" decodes the whole vector range; "lazy"

@@ -16,7 +16,6 @@ import (
 	"sync"
 
 	"microadapt/internal/core"
-	"microadapt/internal/primitive"
 )
 
 // ewmaAlpha is the weight of the newest observation when merging knowledge
@@ -33,9 +32,9 @@ type flavorKnowledge struct {
 }
 
 // FlavorCache is the shared cross-session knowledge store: for every
-// primitive-instance key (see primitive.InstanceKey) it remembers the
-// recently observed cost of each flavor, keyed by flavor *name* so sessions
-// with different registered flavor sets can still exchange knowledge.
+// adaptive-point key (see core.Key) it remembers the recently observed
+// cost of each arm, keyed by arm *name* so sessions with different
+// registered flavor sets can still exchange knowledge.
 //
 // Concurrency: a single RWMutex guards the two-level map. Readers (session
 // construction) and writers (post-query harvest) are both rare relative to
@@ -114,53 +113,36 @@ func (c *FlavorCache) Priors(key string, flavorNames []string) ([]float64, bool)
 	return priors, any
 }
 
-// Harvest extracts the flavor knowledge a finished session learned and
-// merges it into the cache. Instances with a single flavor carry no choice
-// and are skipped. Knowledge flows exclusively through the core.Snapshotter
+// Harvest extracts the knowledge a finished session learned and merges it
+// into the cache, in one walk over every adaptive point: primitive
+// instances under "sig@label" keys, operator decisions (join strategies,
+// table sizings) under "decision:<name>@<label>" keys, both keyed by arm
+// name. Points with a single arm carry no choice and are skipped.
+// Knowledge flows exclusively through the core.Snapshotter
 // capability — the policy's own notion of current per-arm truth — so any
 // registered policy that snapshots participates; policies without the
 // capability (fixed, round-robin, heuristics) simply contribute nothing.
 // Only arms the session measured itself are published: a seeded arm the
 // policy never ran still carries its prior in the snapshot, and
 // re-observing it would EWMA the cache's own (possibly stale) value back
-// in as if it were fresh evidence. Harvest walks the session's own
-// instances plus those of every pipeline-fragment session it spawned; the
-// fragments' partition-tagged labels collapse to the serial plan's
-// instance keys, so P partition bandits merge into one cache entry.
+// in as if it were fresh evidence. Harvest walks the session's own points
+// plus those of every pipeline-fragment session it spawned; the
+// fragments' partition-tagged labels collapse to the serial plan's keys,
+// so P partition bandits merge into one cache entry.
 func (c *FlavorCache) Harvest(s *core.Session) {
-	for _, inst := range s.AllInstances() {
-		if len(inst.Prim.Flavors) <= 1 {
+	for _, p := range s.AllPoints() {
+		if len(p.Arms) <= 1 {
 			continue
 		}
-		sn, ok := inst.Chooser().(core.Snapshotter)
+		sn, ok := p.Chooser().(core.Snapshotter)
 		if !ok {
 			continue
 		}
 		costs, measured := sn.Snapshot()
-		key := primitive.InstanceKeyOf(inst)
+		key := p.Key()
 		for i, cost := range costs {
-			if i < len(inst.Prim.Flavors) && i < len(measured) && measured[i] {
-				c.Observe(key, inst.Prim.Flavors[i].Name, cost)
-			}
-		}
-	}
-	// Operator-level decisions harvest identically: same capability, same
-	// name-keyed entries, under "decision:<name>@<label>" keys — which is
-	// all it takes for join strategies and sizings to ride the existing
-	// warm-start and gossip paths.
-	for _, d := range s.AllDecisions() {
-		if len(d.Arms) <= 1 {
-			continue
-		}
-		sn, ok := d.Chooser().(core.Snapshotter)
-		if !ok {
-			continue
-		}
-		costs, measured := sn.Snapshot()
-		key := primitive.InstanceKey(core.DecisionSig(d.Name), d.Label)
-		for i, cost := range costs {
-			if i < len(d.Arms) && i < len(measured) && measured[i] {
-				c.Observe(key, d.Arms[i], cost)
+			if i < len(p.Arms) && i < len(measured) && measured[i] {
+				c.Observe(key, p.Arms[i], cost)
 			}
 		}
 	}

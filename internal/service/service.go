@@ -214,12 +214,11 @@ func (svc *Service) buildSession(seed int64, part int) *core.Session {
 			}
 			// The arm names arrive from the session (flavor names for
 			// primitives, strategy names for operator-level decisions), so
-			// no dictionary lookup is needed — which is what lets decision
-			// points warm-start through the same cache as flavors.
-			// InstanceKey collapses fragment partition tags, so every
-			// partition of a parallel plan seeds from — and harvests into —
-			// the serial plan's cache entry.
-			priors, any := svc.cache.Priors(primitive.InstanceKey(sig, label), arms)
+			// decision points warm-start through the same cache as flavors.
+			// core.Key collapses fragment partition tags, so every partition
+			// of a parallel plan seeds from — and harvests into — the serial
+			// plan's cache entry.
+			priors, any := svc.cache.Priors(core.Key(sig, label), arms)
 			if n > 1 {
 				if any {
 					svc.seededInsts.Add(1)
@@ -245,8 +244,26 @@ type JobStats struct {
 	Latency       time.Duration
 	PrimCycles    float64
 	Instances     int   // primitive instances the plan created
-	AdaptiveCalls int64 // calls into instances with > 1 flavor
-	OffBestCalls  int64 // adaptive calls that used a non-best flavor
+	AdaptiveCalls int64 // calls into instances and decisions with > 1 arm
+	OffBestCalls  int64 // adaptive calls that used a non-best arm
+}
+
+// Harvest closes a finished session: it folds the session's learned
+// knowledge into the shared cache and adds the session's figures to st —
+// primitive cycles (fragments fold in at the exchange), instances, and
+// adaptive and off-best calls over every instance and decision, pipeline
+// fragments included. An exploratory merge-join probe is exploration tax
+// exactly like an exploratory flavor call. Execute, ExecutePlan and the
+// distributed coordinator's residual session all end here.
+func (svc *Service) Harvest(s *core.Session, st *JobStats) {
+	svc.cache.Harvest(s)
+	st.PrimCycles += s.Ctx.PrimCycles
+	st.Instances += len(s.AllInstances())
+	for _, p := range s.AllPoints() {
+		adaptive, offBest := p.AdaptationCost()
+		st.AdaptiveCalls += adaptive
+		st.OffBestCalls += offBest
+	}
 }
 
 // Execute runs one TPC-H query (1-22) in a fresh session, harvests the
@@ -266,10 +283,7 @@ func (svc *Service) Execute(q int) (*engine.Table, JobStats, error) {
 	if err != nil {
 		return nil, st, fmt.Errorf("service: Q%02d: %w", q, err)
 	}
-	svc.cache.Harvest(s)
-	st.PrimCycles = s.Ctx.PrimCycles // fragments fold in at the exchange
-	st.Instances = len(s.AllInstances())
-	st.AdaptiveCalls, st.OffBestCalls = adaptationCost(s)
+	svc.Harvest(s, &st)
 	return tab, st, nil
 }
 
@@ -311,10 +325,7 @@ func (svc *Service) ExecutePlan(b *plan.Builder) (tab *engine.Table, st JobStats
 		}
 	}
 	st = JobStats{Latency: time.Since(start)}
-	svc.cache.Harvest(s)
-	st.PrimCycles = s.Ctx.PrimCycles
-	st.Instances = len(s.AllInstances())
-	st.AdaptiveCalls, st.OffBestCalls = adaptationCost(s)
+	svc.Harvest(s, &st)
 	return tab, st, nil
 }
 
@@ -330,16 +341,4 @@ func (svc *Service) Explain(q int) (string, error) {
 		return "", fmt.Errorf("service: no TPC-H query %d", q)
 	}
 	return tpch.Explain(svc.db, q, svc.cfg.PipelineParallelism), nil
-}
-
-// adaptationCost measures how much of a session's work went into calls
-// that did not use the flavor the session ultimately found best, pipeline-
-// fragment instances included (see core.AdaptationCost). Operator-level
-// decisions (join strategy, table sizing, partitioning) count on the same
-// ledger: an exploratory merge-join probe is exploration tax exactly like
-// an exploratory flavor call.
-func adaptationCost(s *core.Session) (adaptive, offBest int64) {
-	adaptive, offBest = core.AdaptationCost(s.AllInstances())
-	da, db := core.DecisionAdaptationCost(s.AllDecisions())
-	return adaptive + da, offBest + db
 }

@@ -297,23 +297,16 @@ func TestConfigKeepsCallerVWParams(t *testing.T) {
 // results equal the serial plan's is the service-p rows of
 // TestIdentityOracle (internal/dist).
 func TestParallelExecutionMatchesSerial(t *testing.T) {
-	// The pipeline fan-out decision only exists when a pipeline actually
-	// fans out, so its keys are legitimately parallel-only; every other
-	// key — primitive instances and operator decisions alike — must match
-	// the serial plan's exactly.
-	keys := func(p int) (out []string) {
+	// Every key — primitive instances and operator decisions alike — must
+	// match the serial plan's exactly.
+	keys := func(p int) []string {
 		cfg := testConfig(true)
 		cfg.PipelineParallelism = p
 		svc := New(testDB, cfg)
 		if _, st, err := svc.Execute(3); err != nil || st.AdaptiveCalls == 0 {
 			t.Fatalf("P=%d: err %v, %d adaptive calls", p, err, st.AdaptiveCalls)
 		}
-		for _, k := range svc.Cache().Keys() {
-			if !strings.HasPrefix(k, core.DecisionSig("parallelism")+"@") {
-				out = append(out, k)
-			}
-		}
-		return out
+		return svc.Cache().Keys()
 	}
 	if serial, parallel := keys(1), keys(4); !slices.Equal(parallel, serial) {
 		t.Errorf("cache keys at P=4 differ from serial — partition tags leaked into keys?\n%v\nvs\n%v", parallel, serial)

@@ -31,7 +31,7 @@ func forceEncodings(t *testing.T, tab *engine.Table, pins map[string]storage.Enc
 	tab.Enc = storage.NewEncodedTable(tab.Name, tab.Sch, cols)
 }
 
-// decompressKeys runs Q6 over the db and returns the InstanceKeys of every
+// decompressKeys runs Q6 over the db and returns the cache keys of every
 // decompression-family instance, harvesting the session into cache.
 func decompressKeys(t *testing.T, db *tpch.DB, cache *FlavorCache) map[string]bool {
 	t.Helper()
@@ -44,7 +44,7 @@ func decompressKeys(t *testing.T, db *tpch.DB, cache *FlavorCache) map[string]bo
 	for _, inst := range s.AllInstances() {
 		sig := inst.Prim.Sig
 		if strings.HasPrefix(sig, "scan_decompress_") || strings.HasPrefix(sig, "selenc_") {
-			keys[primitive.InstanceKeyOf(inst)] = true
+			keys[inst.Key()] = true
 		}
 	}
 	cache.Harvest(s)
@@ -53,7 +53,7 @@ func decompressKeys(t *testing.T, db *tpch.DB, cache *FlavorCache) map[string]bo
 
 // TestInstanceKeysStableAcrossEncodings is the warm-start-fragmentation
 // regression: when the analyzer (or an operator) re-encodes a column, the
-// same logical scan must keep producing the same primitive.InstanceKeys —
+// same logical scan must keep producing the same cache keys (core.Key) —
 // decompression signatures are keyed by element type and plan position,
 // never by encoding — so the FlavorCache neither fragments nor grows when
 // the encoding flips underneath it.
@@ -95,7 +95,7 @@ func TestInstanceKeysStableAcrossEncodings(t *testing.T) {
 		}
 		for _, e := range []string{"rle", "dict", "bitpack", "flat"} {
 			if strings.Contains(k, e) {
-				t.Errorf("InstanceKey %q leaks the encoding name %q", k, e)
+				t.Errorf("cache key %q leaks the encoding name %q", k, e)
 			}
 		}
 	}
@@ -118,7 +118,7 @@ func TestWarmStartCrossesEncodings(t *testing.T) {
 		if !ok {
 			t.Fatalf("key %q references unknown signature", k)
 		}
-		if priors, any := cache.Priors(k, primitive.FlavorNames(prim)); any {
+		if priors, any := cache.Priors(k, prim.FlavorNames()); any {
 			seeded++
 			if len(priors) != len(prim.Flavors) {
 				t.Errorf("priors for %q have %d arms, want %d", k, len(priors), len(prim.Flavors))
