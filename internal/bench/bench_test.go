@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -208,5 +209,29 @@ func TestStorageComparisonRuns(t *testing.T) {
 	}
 	if strings.Contains(rep.Body, "\n0 instances learned an operate-on-compressed") {
 		t.Errorf("no operate-on-compressed winner was learned:\n%s", rep.Body)
+	}
+}
+
+// TestFig4eIccSlowest pins Figure 4(e)'s compiler ordering. The paper:
+// "icc is 2x slower on (e)". Here the panel's hash_insertcheck_slng_col
+// instance costs icc 1.49x the best compiler per tuple at tinyConfig(), so
+// the claim holds in direction, not in magnitude; the test asks for 1.4x.
+func TestFig4eIccSlowest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs four TPC-H queries per compiler build; skipped in -short mode")
+	}
+	sessions, err := fig4Sessions(tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	label := fig4Panels[4].label
+	perTuple := make([]float64, len(sessions))
+	for arm, s := range sessions {
+		tuples, cycles := mustInstance(s, label).History().Totals()
+		perTuple[arm] = cycles / float64(tuples)
+	}
+	t.Logf("%s cycles/tuple: gcc %.2f icc %.2f clang %.2f", label, perTuple[0], perTuple[1], perTuple[2])
+	if best := math.Min(perTuple[0], perTuple[2]); perTuple[1] < 1.4*best {
+		t.Errorf("icc costs %.2fx the best compiler on Figure 4(e), want >= 1.4x", perTuple[1]/best)
 	}
 }

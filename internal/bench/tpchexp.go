@@ -55,35 +55,21 @@ var fig4Panels = []struct {
 	{"b", "Q1", "Q1/agg0/aggr_sum_slng_col#0", "(b) Q1: Aggregation(aggr_sum_slng_col)"},
 	{"c", "Q7", "Q7/mj0/mergejoin_slng_col_slng_col#0", "(c) Q7: MergeJoin(mergejoin_slng_col_slng_col)"},
 	{"d", "Q12", "Q12/mj0/map_fetch_uidx_col_str_col#R0", "(d) Q12: MergeJoin(map_fetch_uidx_col_str_col)"},
-	{"e", "Q16", "Q16/agg0/hash_insertcheck_str_col#0", "(e) Q16: Aggregation(hash_insertcheck_str_col)"},
+	{"e", "Q16", "Q16/agg0/hash_insertcheck_slng_col#0", "(e) Q16: Aggregation(hash_insertcheck_slng_col)"},
 }
 
 // Fig4 reproduces Figure 4: compiler-flavor APHs of five primitive
 // instances across TPC-H queries, showing levels, reversals and mid-query
 // cross-overs.
 func Fig4(cfg Config) (*Report, error) {
-	db := cfg.DB()
-	queries := []tpch.Spec{tpch.Query(1), tpch.Query(7), tpch.Query(12), tpch.Query(16)}
-	compilers := []string{"gcc", "icc", "clang"}
-	// Figure 4 measures whole builds (one binary per compiler), so the
-	// hash primitives carry compiler flavors here even though the
-	// evaluator-level flavor sets of Tables 5/7 do not reach them.
-	opts := primitive.CompilerSet()
-	opts.FullCompilerCoverage = true
-	sessions := make([]*core.Session, 3)
-	for arm := 0; arm < 3; arm++ {
-		s := cfg.TPCHSession(opts, fixedArm(arm))
-		for _, q := range queries {
-			if _, err := q.Run(db, s); err != nil {
-				return nil, err
-			}
-		}
-		sessions[arm] = s
+	sessions, err := fig4Sessions(cfg)
+	if err != nil {
+		return nil, err
 	}
 	var body strings.Builder
 	for _, panel := range fig4Panels {
 		var series []stats.Series
-		for arm, name := range compilers {
+		for arm, name := range fig4Compilers {
 			inst := mustInstance(sessions[arm], panel.label)
 			series = append(series, stats.Series{Name: name, Values: inst.History().Series()})
 		}
@@ -94,6 +80,32 @@ func Fig4(cfg Config) (*Report, error) {
 		"icc wins (b) until clang crosses over, gcc is ~90% slower on (c), gcc and\n" +
 		"clang alternate on (d), icc is 2x slower on (e).\n")
 	return &Report{ID: "fig4", Title: "Figure 4: compiler differences (sample APHs, TPC-H)", Body: body.String()}, nil
+}
+
+// fig4Compilers names Figure 4's builds, in fixed-arm order.
+var fig4Compilers = []string{"gcc", "icc", "clang"}
+
+// fig4Sessions runs Figure 4's queries once per compiler build, each
+// session pinned to that build's arm.
+func fig4Sessions(cfg Config) ([]*core.Session, error) {
+	db := cfg.DB()
+	queries := []tpch.Spec{tpch.Query(1), tpch.Query(7), tpch.Query(12), tpch.Query(16)}
+	// Figure 4 measures whole builds (one binary per compiler), so the
+	// hash primitives carry compiler flavors here even though the
+	// evaluator-level flavor sets of Tables 5/7 do not reach them.
+	opts := primitive.CompilerSet()
+	opts.FullCompilerCoverage = true
+	sessions := make([]*core.Session, len(fig4Compilers))
+	for arm := range sessions {
+		s := cfg.TPCHSession(opts, fixedArm(arm))
+		for _, q := range queries {
+			if _, err := q.Run(db, s); err != nil {
+				return nil, err
+			}
+		}
+		sessions[arm] = s
+	}
+	return sessions, nil
 }
 
 // flavorSetRun holds everything the Tables 6-10 / Figure 11 experiments

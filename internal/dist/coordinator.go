@@ -361,15 +361,20 @@ func (c *Coordinator) Fleet() server.FleetMetrics {
 	ps := all.Percentiles(50, 99)
 	ttfc := c.ttfc.Percentiles(50, 99)
 	sent := c.fragments.Load()
+	var dials int64
+	for _, sh := range c.shards {
+		dials += sh.client.ConnectionsOpened()
+	}
 	return server.FleetMetrics{
-		Shards:           len(c.shards),
-		FragmentsSent:    sent,
-		FragmentAttempts: sent,
-		GossipRounds:     c.gossipRounds.Load(),
-		GossipImported:   c.gossipImported.Load(),
-		FragmentP50US:    ps[0] / 1e3,
-		FragmentP99US:    ps[1] / 1e3,
-		TTFCP50US:        ttfc[0] / 1e3,
-		TTFCP99US:        ttfc[1] / 1e3,
+		Shards:            len(c.shards),
+		FragmentsSent:     sent,
+		FragmentAttempts:  sent,
+		GossipRounds:      c.gossipRounds.Load(),
+		GossipImported:    c.gossipImported.Load(),
+		FragmentP50US:     ps[0] / 1e3,
+		FragmentP99US:     ps[1] / 1e3,
+		TTFCP50US:         ttfc[0] / 1e3,
+		TTFCP99US:         ttfc[1] / 1e3,
+		ConnectionsOpened: dials,
 	}
 }

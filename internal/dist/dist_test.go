@@ -48,15 +48,25 @@ func startServer(t *testing.T, cfg server.Config) string {
 	return run.URL
 }
 
+// newCoordinator builds a coordinator whose pooled shard connections
+// close when the test ends, before the shard servers shut down (cleanups
+// run last-registered first), so no server waits on an idle connection.
+func newCoordinator(t *testing.T, cfg Config) *Coordinator {
+	t.Helper()
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
+	return c
+}
+
 // startFleet spins up n shard servers over db plus a coordinator fronting
 // them, returning both the coordinator and the shard URLs.
 func startFleet(t *testing.T, db *tpch.DB, n int, svcCfg service.Config) (*Coordinator, []string) {
 	t.Helper()
 	urls := startShards(t, db, n, svcCfg, server.Config{})
-	c, err := New(Config{Shards: urls, DB: db, Service: svcCfg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCoordinator(t, Config{Shards: urls, DB: db, Service: svcCfg})
 	if err := c.WaitReady(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -86,6 +96,30 @@ func TestDistributedBitIdentity(t *testing.T) {
 	}
 	if got := c.ttfc.Count(); got != fleet.FragmentsSent {
 		t.Errorf("%d TTFC samples for %d fragments", got, fleet.FragmentsSent)
+	}
+}
+
+// TestWarmCoordinatorDialsNothing: once a query mix has run, each shard
+// client's pool holds enough keep-alive connections for the coordinator's
+// concurrent fragment streams, so 30 more queries open no connection.
+func TestWarmCoordinatorDialsNothing(t *testing.T) {
+	c, _ := startFleet(t, testDB, 2, service.DefaultConfig())
+	mix := []int{1, 3, 5, 9, 14}
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, _, err := c.Execute(mix[i%len(mix)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run(len(mix))
+	warm := c.Fleet().ConnectionsOpened
+	if warm == 0 {
+		t.Fatal("no connections counted during warm-up")
+	}
+	run(30)
+	if got := c.Fleet().ConnectionsOpened - warm; got != 0 {
+		t.Errorf("30 warm queries opened %d connections, want 0", got)
 	}
 }
 
@@ -183,7 +217,9 @@ func TestDecisionKnowledgeFederation(t *testing.T) {
 	if _, err := c.GossipOnce(); err != nil {
 		t.Fatalf("gossip: %v", err)
 	}
-	snap, err := server.NewClient(urls[0]).Flavors()
+	shard := server.NewClient(urls[0])
+	t.Cleanup(shard.CloseIdleConnections)
+	snap, err := shard.Flavors()
 	if err != nil {
 		t.Fatalf("pull shard snapshot: %v", err)
 	}

@@ -66,15 +66,18 @@ func (c *Coordinator) StartGossip(interval time.Duration) {
 	})
 }
 
-// Stop ends the gossip loop, if one is running, and waits for it.
+// Stop ends the gossip loop, if one is running, waits for it, and closes
+// the shard clients' idle connections.
 func (c *Coordinator) Stop() {
-	if c.gossipStop == nil {
-		return
+	if c.gossipStop != nil {
+		select {
+		case <-c.gossipStop:
+		default:
+			close(c.gossipStop)
+		}
+		<-c.gossipDone
 	}
-	select {
-	case <-c.gossipStop:
-	default:
-		close(c.gossipStop)
+	for _, sh := range c.shards {
+		sh.client.CloseIdleConnections()
 	}
-	<-c.gossipDone
 }

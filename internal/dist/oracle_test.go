@@ -168,6 +168,7 @@ func oracleRows(t *testing.T, db, enc *tpch.DB) []oracleRow {
 	}
 
 	c := server.NewClient(startServer(t, server.Config{Service: service.New(db, svcConfig(1)), StreamChunkRows: 7}))
+	t.Cleanup(c.CloseIdleConnections) // runs before the server's shutdown
 	rows = append(rows,
 		oracleRow{name: "http-query", run: func(sp tpch.Spec) (*engine.Table, error) {
 			return wireResult(c.Query(server.QueryRequest{Query: sp.ID, IncludeResult: true}))
@@ -183,10 +184,7 @@ func oracleRows(t *testing.T, db, enc *tpch.DB) []oracleRow {
 			// Small stream chunks so multi-chunk streams are the norm, not
 			// an sf-dependent accident.
 			urls := startShards(t, db, n, svcConfig(p), server.Config{StreamChunkRows: 64})
-			coord, err := New(Config{Shards: urls, DB: db, Service: svcConfig(p)})
-			if err != nil {
-				t.Fatal(err)
-			}
+			coord := newCoordinator(t, Config{Shards: urls, DB: db, Service: svcConfig(p)})
 			rows = append(rows, executor(fmt.Sprintf("dist-n%d-p%d", n, p), coord))
 		}
 	}

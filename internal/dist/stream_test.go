@@ -129,10 +129,7 @@ func TestStreamingFallback(t *testing.T) {
 			var broken atomic.Bool
 			broken.Store(true)
 			urls[1] = proxyShard(t, urls[1], &broken, tc.stream(urls[1]))
-			c, err := New(Config{Shards: urls, DB: testDB, Service: svcCfg})
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := newCoordinator(t, Config{Shards: urls, DB: testDB, Service: svcCfg})
 			for _, q := range []int{1, 14} {
 				_, _, err := c.Execute(q)
 				if err == nil {
@@ -173,10 +170,7 @@ func TestStreamingFallbackCounters(t *testing.T) {
 	var broken atomic.Bool
 	broken.Store(true)
 	urls[1] = proxyShard(t, urls[1], &broken, relayStream(urls[1], cutAfterFirstChunk))
-	c, err := New(Config{Shards: urls, DB: testDB, Service: svcCfg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCoordinator(t, Config{Shards: urls, DB: testDB, Service: svcCfg})
 	for _, q := range []int{1, 6, 14} {
 		if _, _, err := c.Execute(q); err == nil {
 			t.Fatalf("Q%02d: query over a dying shard succeeded", q)
@@ -241,10 +235,7 @@ func TestFragmentEncodeOncePerSite(t *testing.T) {
 	for i := range urls {
 		urls[i] = recordBodies(t, urls[i], &mu, &bodies[i])
 	}
-	c, err := New(Config{Shards: urls, DB: testDB, Service: svcCfg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCoordinator(t, Config{Shards: urls, DB: testDB, Service: svcCfg})
 	if _, _, err := c.Execute(14); err != nil { // two base tables -> two sites
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math"
-	"strconv"
 
 	"microadapt/internal/core"
 	"microadapt/internal/primitive"
@@ -36,8 +35,9 @@ func Agg(fn AggFn, col int, as string) AggSpec { return AggSpec{Fn: fn, Col: col
 // HashAgg is the blocking hash-aggregation operator. Group ids are
 // assigned by vectorized hash_insertcheck primitives (Figure 4e);
 // aggregates are maintained by vectorized aggr update primitives
-// (Figure 4b). Multi-column keys are packed: two string columns via the
-// map_concat primitive, anything else via per-column stringification.
+// (Figure 4b). One string or integer group column is keyed directly; any
+// other key goes through a KeyCoder, whose int64 key per tuple
+// hash_insertcheck_slng_col turns into the dense first-seen group id.
 type HashAgg struct {
 	sess      *core.Session
 	child     Operator
@@ -52,6 +52,7 @@ type HashAgg struct {
 	// key state
 	tabI64 *primitive.GroupTableI64
 	tabStr *primitive.GroupTableStr
+	coder  *KeyCoder
 
 	// per-aggregate accumulators
 	accI64 []*primitive.AccI64
@@ -189,34 +190,30 @@ func (h *HashAgg) build() error {
 	in := h.child.Schema()
 	vecSize := h.sess.VectorSize
 
-	// Key strategy.
+	// Key strategy: one string or integer column keys the table directly,
+	// anything else is coded into one int64 key per tuple.
 	keyKind := "none"
 	switch {
-	case len(h.groupCols) == 1:
-		if in[h.groupCols[0]].Type == vector.Str {
-			keyKind = "str"
-			h.tabStr = primitive.NewGroupTableStr(64)
-		} else {
-			keyKind = "i64"
-			h.tabI64 = primitive.NewGroupTableI64(64)
-		}
-	case len(h.groupCols) == 2 && is32bit(in[h.groupCols[0]].Type) && is32bit(in[h.groupCols[1]].Type):
-		// Two 32-bit integer keys pack exactly into one int64.
-		keyKind = "pack2"
-		h.tabI64 = primitive.NewGroupTableI64(64)
-	case len(h.groupCols) > 1:
-		keyKind = "multi"
+	case len(h.groupCols) == 0:
+	case len(h.groupCols) == 1 && in[h.groupCols[0]].Type == vector.Str:
+		keyKind = "str"
 		h.tabStr = primitive.NewGroupTableStr(64)
+	case len(h.groupCols) == 1 && in[h.groupCols[0]].Type != vector.F64:
+		keyKind = "i64"
+		h.tabI64 = primitive.NewGroupTableI64(64)
+	default:
+		keyKind = "codes"
+		h.tabI64 = primitive.NewGroupTableI64(64)
+		h.coder = NewKeyCoder(in, h.groupCols)
 	}
 
 	var insertInst *core.Instance
 	switch keyKind {
-	case "i64", "pack2":
+	case "i64", "codes":
 		insertInst = h.sess.Instance("hash_insertcheck_slng_col", h.label+"/hash_insertcheck_slng_col#0")
-	case "str", "multi":
+	case "str":
 		insertInst = h.sess.Instance("hash_insertcheck_str_col", h.label+"/hash_insertcheck_str_col#0")
 	}
-	var concatInsts []*core.Instance
 
 	// Aggregate state.
 	h.accI64 = make([]*primitive.AccI64, len(h.aggs))
@@ -262,13 +259,10 @@ func (h *HashAgg) build() error {
 	keyScratch := vector.New(vector.I64, vecSize)
 	gidVec := vector.New(vector.I32, vecSize)
 	widenScratch := vector.New(vector.I64, vecSize)
-	// Reused for every batch: the call record and its input array, and the
-	// string vectors a composite key is packed through.
+	// Reused for every batch: the call record and its input array.
 	var (
-		call    core.Call
-		args    [2]*vector.Vector
-		strKeys = make([]*vector.Vector, len(h.groupCols))
-		packed  = make([]*vector.Vector, len(h.groupCols))
+		call core.Call
+		args [2]*vector.Vector
 	)
 
 	for {
@@ -296,34 +290,21 @@ func (h *HashAgg) build() error {
 		switch keyKind {
 		case "none":
 			gids = nil
-		case "i64", "pack2":
+		case "i64", "codes":
 			if keyKind == "i64" {
 				primitive.WidenToI64(b.Cols[h.groupCols[0]], b.Sel, b.N, keyScratch)
 			} else {
-				h.pack2(b, keyScratch)
+				h.coder.Encode(b.Cols, b.Sel, b.N, keyScratch.I64())
+				keyScratch.SetLen(b.N)
+				h.sess.Ctx.OperatorCycles += h.coder.Cycles(b.Live())
 			}
 			args[0] = keyScratch
 			call = core.Call{N: b.N, Sel: b.Sel, In: args[:1], Res: gidVec, Aux: h.tabI64}
 			insertInst.Run(h.sess.Ctx, &call)
 			gids = gidVec
 			groups = h.tabI64.Groups()
-		case "str", "multi":
-			keyCol := b.Cols[h.groupCols[0]]
-			if keyKind == "multi" {
-				keyCol = h.stringify(b, 0, strKeys)
-				for ki := 1; ki < len(h.groupCols); ki++ {
-					if len(concatInsts) < ki {
-						concatInsts = append(concatInsts, h.sess.Instance("map_concat_str_col_str_col",
-							labelf("%s/map_concat_str_col_str_col#%d", h.label, ki-1)))
-					}
-					packed[ki] = vector.Reuse(packed[ki], vector.Str, b.N)
-					args[0], args[1] = keyCol, h.stringify(b, ki, strKeys)
-					call = core.Call{N: b.N, Sel: b.Sel, In: args[:], Res: packed[ki]}
-					concatInsts[ki-1].Run(h.sess.Ctx, &call)
-					keyCol = packed[ki]
-				}
-			}
-			args[0] = keyCol
+		case "str":
+			args[0] = b.Cols[h.groupCols[0]]
 			call = core.Call{N: b.N, Sel: b.Sel, In: args[:1], Res: gidVec, Aux: h.tabStr}
 			insertInst.Run(h.sess.Ctx, &call)
 			gids = gidVec
@@ -383,9 +364,9 @@ func (h *HashAgg) build() error {
 	// Finalize.
 	groups := 1
 	switch keyKind {
-	case "i64", "pack2":
+	case "i64", "codes":
 		groups = h.tabI64.Groups()
-	case "str", "multi":
+	case "str":
 		groups = h.tabStr.Groups()
 	}
 	if keyKind == "none" {
@@ -476,60 +457,4 @@ func (h *HashAgg) captureFirst(b *vector.Batch, gids *vector.Vector, groups int)
 			capture1(int32(i))
 		}
 	}
-}
-
-func is32bit(t vector.Type) bool { return t == vector.I16 || t == vector.I32 }
-
-// pack2 packs two 32-bit integer group columns into one int64 key column
-// (exact: high word | low word).
-func (h *HashAgg) pack2(b *vector.Batch, res *vector.Vector) {
-	a := b.Cols[h.groupCols[0]]
-	c := b.Cols[h.groupCols[1]]
-	out := res.I64()
-	pack := func(i int32) {
-		out[i] = int64(uint64(uint32(a.GetI64(int(i))))<<32 | uint64(uint32(c.GetI64(int(i)))))
-	}
-	if b.Sel != nil {
-		for _, i := range b.Sel {
-			pack(i)
-		}
-	} else {
-		for i := 0; i < b.N; i++ {
-			pack(int32(i))
-		}
-	}
-	res.SetLen(b.N)
-	h.sess.Ctx.OperatorCycles += 2 * float64(b.Live())
-}
-
-// stringify converts group column gi to strings for composite keys (plain
-// Go: key packing is not part of the paper's flavor sets), into the reused
-// vector scratch[gi].
-func (h *HashAgg) stringify(b *vector.Batch, gi int, scratch []*vector.Vector) *vector.Vector {
-	src := b.Cols[h.groupCols[gi]]
-	if src.Type() == vector.Str {
-		return src
-	}
-	scratch[gi] = vector.Reuse(scratch[gi], vector.Str, b.N)
-	out := scratch[gi]
-	s := out.Str()
-	conv := func(i int32) {
-		switch src.Type() {
-		case vector.F64:
-			s[i] = strconv.FormatFloat(src.F64()[i], 'g', -1, 64)
-		default:
-			s[i] = strconv.FormatInt(src.GetI64(int(i)), 10)
-		}
-	}
-	if b.Sel != nil {
-		for _, i := range b.Sel {
-			conv(i)
-		}
-	} else {
-		for i := 0; i < b.N; i++ {
-			conv(int32(i))
-		}
-	}
-	h.sess.Ctx.OperatorCycles += 8 * float64(b.Live())
-	return out
 }

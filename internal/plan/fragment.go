@@ -23,11 +23,10 @@ package plan
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 
 	"microadapt/internal/engine"
+	"microadapt/internal/primitive"
 	"microadapt/internal/vector"
 )
 
@@ -462,49 +461,35 @@ func schemaMatches(have, want vector.Schema) error {
 	return nil
 }
 
-// groupKey renders one row's group-by key exactly the way the engine's
-// multi-column keying does (stringified values joined by NUL), so any
-// group collision behavior is reproduced, not just approximated.
-func groupKey(t *engine.Table, groupCols int, row int, sb *strings.Builder) string {
-	sb.Reset()
-	for ci := 0; ci < groupCols; ci++ {
-		if ci > 0 {
-			sb.WriteByte(0)
-		}
-		v := t.Cols[ci]
-		switch v.Type() {
-		case vector.Str:
-			sb.WriteString(v.Str()[row])
-		case vector.F64:
-			sb.WriteString(strconv.FormatFloat(v.F64()[row], 'g', -1, 64))
-		default:
-			sb.WriteString(strconv.FormatInt(v.GetI64(row), 10))
-		}
-	}
-	return sb.String()
-}
-
 // aggFold is the persistent group accumulator behind MergePartialAgg
 // sites. Groups are discovered in (shard order, partial row order) — the
 // caller feeds tables in shard order — which equals the global first-seen
 // order of a single-process HashAgg; a group's group-column and
 // first-aggregate values come from the first partial that contains it.
+// Rows are keyed by the engine's own KeyCoder, so the merge groups exactly
+// the tuples a single-process HashAgg does.
 type aggFold struct {
 	site *FragmentSite
 	// One accumulator per OUTPUT column: group columns first, then one per
 	// original aggregate (avg folds two partial columns into one output).
-	accs []partialAcc
-	cnts [][]int64 // avg counts, folded separately
-	idx  map[string]int
-	sb   strings.Builder
+	accs  []partialAcc
+	cnts  [][]int64 // avg counts, folded separately
+	coder *engine.KeyCoder
+	ids   *primitive.GroupTableI64 // key -> dense first-seen group id
+	keys  []int64
 }
 
 func newAggFold(s *FragmentSite) *aggFold {
+	groupCols := make([]int, s.groupCols) // a partial leads with its group columns
+	for ci := range groupCols {
+		groupCols[ci] = ci
+	}
 	return &aggFold{
-		site: s,
-		accs: make([]partialAcc, len(s.Node.sch)),
-		cnts: make([][]int64, len(s.aggs)),
-		idx:  make(map[string]int),
+		site:  s,
+		accs:  make([]partialAcc, len(s.Node.sch)),
+		cnts:  make([][]int64, len(s.aggs)),
+		coder: engine.NewKeyCoder(s.Node.sch, groupCols),
+		ids:   primitive.NewGroupTableI64(64),
 	}
 }
 
@@ -512,12 +497,15 @@ func newAggFold(s *FragmentSite) *aggFold {
 func (f *aggFold) foldTable(p *engine.Table) error {
 	s := f.site
 	sch := s.Node.sch
+	if len(f.keys) < p.Rows() {
+		f.keys = make([]int64, p.Rows())
+	}
+	f.coder.Encode(p.Cols, nil, p.Rows(), f.keys)
 	for row := 0; row < p.Rows(); row++ {
-		key := groupKey(p, s.groupCols, row, &f.sb)
-		g, seen := f.idx[key]
+		known := f.ids.Groups()
+		g := int(f.ids.InsertCheck(f.keys[row]))
+		seen := g < known
 		if !seen {
-			g = len(f.idx)
-			f.idx[key] = g
 			// Capture first-seen group column values.
 			for ci := 0; ci < s.groupCols; ci++ {
 				switch sch[ci].Type {
@@ -577,7 +565,7 @@ func (f *aggFold) foldTable(p *engine.Table) error {
 func (f *aggFold) result() (*engine.Table, error) {
 	s := f.site
 	sch := s.Node.sch
-	groups := len(f.idx)
+	groups := f.ids.Groups()
 	cols := make([]*vector.Vector, len(sch))
 	for ci, c := range sch {
 		acc := &f.accs[ci]

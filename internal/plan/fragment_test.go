@@ -520,3 +520,37 @@ func TestAccumulatorRejectsBadChunks(t *testing.T) {
 		t.Error("out-of-range FinishShard accepted")
 	}
 }
+
+// TestPartialAggMergeCompositeKeyNoCollision: two shards each hold one
+// tuple whose string key columns would join to the same bytes around a
+// NUL; the merge keeps them two groups, as a single process does.
+func TestPartialAggMergeCompositeKeyNoCollision(t *testing.T) {
+	tab := engine.NewTable("nul", vector.Schema{
+		{Name: "a", Type: vector.Str},
+		{Name: "b", Type: vector.Str},
+		{Name: "v", Type: vector.I64},
+	}, []*vector.Vector{
+		vector.FromStr([]string{"a\x00b", "a"}),
+		vector.FromStr([]string{"c", "b\x00c"}),
+		vector.FromI64([]int64{1, 2}),
+	})
+	mkPlan := func() *Builder {
+		b := New("N")
+		b.Root(b.Scan(tab, "a", "b", "v").Agg([]int{0, 1},
+			engine.Agg(engine.AggCount, -1, "n"),
+			engine.Agg(engine.AggSum, 2, "sv")))
+		return b
+	}
+	site, parts := sitePartials(t, mkPlan(), 2, tab)
+	if parts[0].Rows() != 1 || parts[1].Rows() != 1 {
+		t.Fatalf("partials hold %d and %d groups, want one each", parts[0].Rows(), parts[1].Rows())
+	}
+	got, err := site.MergePartials(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Rows() != 2 {
+		t.Fatalf("merged groups = %d, want 2:\n%s", got.Rows(), engine.TableString(got, 0))
+	}
+	requireIdentical(t, got, mustRun(t, mkPlan()), "nul-keys")
+}

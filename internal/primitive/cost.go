@@ -31,7 +31,6 @@ const (
 	fetchElem    = 1.10 // gather one value
 	aggrElem     = 1.10 // accumulate one value
 	hashElem     = 1.80 // one hash mix
-	concatElem   = 6.00 // string concat for composite keys
 	mjElem       = 1.40 // merge-join per consumed input tuple
 	mjEmit       = 0.80 // merge-join per produced match
 	bloomHash    = 2.20 // bf_hash

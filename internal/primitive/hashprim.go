@@ -76,29 +76,6 @@ func makeMapHash(t vector.Type, v variant) core.PrimFn {
 	}
 }
 
-// makeConcat builds map_concat_str_col_str_col, used to pack multi-column
-// group-by keys into one string key column.
-func makeConcat(v variant) core.PrimFn {
-	return func(ctx *core.ExecCtx, c *core.Call) (int, float64) {
-		a := c.In[0].Str()
-		b := c.In[1].Str()
-		res := c.Res.Str()
-		if c.Sel != nil {
-			for _, i := range c.Sel {
-				res[i] = a[i] + "\x00" + b[i]
-			}
-		} else {
-			for i := 0; i < c.N; i++ {
-				res[i] = a[i] + "\x00" + b[i]
-			}
-		}
-		c.Res.SetLen(c.N)
-		m := ctx.Machine
-		per := concatElem*v.mul(m) + v.loopOv(m)
-		return c.Live(), m.CallOverhead + float64(c.Live())*per
-	}
-}
-
 func registerHashPrims(d *core.Dictionary, o Options) {
 	for _, t := range []vector.Type{vector.I32, vector.I64, vector.Str} {
 		sig := "map_hash_" + t.String() + "_col"
@@ -112,18 +89,6 @@ func registerHashPrims(d *core.Dictionary, o Options) {
 					Fn:     makeMapHash(t, v),
 				})
 			}
-		}
-	}
-	sig := "map_concat_str_col_str_col"
-	for _, cg := range o.hashCodegens() {
-		for _, u := range o.unrolls() {
-			v := variant{cg: cg, unroll: u, class: hw.ClassHash}
-			addFlavor(d, sig, hw.ClassHash, &core.Flavor{
-				Name:   flavorName(cg.Name, unrollTag(u)),
-				Source: cg.Name,
-				Tags:   map[string]string{"compiler": cg.Name, "unroll": unrollTag(u)},
-				Fn:     makeConcat(v),
-			})
 		}
 	}
 }

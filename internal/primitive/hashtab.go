@@ -40,8 +40,8 @@ func (t *GroupTableI64) Key(gid int32) int64 { return t.keys[gid] }
 // drives the cache-miss growth of Figure 4(e).
 func (t *GroupTableI64) ByteSize() int { return len(t.slots)*4 + len(t.keys)*8 }
 
-// insertCheck returns the group id for key, inserting it when new.
-func (t *GroupTableI64) insertCheck(key int64) int32 {
+// InsertCheck returns the group id for key, inserting it when new.
+func (t *GroupTableI64) InsertCheck(key int64) int32 {
 	if len(t.keys)*4 >= len(t.slots)*3 {
 		t.grow()
 	}
@@ -105,7 +105,9 @@ func (t *GroupTableStr) Key(gid int32) string { return t.keys[gid] }
 // ByteSize approximates the resident size of the table.
 func (t *GroupTableStr) ByteSize() int { return len(t.slots)*4 + len(t.keys)*16 + t.bytes }
 
-func (t *GroupTableStr) insertCheck(key string) int32 {
+// InsertCheck returns the group id for key, inserting it when new; only a
+// new key grows the table.
+func (t *GroupTableStr) InsertCheck(key string) int32 {
 	if len(t.keys)*4 >= len(t.slots)*3 {
 		t.grow()
 	}

@@ -17,11 +17,11 @@ func makeInsertCheckI64(v variant) core.PrimFn {
 		res := c.Res.I32()
 		if c.Sel != nil {
 			for _, i := range c.Sel {
-				res[i] = t.insertCheck(keys[i])
+				res[i] = t.InsertCheck(keys[i])
 			}
 		} else {
 			for i := 0; i < c.N; i++ {
-				res[i] = t.insertCheck(keys[i])
+				res[i] = t.InsertCheck(keys[i])
 			}
 		}
 		c.Res.SetLen(c.N)
@@ -38,11 +38,11 @@ func makeInsertCheckStr(v variant) core.PrimFn {
 		res := c.Res.I32()
 		if c.Sel != nil {
 			for _, i := range c.Sel {
-				res[i] = t.insertCheck(keys[i])
+				res[i] = t.InsertCheck(keys[i])
 			}
 		} else {
 			for i := 0; i < c.N; i++ {
-				res[i] = t.insertCheck(keys[i])
+				res[i] = t.InsertCheck(keys[i])
 			}
 		}
 		c.Res.SetLen(c.N)

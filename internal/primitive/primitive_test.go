@@ -313,7 +313,7 @@ func TestGroupTables(t *testing.T) {
 	keys := []int64{7, 7, -1, 42, 7, -1}
 	var gids []int32
 	for _, k := range keys {
-		gids = append(gids, ti.insertCheck(k))
+		gids = append(gids, ti.InsertCheck(k))
 	}
 	if ti.Groups() != 3 {
 		t.Fatalf("groups = %d, want 3", ti.Groups())
@@ -326,12 +326,12 @@ func TestGroupTables(t *testing.T) {
 	}
 	// Growth: many keys force rehash.
 	for i := int64(0); i < 1000; i++ {
-		ti.insertCheck(i * 13)
+		ti.InsertCheck(i * 13)
 	}
 	if ti.Groups() < 1000 {
 		t.Errorf("groups after growth = %d", ti.Groups())
 	}
-	if ti.insertCheck(7) != gids[0] {
+	if ti.InsertCheck(7) != gids[0] {
 		t.Error("rehash lost a key")
 	}
 	if ti.ByteSize() <= 0 {
@@ -339,18 +339,18 @@ func TestGroupTables(t *testing.T) {
 	}
 
 	ts := NewGroupTableStr(4)
-	a := ts.insertCheck("x")
-	b := ts.insertCheck("y")
-	if ts.insertCheck("x") != a || a == b || ts.Groups() != 2 {
+	a := ts.InsertCheck("x")
+	b := ts.InsertCheck("y")
+	if ts.InsertCheck("x") != a || a == b || ts.Groups() != 2 {
 		t.Error("string table wrong")
 	}
 	if ts.Key(b) != "y" {
 		t.Error("string key recovery wrong")
 	}
 	for i := 0; i < 500; i++ {
-		ts.insertCheck(fmt.Sprintf("key-%d", i))
+		ts.InsertCheck(fmt.Sprintf("key-%d", i))
 	}
-	if ts.insertCheck("x") != a {
+	if ts.InsertCheck("x") != a {
 		t.Error("string rehash lost a key")
 	}
 }
@@ -360,7 +360,7 @@ func TestGroupTableProperty(t *testing.T) {
 		tab := NewGroupTableI64(2)
 		ref := map[int64]int32{}
 		for _, k := range keys {
-			gid := tab.insertCheck(k)
+			gid := tab.InsertCheck(k)
 			if want, ok := ref[k]; ok {
 				if gid != want {
 					return false
@@ -570,7 +570,7 @@ func TestInsertCheckCostGrowsWithTable(t *testing.T) {
 	// A table far beyond the LLC must cost more per probe (Figure 4e).
 	big := NewGroupTableI64(8)
 	for i := int64(0); i < int64(ctx.Machine.LLCBytes); i += 2 {
-		big.insertCheck(i)
+		big.InsertCheck(i)
 	}
 	c2 := &core.Call{N: 64, In: []*vector.Vector{keys}, Res: gids, Aux: big, Inst: inst}
 	_, costly := fl.Fn(ctx, c2)

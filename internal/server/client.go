@@ -2,11 +2,13 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -68,21 +70,46 @@ type Client struct {
 	http    *http.Client
 	retry   RetryPolicy
 	retries atomic.Int64
+	dials   atomic.Int64
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
 }
 
+// idleConnsPerHost is how many keep-alive connections a client pools: at
+// least as many as a coordinator streams to one shard at once (its site
+// fan-out of 4), so a warm client dials nothing.
+const idleConnsPerHost = 8
+
 // NewClient builds a client for a server base URL ("http://host:port")
-// with DefaultRetry installed.
+// with DefaultRetry installed. Each client has its own connection pool
+// and counts the connections it dials.
 func NewClient(base string) *Client {
-	return &Client{
+	c := &Client{
 		base:  base,
-		http:  &http.Client{Timeout: 2 * time.Minute},
 		retry: DefaultRetry,
 		rng:   rand.New(rand.NewSource(int64(len(base)) + 0x9e3779b9)),
 	}
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = idleConnsPerHost
+	dial := tr.DialContext
+	tr.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		conn, err := dial(ctx, network, addr)
+		if err == nil {
+			c.dials.Add(1)
+		}
+		return conn, err
+	}
+	c.http = &http.Client{Timeout: 2 * time.Minute, Transport: tr}
+	return c
 }
+
+// ConnectionsOpened reports how many connections the client has dialed.
+func (c *Client) ConnectionsOpened() int64 { return c.dials.Load() }
+
+// CloseIdleConnections closes the client's pooled keep-alive connections,
+// so a server shutting down does not wait on them.
+func (c *Client) CloseIdleConnections() { c.http.CloseIdleConnections() }
 
 // WithRetry replaces the retry policy and returns the client, so callers
 // can chain it off NewClient. RetryPolicy{} turns retrying off.

@@ -65,6 +65,9 @@ type FleetMetrics struct {
 	// coordinator waited before its merge had rows to fold.
 	TTFCP50US float64 `json:"ttfc_p50_us"`
 	TTFCP99US float64 `json:"ttfc_p99_us"`
+	// ConnectionsOpened counts connections dialed to shards; a warm
+	// coordinator reuses pooled ones.
+	ConnectionsOpened int64 `json:"connections_opened"`
 }
 
 // FleetReporter is an optional Executor capability: executors that fan

@@ -50,6 +50,7 @@ func startTestServer(t *testing.T, cfg Config) (*Running, *Client) {
 		}
 	})
 	c := NewClient(run.URL)
+	t.Cleanup(c.CloseIdleConnections) // runs before the shutdown above
 	if err := c.WaitReady(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
