@@ -1,8 +1,10 @@
 // Command madaptd serves the micro-adaptive query engine over HTTP/JSON:
 // TPC-H queries by number or client-built logical plans (the plan JSON
 // wire form), executed through internal/service with per-request
-// admission control, per-client sessions, load shedding under
-// saturation, and graceful drain on SIGTERM.
+// admission control, load shedding under saturation, and graceful drain
+// on SIGTERM. The surface is stateless: each response reports its own
+// adaptation stats, and what queries learn lives in the shared flavor
+// cache.
 //
 // Usage:
 //
@@ -26,10 +28,7 @@
 //	GET    /healthz            readiness (503 once draining)
 //	GET    /metrics            latency percentiles, shed/expired counts,
 //	                           off-best %, flavor-cache hit rates
-//	POST   /v1/session         mint a client session
-//	GET    /v1/session/{id}    a session's adaptation counters
-//	DELETE /v1/session/{id}    drop a session
-//	POST   /v1/query           {"query": 6, "session": "...", ...}; JSON result
+//	POST   /v1/query           {"query": 6, ...}; JSON result
 //	POST   /v1/plan            {"plan": <plan JSON>, ...}; JSON result
 //	POST   /v1/plan/stream     same request, length-prefixed binary frames
 //	                           (header, chunk*, then trailer or error)
@@ -64,8 +63,6 @@ func main() {
 	queue := fs.Int("queue", 64, "admission queue depth beyond executing requests (-1 = none)")
 	timeout := fs.Duration("timeout", 30*time.Second, "default per-request deadline")
 	retryAfter := fs.Duration("retry-after", 50*time.Millisecond, "backoff suggested on 429")
-	maxSessions := fs.Int("max-sessions", 256, "live session cap (LRU beyond it)")
-	sessionTTL := fs.Duration("session-ttl", 10*time.Minute, "idle session expiry")
 	policy := fs.String("policy", "vw-greedy", "flavor-selection policy spec")
 	pp := fs.Int("pipeline-parallel", 1, "intra-query pipeline parallelism (morsel partitions)")
 	encoded := fs.Bool("encoded", false, "serve a compressed-resident database")
@@ -74,7 +71,6 @@ func main() {
 	shards := fs.Int("shards", 0, "fleet size N when serving a shard")
 	coordinator := fs.String("coordinator", "", "comma-separated shard URLs: run as fleet coordinator")
 	gossip := fs.Duration("gossip", 2*time.Second, "coordinator flavor-gossip interval (0 disables)")
-	streamChunk := fs.Int("stream-chunk-rows", 0, "rows per /v1/plan/stream chunk frame (0 = default)")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty disables)")
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		os.Exit(2)
@@ -150,14 +146,11 @@ func main() {
 	}
 
 	run, err := server.Start(server.NewServer(server.Config{
-		Service:         executor,
-		Workers:         *workers,
-		QueueDepth:      *queue,
-		DefaultTimeout:  *timeout,
-		RetryAfter:      *retryAfter,
-		MaxSessions:     *maxSessions,
-		SessionTTL:      *sessionTTL,
-		StreamChunkRows: *streamChunk,
+		Service:        executor,
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		DefaultTimeout: *timeout,
+		RetryAfter:     *retryAfter,
 	}), *addr)
 	if err != nil {
 		log.Fatal(err)

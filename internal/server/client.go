@@ -210,66 +210,6 @@ func decodeOutcome(resp *http.Response) (*Outcome, error) {
 	return out, nil
 }
 
-// CreateSession mints a server-side session and returns its id.
-func (c *Client) CreateSession() (string, error) {
-	resp, err := c.http.Post(c.base+"/v1/session", "application/json", nil)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("server: create session: status %d: %s", resp.StatusCode, raw)
-	}
-	var sr SessionResponse
-	if err := json.Unmarshal(raw, &sr); err != nil {
-		return "", err
-	}
-	return sr.Session, nil
-}
-
-// DeleteSession drops a session; unknown ids are an error.
-func (c *Client) DeleteSession(id string) error {
-	req, err := http.NewRequest(http.MethodDelete, c.base+"/v1/session/"+id, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("server: delete session %s: status %d: %s", id, resp.StatusCode, raw)
-	}
-	return nil
-}
-
-// SessionStats fetches a session's accumulated adaptation counters.
-func (c *Client) SessionStats(id string) (SessionStats, error) {
-	resp, err := c.http.Get(c.base + "/v1/session/" + id)
-	if err != nil {
-		return SessionStats{}, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return SessionStats{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return SessionStats{}, fmt.Errorf("server: session stats %s: status %d: %s", id, resp.StatusCode, raw)
-	}
-	var st SessionStats
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return SessionStats{}, err
-	}
-	return st, nil
-}
-
 // Query runs one TPC-H query.
 func (c *Client) Query(req QueryRequest) (*Outcome, error) { return c.post("/v1/query", req) }
 

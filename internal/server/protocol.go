@@ -23,10 +23,6 @@ import (
 
 // QueryRequest asks the server to run one TPC-H query by number.
 type QueryRequest struct {
-	// Session is a session id from POST /v1/session; empty runs
-	// sessionless (still warm-started from the shared cache, but not
-	// counted against any client session).
-	Session string `json:"session,omitempty"`
 	// Query is the TPC-H query number, 1-22.
 	Query int `json:"query"`
 	// TimeoutMS overrides the server's default per-request deadline.
@@ -40,7 +36,6 @@ type QueryRequest struct {
 // PlanRequest ships a client-built logical plan (the plan JSON wire form
 // produced by plan.MarshalPlan) for server-side validation and execution.
 type PlanRequest struct {
-	Session       string          `json:"session,omitempty"`
 	Plan          json.RawMessage `json:"plan"`
 	TimeoutMS     int             `json:"timeout_ms,omitempty"`
 	IncludeResult bool            `json:"include_result,omitempty"`
@@ -69,7 +64,6 @@ func statsJSON(st service.JobStats) StatsJSON {
 type QueryResponse struct {
 	Query       int        `json:"query,omitempty"` // 0 for plan requests
 	Plan        string     `json:"plan,omitempty"`  // plan name for plan requests
-	Session     string     `json:"session,omitempty"`
 	Rows        int        `json:"rows"`
 	Fingerprint string     `json:"fingerprint"`
 	Stats       StatsJSON  `json:"stats"`
@@ -91,11 +85,6 @@ type ErrorResponse struct {
 	// should back off. Mirrors the Retry-After header in milliseconds,
 	// since the header's granularity is whole seconds.
 	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
-}
-
-// SessionResponse is the body of POST /v1/session.
-type SessionResponse struct {
-	Session string `json:"session"`
 }
 
 // Fingerprint digests a result table — full render plus row count, the

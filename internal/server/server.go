@@ -1,8 +1,10 @@
-// Package server is madaptd's HTTP/JSON front end over internal/service:
-// per-client sessions, a bounded admission queue with per-request
-// deadlines, load shedding under saturation, graceful drain, and a
-// /metrics endpoint reporting latency percentiles, off-best fraction and
-// flavor-cache warm-start rates.
+// Package server is madaptd's stateless HTTP/JSON front end over
+// internal/service: a bounded admission queue with per-request deadlines,
+// load shedding under saturation, graceful drain, and a /metrics endpoint
+// reporting latency percentiles, off-best fraction and flavor-cache
+// warm-start rates. What queries learn lives in the service's shared
+// FlavorCache; every response carries its own adaptation stats, so a
+// client attributes load to itself by adding up its responses.
 package server
 
 import (
@@ -93,36 +95,27 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// RetryAfter is the backoff the server suggests on 429 (default 50ms).
 	RetryAfter time.Duration
-	// MaxSessions caps live sessions; beyond it the LRU session is
-	// evicted (default 256).
-	MaxSessions int
-	// SessionTTL expires idle sessions (default 10m).
-	SessionTTL time.Duration
-	// MaxBodyBytes bounds request bodies (default 1 MiB).
-	MaxBodyBytes int64
-	// LatencyWindow is the sample capacity of the latency distribution
-	// (default 4096).
-	LatencyWindow int
 	// StreamChunkRows caps the rows per binary chunk frame on
 	// /v1/plan/stream (default 4096).
 	StreamChunkRows int
-	// Clock is injectable time for session-eviction tests (default
-	// time.Now).
-	Clock func() time.Time
 }
 
-// Server is the handler plus its admission controller and session map. It
-// implements http.Handler; use Start for a listening instance with
-// lifecycle helpers.
+const (
+	// maxBodyBytes bounds request bodies.
+	maxBodyBytes = 1 << 20
+	// latencyWindow is the sample capacity of the latency distribution.
+	latencyWindow = 4096
+)
+
+// Server is the handler plus its admission controller. It implements
+// http.Handler; use Start for a listening instance with lifecycle helpers.
 type Server struct {
-	svc  Executor
-	adm  *Admission
-	sess *sessionMap
-	mux  *http.ServeMux
+	svc Executor
+	adm *Admission
+	mux *http.ServeMux
 
 	defaultTimeout  time.Duration
 	retryAfter      time.Duration
-	maxBody         int64
 	streamChunkRows int
 
 	latency  *stats.Window // end-to-end latency of executed requests, ns
@@ -141,31 +134,20 @@ func NewServer(cfg Config) *Server {
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = 50 * time.Millisecond
 	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 1 << 20
-	}
-	if cfg.LatencyWindow < 1 {
-		cfg.LatencyWindow = 4096
-	}
 	if cfg.StreamChunkRows < 1 {
 		cfg.StreamChunkRows = 4096
 	}
 	s := &Server{
 		svc:             cfg.Service,
 		adm:             NewAdmission(AdmissionConfig{Workers: cfg.Workers, QueueDepth: cfg.QueueDepth}),
-		sess:            newSessionMap(cfg.MaxSessions, cfg.SessionTTL, cfg.Clock),
 		mux:             http.NewServeMux(),
 		defaultTimeout:  cfg.DefaultTimeout,
 		retryAfter:      cfg.RetryAfter,
-		maxBody:         cfg.MaxBodyBytes,
 		streamChunkRows: cfg.StreamChunkRows,
-		latency:         stats.NewWindow(cfg.LatencyWindow),
+		latency:         stats.NewWindow(latencyWindow),
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("POST /v1/session", s.handleSessionCreate)
-	s.mux.HandleFunc("GET /v1/session/{id}", s.handleSessionStats)
-	s.mux.HandleFunc("DELETE /v1/session/{id}", s.handleSessionDelete)
 	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
 	s.mux.HandleFunc("POST /v1/plan", s.handlePlan)
 	s.mux.HandleFunc("POST /v1/plan/stream", s.handlePlanStream)
@@ -212,35 +194,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	if s.adm.Draining() {
-		s.writeError(w, ErrDraining)
-		return
-	}
-	writeJSON(w, http.StatusOK, SessionResponse{Session: s.sess.create().id})
-}
-
-func (s *Server) handleSessionStats(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.sess.stats(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "unknown session"})
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
-	if !s.sess.drop(r.PathValue("id")) {
-		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "unknown session"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "deleted"})
-}
-
 // decodeBody reads a bounded JSON body; unknown fields are errors so a
 // client typo ("quer": 6) fails loudly instead of running query 0.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
+func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad request: " + err.Error()})
@@ -249,23 +206,11 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, into any) bo
 	return true
 }
 
-// checkSession validates an optional session id; empty is allowed.
-func (s *Server) checkSession(w http.ResponseWriter, id string) bool {
-	if id == "" {
-		return true
-	}
-	if _, ok := s.sess.touch(id); !ok {
-		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "unknown session " + id})
-		return false
-	}
-	return true
-}
-
 // execute admits one decoded request and runs job in an admission slot,
-// handling deadline, shedding, latency, adaptation counters and session
-// accounting uniformly for every query endpoint. On failure it writes the
-// error answer and reports false; on success the caller writes the 200.
-func (s *Server) execute(w http.ResponseWriter, r *http.Request, sessionID string, timeoutMS int,
+// handling deadline, shedding, latency and adaptation counters uniformly
+// for every query endpoint. On failure it writes the error answer and
+// reports false; on success the caller writes the 200.
+func (s *Server) execute(w http.ResponseWriter, r *http.Request, timeoutMS int,
 	job func() (service.JobStats, error)) bool {
 	timeout := s.defaultTimeout
 	if timeoutMS > 0 {
@@ -287,9 +232,6 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, sessionID strin
 	s.latency.Add(float64(time.Since(start)))
 	s.adaptive.Add(st.AdaptiveCalls)
 	s.offBest.Add(st.OffBestCalls)
-	if sessionID != "" {
-		s.sess.record(sessionID, st.AdaptiveCalls, st.OffBestCalls)
-	}
 	return true
 }
 
@@ -306,18 +248,15 @@ func queryResponse(tab *engine.Table, st service.JobStats, includeResult bool) *
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if !s.decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Query < 1 || req.Query > 22 {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("no TPC-H query %d", req.Query)})
 		return
 	}
-	if !s.checkSession(w, req.Session) {
-		return
-	}
 	var resp *QueryResponse
-	if s.execute(w, r, req.Session, req.TimeoutMS, func() (service.JobStats, error) {
+	if s.execute(w, r, req.TimeoutMS, func() (service.JobStats, error) {
 		tab, st, err := s.svc.Execute(req.Query)
 		if err == nil {
 			resp = queryResponse(tab, st, req.IncludeResult)
@@ -325,7 +264,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		return st, err
 	}) {
-		resp.Session = req.Session
 		writeJSON(w, http.StatusOK, resp)
 	}
 }
@@ -336,7 +274,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // reach a worker. Both plan endpoints start here.
 func (s *Server) decodePlan(w http.ResponseWriter, r *http.Request) (PlanRequest, *plan.Builder, bool) {
 	var req PlanRequest
-	if !s.decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req) {
 		return req, nil, false
 	}
 	b, err := plan.UnmarshalPlan(req.Plan, s.svc.DB().TableByName)
@@ -344,7 +282,7 @@ func (s *Server) decodePlan(w http.ResponseWriter, r *http.Request) (PlanRequest
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return req, nil, false
 	}
-	return req, b, s.checkSession(w, req.Session)
+	return req, b, true
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
@@ -353,7 +291,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var resp *QueryResponse
-	if s.execute(w, r, req.Session, req.TimeoutMS, func() (service.JobStats, error) {
+	if s.execute(w, r, req.TimeoutMS, func() (service.JobStats, error) {
 		tab, st, err := s.svc.ExecutePlan(b)
 		if err == nil {
 			resp = queryResponse(tab, st, req.IncludeResult)
@@ -361,7 +299,6 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		}
 		return st, err
 	}) {
-		resp.Session = req.Session
 		writeJSON(w, http.StatusOK, resp)
 	}
 }
@@ -385,7 +322,7 @@ type FlavorsPushResponse struct {
 // them — pushing is idempotent-ish, never destructive.
 func (s *Server) handleFlavorsPost(w http.ResponseWriter, r *http.Request) {
 	var snap service.KnowledgeSnapshot
-	if !s.decodeBody(w, r, &snap) {
+	if !decodeBody(w, r, &snap) {
 		return
 	}
 	writeJSON(w, http.StatusOK, FlavorsPushResponse{Accepted: s.svc.Cache().Import(snap)})
@@ -407,12 +344,8 @@ type MetricsSnapshot struct {
 	QueueWaitP50US float64 `json:"queue_wait_p50_us"`
 	QueueWaitP99US float64 `json:"queue_wait_p99_us"`
 
-	SessionsLive    int   `json:"sessions_live"`
-	SessionsCreated int64 `json:"sessions_created"`
-	SessionsEvicted int64 `json:"sessions_evicted"`
-
 	// Micro-adaptivity: what fraction of adaptive primitive calls ran a
-	// flavor the session did not end up considering best, and how often
+	// flavor its query did not end up considering best, and how often
 	// fresh primitive instances found priors in the shared FlavorCache.
 	AdaptiveCalls     int64   `json:"adaptive_calls"`
 	OffBestCalls      int64   `json:"off_best_calls"`
@@ -443,7 +376,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 		AdaptiveCalls:  s.adaptive.Load(),
 		OffBestCalls:   s.offBest.Load(),
 	}
-	m.SessionsLive, m.SessionsCreated, m.SessionsEvicted = s.sess.counts()
 	if m.AdaptiveCalls > 0 {
 		m.OffBestPct = 100 * float64(m.OffBestCalls) / float64(m.AdaptiveCalls)
 	}

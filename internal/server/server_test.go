@@ -102,7 +102,9 @@ func TestServerPlanEndpoint(t *testing.T) {
 	}
 }
 
-// TestServerRejectsBadRequests covers the 400/404 surface.
+// TestServerRejectsBadRequests covers the 400 surface. The server keeps
+// no per-client state, so a body naming a session is an unknown field: an
+// old client fails loudly instead of silently losing its attribution.
 func TestServerRejectsBadRequests(t *testing.T) {
 	run, c := startTestServer(t, Config{})
 	for _, q := range []int{0, 23, -1} {
@@ -114,8 +116,11 @@ func TestServerRejectsBadRequests(t *testing.T) {
 			t.Errorf("query %d status = %d, want 400", q, out.Status)
 		}
 	}
-	for _, body := range []string{"{", `{"quer":6}`} {
-		resp, err := http.Post(run.URL+"/v1/query", "application/json", strings.NewReader(body))
+	// Each body must answer 400 with an error naming the offending field.
+	for _, tc := range []struct{ body, field string }{
+		{"{", ""}, {`{"quer":6}`, `"quer"`}, {`{"query":6,"session":"x"}`, `"session"`},
+	} {
+		resp, err := http.Post(run.URL+"/v1/query", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,109 +128,17 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out.Status != http.StatusBadRequest {
-			t.Errorf("body %q status = %d, want 400", body, out.Status)
+		if out.Status != http.StatusBadRequest || out.Err == nil || !strings.Contains(out.Err.Error, tc.field) {
+			t.Errorf("body %q: status %d, error %+v; want 400 naming %s", tc.body, out.Status, out.Err, tc.field)
 		}
-	}
-	out, err := c.Query(QueryRequest{Query: 6, Session: "nope"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Status != http.StatusNotFound {
-		t.Errorf("unknown session status = %d, want 404", out.Status)
 	}
 }
 
-// TestServerSessionLifecycle: create, use, inspect, delete.
-func TestServerSessionLifecycle(t *testing.T) {
-	_, c := startTestServer(t, Config{})
-	id, err := c.CreateSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := c.Query(QueryRequest{Query: 6, Session: id})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.OK() {
-		t.Fatalf("query status %d", out.Status)
-	}
-	if out.Response.Session != id {
-		t.Errorf("response session = %q, want %q", out.Response.Session, id)
-	}
-	st, err := c.SessionStats(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Queries != 1 || st.AdaptiveCalls == 0 {
-		t.Errorf("session stats = %+v, want 1 query with adaptive calls", st)
-	}
-	if err := c.DeleteSession(id); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.DeleteSession(id); err == nil {
-		t.Error("double delete succeeded")
-	}
-	out, err = c.Query(QueryRequest{Query: 6, Session: id})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Status != http.StatusNotFound {
-		t.Errorf("query on deleted session status = %d, want 404", out.Status)
-	}
-}
-
-// TestServerSessionEviction drives the TTL and LRU policies with an
-// injected clock.
-func TestServerSessionEviction(t *testing.T) {
-	var mu sync.Mutex
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
-
-	_, c := startTestServer(t, Config{MaxSessions: 2, SessionTTL: time.Minute, Clock: clock})
-	s1, err := c.CreateSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	advance(time.Second)
-	s2, err := c.CreateSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	advance(time.Second)
-	s3, err := c.CreateSession() // over MaxSessions: evicts s1 (LRU)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.SessionStats(s1); err == nil {
-		t.Error("LRU session survived eviction")
-	}
-	for _, id := range []string{s2, s3} {
-		if _, err := c.SessionStats(id); err != nil {
-			t.Errorf("live session %s: %v", id, err)
-		}
-	}
-	advance(2 * time.Minute) // past TTL: everything expires
-	for _, id := range []string{s2, s3} {
-		if _, err := c.SessionStats(id); err == nil {
-			t.Errorf("session %s survived TTL expiry", id)
-		}
-	}
-	m, err := c.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.SessionsLive != 0 || m.SessionsCreated != 3 || m.SessionsEvicted != 3 {
-		t.Errorf("session metrics = live %d created %d evicted %d, want 0/3/3",
-			m.SessionsLive, m.SessionsCreated, m.SessionsEvicted)
-	}
-}
-
-// TestServerConcurrentClients is the -race workhorse: many clients with
-// their own sessions hammer the server concurrently; every result must
-// match the in-process baseline, and the shared FlavorCache must have
-// harvested knowledge.
+// TestServerConcurrentClients is the -race workhorse: many clients hammer
+// the server concurrently; every result must match the in-process
+// baseline, the shared FlavorCache must have harvested knowledge, and the
+// adaptation stats each client adds up over its own responses must sum to
+// the server's totals exactly.
 func TestServerConcurrentClients(t *testing.T) {
 	_, c := startTestServer(t, Config{Workers: 4, QueueDepth: 256})
 	queries := []int{1, 6, 12, 14}
@@ -242,18 +155,14 @@ func TestServerConcurrentClients(t *testing.T) {
 	const clients, perClient = 8, 4
 	var wg sync.WaitGroup
 	errs := make(chan error, clients*perClient)
+	sums := make([]StatsJSON, clients) // per-client totals of response stats
 	for ci := 0; ci < clients; ci++ {
 		wg.Add(1)
 		go func(ci int) {
 			defer wg.Done()
-			id, err := c.CreateSession()
-			if err != nil {
-				errs <- err
-				return
-			}
 			for i := 0; i < perClient; i++ {
 				q := queries[(ci+i)%len(queries)]
-				out, err := c.Query(QueryRequest{Query: q, Session: id})
+				out, err := c.Query(QueryRequest{Query: q})
 				if err != nil {
 					errs <- err
 					return
@@ -266,14 +175,8 @@ func TestServerConcurrentClients(t *testing.T) {
 					errs <- fmt.Errorf("client %d Q%02d: result differs from baseline", ci, q)
 					return
 				}
-			}
-			st, err := c.SessionStats(id)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if st.Queries != perClient {
-				errs <- fmt.Errorf("client %d: session recorded %d queries, want %d", ci, st.Queries, perClient)
+				sums[ci].AdaptiveCalls += out.Response.Stats.AdaptiveCalls
+				sums[ci].OffBestCalls += out.Response.Stats.OffBestCalls
 			}
 		}(ci)
 	}
@@ -293,6 +196,15 @@ func TestServerConcurrentClients(t *testing.T) {
 	if m.AdaptiveCalls == 0 {
 		t.Error("no adaptive calls recorded")
 	}
+	var adaptive, offBest int64
+	for _, st := range sums {
+		adaptive += st.AdaptiveCalls
+		offBest += st.OffBestCalls
+	}
+	if adaptive != m.AdaptiveCalls || offBest != m.OffBestCalls {
+		t.Errorf("clients' response stats sum to adaptive %d, off-best %d; /metrics reports %d, %d",
+			adaptive, offBest, m.AdaptiveCalls, m.OffBestCalls)
+	}
 	if m.CacheInstanceKeys == 0 {
 		t.Error("FlavorCache empty after concurrent load: harvest broken")
 	}
@@ -301,17 +213,13 @@ func TestServerConcurrentClients(t *testing.T) {
 	}
 }
 
-// TestServerWarmStartAcrossSessions mirrors the service-level warm-start
-// acceptance property at the HTTP layer: a second client session pays a
+// TestServerWarmStartAcrossClients mirrors the service-level warm-start
+// acceptance property at the HTTP layer: a second client pays a
 // measurably smaller exploration tax than the first, because the first
-// session's harvest seeded the shared FlavorCache.
-func TestServerWarmStartAcrossSessions(t *testing.T) {
-	_, c := startTestServer(t, Config{Service: testService(true)})
-	s1, err := c.CreateSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cold, err := c.Query(QueryRequest{Query: 6, Session: s1})
+// query's harvest seeded the shared FlavorCache.
+func TestServerWarmStartAcrossClients(t *testing.T) {
+	run, c := startTestServer(t, Config{Service: testService(true)})
+	cold, err := c.Query(QueryRequest{Query: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,11 +229,9 @@ func TestServerWarmStartAcrossSessions(t *testing.T) {
 	if cold.Response.Stats.OffBestCalls == 0 {
 		t.Fatal("cold run paid no exploration tax; test is vacuous")
 	}
-	s2, err := c.CreateSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := c.Query(QueryRequest{Query: 6, Session: s2})
+	c2 := NewClient(run.URL)
+	t.Cleanup(c2.CloseIdleConnections)
+	warm, err := c2.Query(QueryRequest{Query: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +239,7 @@ func TestServerWarmStartAcrossSessions(t *testing.T) {
 		t.Fatalf("warm status %d", warm.Status)
 	}
 	if warm.Response.Stats.OffBestCalls >= cold.Response.Stats.OffBestCalls {
-		t.Errorf("warm session off-best = %d, want < cold %d",
+		t.Errorf("warm client off-best = %d, want < cold %d",
 			warm.Response.Stats.OffBestCalls, cold.Response.Stats.OffBestCalls)
 	}
 	m, err := c.Metrics()
@@ -404,7 +310,7 @@ func TestServerShedsUnderSaturation(t *testing.T) {
 }
 
 // TestServerDrainRejectsNew: after Drain, health flips to draining and
-// query/session endpoints answer 503 while the process stays up.
+// the query endpoints answer 503 while the process stays up.
 func TestServerDrainRejectsNew(t *testing.T) {
 	run, c := startTestServer(t, Config{})
 	if out, err := c.Query(QueryRequest{Query: 6}); err != nil || !out.OK() {
@@ -421,8 +327,12 @@ func TestServerDrainRejectsNew(t *testing.T) {
 	if !out.Draining() {
 		t.Errorf("post-drain query status = %d, want 503", out.Status)
 	}
-	if _, err := c.CreateSession(); err == nil {
-		t.Error("session create succeeded after Drain")
+	out, err = c.Plan(PlanRequest{Plan: marshalQueryPlan(t, 6)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Draining() {
+		t.Errorf("post-drain plan status = %d, want 503", out.Status)
 	}
 	m, err := c.Metrics()
 	if err != nil {

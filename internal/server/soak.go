@@ -32,8 +32,8 @@ type SoakConfig struct {
 	Mix      []traffic.WeightedQuery
 	Bursts   []traffic.Phase
 	Seed     int64
-	// Clients is how many concurrent client sessions carry the load
-	// (round-robin over arrivals). Minimum 1; the acceptance soak uses 4+.
+	// Clients is how many concurrent clients carry the load (round-robin
+	// over arrivals). Minimum 1; the acceptance soak uses 4+.
 	Clients int
 	// PlanEvery ships every Nth arrival as a client-built wire plan via
 	// /v1/plan instead of a query number (0 = never).
@@ -206,25 +206,16 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 		logf("soak: spawned in-process server at %s", url)
 	}
 
-	// One client (own connection pool) and one server-side session per
-	// concurrent soak client.
+	// Each concurrent soak client has its own connection pool.
 	clients := make([]*Client, cfg.Clients)
-	sessions := make([]string, cfg.Clients)
 	for i := range clients {
 		// Retries off: the soak harness measures the server's shedding
 		// behavior, so every 429 must reach the accounting below instead
 		// of being absorbed by the client's backoff loop.
 		clients[i] = NewClient(url).WithRetry(RetryPolicy{})
-		if i == 0 {
-			if err := clients[0].WaitReady(10 * time.Second); err != nil {
-				return nil, err
-			}
-		}
-		id, err := clients[i].CreateSession()
-		if err != nil {
-			return nil, fmt.Errorf("soak: create session %d: %w", i, err)
-		}
-		sessions[i] = id
+	}
+	if err := clients[0].WaitReady(10 * time.Second); err != nil {
+		return nil, err
 	}
 
 	type result struct {
@@ -250,7 +241,6 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 			r := &results[i]
 			r.at = a.At
 			c := clients[i%cfg.Clients]
-			sess := sessions[i%cfg.Clients]
 			exp := expected[a.Query]
 			r.sampled = cfg.SampleEvery > 0 && i%cfg.SampleEvery == 0
 			r.wasPlan = cfg.PlanEvery > 0 && i%cfg.PlanEvery == 0
@@ -260,10 +250,10 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 			var err error
 			wantFP, wantTable := exp.fingerprint, exp.table
 			if r.wasPlan {
-				out, err = c.Plan(PlanRequest{Session: sess, Plan: exp.planJSON, IncludeResult: r.sampled})
+				out, err = c.Plan(PlanRequest{Plan: exp.planJSON, IncludeResult: r.sampled})
 				wantFP, wantTable = exp.planFingerprint, exp.planTable
 			} else {
-				out, err = c.Query(QueryRequest{Session: sess, Query: a.Query, IncludeResult: r.sampled})
+				out, err = c.Query(QueryRequest{Query: a.Query, IncludeResult: r.sampled})
 			}
 			r.latency = time.Since(t0)
 			if err != nil {
@@ -328,9 +318,6 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	rep.Metrics, err = clients[0].Metrics()
 	if err != nil {
 		return nil, fmt.Errorf("soak: final metrics: %w", err)
-	}
-	for i, c := range clients {
-		_ = c.DeleteSession(sessions[i])
 	}
 	return rep, nil
 }

@@ -64,9 +64,9 @@ type streamTrailer struct {
 }
 
 // handlePlanStream validates and executes a plan exactly like /v1/plan —
-// same admission, deadline, shed and session semantics, all resolved
-// before the status line is written — then streams the result instead of
-// buffering it into one body. Frames are written after the admission slot
+// same admission, deadline and shed semantics, all resolved before the
+// status line is written — then streams the result instead of buffering
+// it into one body. Frames are written after the admission slot
 // is released, so a slow reader does not hold a worker.
 func (s *Server) handlePlanStream(w http.ResponseWriter, r *http.Request) {
 	req, b, ok := s.decodePlan(w, r)
@@ -75,7 +75,7 @@ func (s *Server) handlePlanStream(w http.ResponseWriter, r *http.Request) {
 	}
 	var tab *engine.Table
 	var st service.JobStats
-	if s.execute(w, r, req.Session, req.TimeoutMS, func() (_ service.JobStats, err error) {
+	if s.execute(w, r, req.TimeoutMS, func() (_ service.JobStats, err error) {
 		tab, st, err = s.svc.ExecutePlan(b)
 		return st, err
 	}) {

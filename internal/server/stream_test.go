@@ -78,17 +78,17 @@ func TestPlanStreamEmptyResult(t *testing.T) {
 	}
 }
 
-// TestPlanStreamSessionAndErrors: bad plans, unknown sessions and a
-// peer without the endpoint all answer with ordinary status errors
-// before any frame.
-func TestPlanStreamSessionAndErrors(t *testing.T) {
+// TestPlanStreamErrors: bad plans, unknown fields and a peer without
+// the endpoint all answer with ordinary status errors before any frame.
+func TestPlanStreamErrors(t *testing.T) {
 	_, c := startTestServer(t, Config{})
 	if _, err := c.PlanStream(PlanRequest{Plan: []byte(`{"name":"X","nodes":[],"roots":[]}`)}, nil); err == nil {
 		t.Error("malformed plan streamed without error")
 	}
-	_, err := c.PlanStream(PlanRequest{Plan: marshalQueryPlan(t, 6), Session: "nope"}, nil)
-	if err == nil || !strings.Contains(err.Error(), "unknown session") {
-		t.Errorf("unknown session: err = %v, want the server's unknown-session error", err)
+	body := `{"plan":` + string(marshalQueryPlan(t, 6)) + `,"session":"x"}`
+	_, err := c.PlanStreamEncoded([]byte(body), nil)
+	if err == nil || !strings.Contains(err.Error(), "status 400") || !strings.Contains(err.Error(), `"session"`) {
+		t.Errorf("session field: err = %v, want a 400 naming the field", err)
 	}
 
 	// A peer without the endpoint: plain-text 404 from its mux.

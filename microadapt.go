@@ -107,10 +107,10 @@ type (
 	// EncodedColumn is one column resident in an encoding (dictionary,
 	// run-length, bit-packed, or flat passthrough).
 	EncodedColumn = storage.EncodedColumn
-	// Server is the HTTP/JSON serving layer over a Service: per-client
-	// sessions, bounded admission with per-request deadlines, load
-	// shedding, graceful drain, and a metrics endpoint (see
-	// internal/server and cmd/madaptd).
+	// Server is the stateless HTTP/JSON serving layer over a Service:
+	// bounded admission with per-request deadlines, load shedding,
+	// graceful drain, and a metrics endpoint (see internal/server and
+	// cmd/madaptd).
 	Server = server.Server
 	// ServerConfig parameterizes a Server.
 	ServerConfig = server.Config
