@@ -1,6 +1,7 @@
 // Command madapt runs the Micro Adaptivity reproduction: any of the
 // paper's experiments (tables and figures), the TPC-H workload under a
-// chosen flavor configuration and policy, or listings of the registered
+// chosen flavor configuration and policy, plan explanations, a
+// bit-identity check of a running server, or listings of the registered
 // primitive flavors and selection policies.
 //
 // Usage:
@@ -8,7 +9,9 @@
 //	madapt exp all                     # every table and figure
 //	madapt exp fig2 table11            # specific experiments
 //	madapt exp -sf 0.05 -vecsize 256 table7
+//	madapt explain -q 5                # logical plan and physical lowering
 //	madapt tpch -q 12 -flavors everything -policy ucb1:c=2
+//	madapt distverify -addr URL -mix all  # server results vs local execution
 //	madapt policies                    # list the policy registry
 //	madapt flavors                     # dump the primitive dictionary
 //	madapt list                        # list experiment ids
@@ -30,7 +33,6 @@ import (
 	"microadapt/internal/server"
 	"microadapt/internal/service"
 	"microadapt/internal/tpch"
-	"microadapt/internal/traffic"
 )
 
 func main() {
@@ -48,8 +50,6 @@ func main() {
 		err = cmdTPCH(os.Args[2:])
 	case "distverify":
 		err = cmdDistVerify(os.Args[2:])
-	case "soak":
-		err = cmdSoak(os.Args[2:])
 	case "policies":
 		err = cmdPolicies()
 	case "flavors":
@@ -74,7 +74,6 @@ func usage() {
   madapt explain [-sf F] [-q N] [-pipeline-parallel P] [-encoded]
   madapt tpch [-sf F] [-q N] [-flavors defaults|everything|branch|compiler|fission|compute|unroll|decompress] [-policy SPEC] [-pipeline-parallel P] [-encoded]
   madapt distverify -addr URL [-sf F] [-seed N] [-mix 1,6,12|all]
-  madapt soak [-addr URL] [-duration D] [-rate R] [-clients N] [-mix 1,6,12] [-zipf S] [-burst] [-plan-every N] [-sample-every N] [-sf F] [-seed N]
   madapt policies
   madapt flavors
   madapt list
@@ -293,59 +292,6 @@ func cmdDistVerify(args []string) error {
 	}
 	fmt.Printf("distverify: %d queries bit-identical to local execution\n", len(mix))
 	return nil
-}
-
-// cmdSoak drives sustained open-loop load against a madaptd server — a
-// running one via -addr, or an in-process one spawned for the run — and
-// fails unless the run completes with zero protocol errors, bit-identical
-// sampled results, and a stable p99.
-func cmdSoak(args []string) error {
-	fs := flag.NewFlagSet("soak", flag.ExitOnError)
-	addr := fs.String("addr", "", "target server base URL (empty = spawn in-process)")
-	duration := fs.Duration("duration", 60*time.Second, "soak length")
-	rate := fs.Float64("rate", 40, "base arrival rate (requests/second, open loop)")
-	clients := fs.Int("clients", 4, "concurrent client sessions")
-	mixFlag := fs.String("mix", "1,6,12,14", "comma-separated TPC-H query numbers, or \"all\"")
-	zipf := fs.Float64("zipf", 1, "query-mix skew exponent (0 = uniform)")
-	burst := fs.Bool("burst", true, "inject a 3x burst phase in the middle third of the run")
-	planEvery := fs.Int("plan-every", 5, "ship every Nth request as a wire plan via /v1/plan (0 = never)")
-	sampleEvery := fs.Int("sample-every", 16, "verify every Nth result bit-identical to in-process execution")
-	sf := fs.Float64("sf", 0.002, "scale factor of the server's database (must match -addr target)")
-	seed := fs.Int64("seed", 42, "database generator seed (must match -addr target)")
-	trafficSeed := fs.Int64("traffic-seed", 1, "arrival schedule seed")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	mix, err := parseMix(*mixFlag)
-	if err != nil {
-		return err
-	}
-	cfg := server.SoakConfig{
-		URL:         *addr,
-		Duration:    *duration,
-		Rate:        *rate,
-		Clients:     *clients,
-		Mix:         traffic.ZipfMix(*zipf, mix...),
-		Seed:        *trafficSeed,
-		PlanEvery:   *planEvery,
-		SampleEvery: *sampleEvery,
-		SF:          *sf,
-		DBSeed:      *seed,
-		Out:         os.Stdout,
-	}
-	if *burst {
-		cfg.Bursts = []traffic.Phase{{
-			Start:          *duration / 3,
-			Duration:       *duration / 3,
-			RateMultiplier: 3,
-		}}
-	}
-	rep, err := server.RunSoak(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(rep.String())
-	return rep.Validate()
 }
 
 // parseMix turns "1,6,12" or "all" into a query-number list.

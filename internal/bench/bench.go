@@ -180,13 +180,42 @@ func fixedArm(arm int) core.ChooserFactory {
 }
 
 // RunTPCH executes all 22 queries in one session.
-func RunTPCH(db *tpch.DB, s *core.Session) error {
-	for _, q := range tpch.Queries() {
+func RunTPCH(db *tpch.DB, s *core.Session) error { return runQueries(db, s, tpch.Queries()) }
+
+func runQueries(db *tpch.DB, s *core.Session, queries []tpch.Spec) error {
+	for _, q := range queries {
 		if _, err := q.Run(db, s); err != nil {
 			return fmt.Errorf("%s: %v", q.Name, err)
 		}
 	}
 	return nil
+}
+
+// pinnedSessions runs queries once per arm, each arm in its own session
+// pinned to it, and returns the sessions in arm order.
+func (cfg Config) pinnedSessions(db *tpch.DB, o primitive.Options, arms int, queries ...tpch.Spec) ([]*core.Session, error) {
+	sessions := make([]*core.Session, arms)
+	for arm := range sessions {
+		sessions[arm] = cfg.TPCHSession(o, fixedArm(arm))
+		if err := runQueries(db, sessions[arm], queries); err != nil {
+			return nil, err
+		}
+	}
+	return sessions, nil
+}
+
+// flavorCalls calls flavor arm of inst calls times and returns the total
+// cycles; before each call, next refills the inputs and returns the call.
+func flavorCalls(s *core.Session, inst *core.Instance, arm, calls int, next func() *core.Call) float64 {
+	fl := inst.Prim.Flavors[arm]
+	var cycles float64
+	for i := 0; i < calls; i++ {
+		c := next()
+		c.Inst = inst
+		_, cyc := fl.Fn(s.Ctx, c)
+		cycles += cyc
+	}
+	return cycles
 }
 
 // affectedCycles sums the cycles of instances with more than one flavor

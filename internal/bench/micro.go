@@ -59,19 +59,13 @@ func selPrimBench(cfg Config, s *core.Session, arm int, label string, selPct int
 	col := make([]int32, n)
 	out := make([]int32, n)
 	threshold := vector.ConstI32(int32(selPct))
-	var cycles float64
-	var tuples int64
-	fl := inst.Prim.Flavors[arm]
-	for call := 0; call < calls; call++ {
+	cycles := flavorCalls(s, inst, arm, calls, func() *core.Call {
 		for i := range col {
 			col[i] = int32(rng.Intn(100))
 		}
-		c := &core.Call{N: n, In: []*vector.Vector{vector.FromI32(col), threshold}, SelOut: out, Inst: inst}
-		_, cyc := fl.Fn(s.Ctx, c)
-		cycles += cyc
-		tuples += int64(n)
-	}
-	return cycles / float64(tuples)
+		return &core.Call{N: n, In: []*vector.Vector{vector.FromI32(col), threshold}, SelOut: out}
+	})
+	return cycles / float64(calls*n)
 }
 
 // Fig1 reproduces Figure 1: branching vs no-branching selection cost as a
@@ -250,19 +244,14 @@ func bloomBench(cfg Config, s *core.Session, arm int, label string, sizeBytes in
 	n := cfg.VectorSize
 	keys := make([]int64, n)
 	out := make([]int32, n)
-	fl := inst.Prim.Flavors[arm]
-	var cycles float64
-	var tuples int64
-	for call := 0; call < 200; call++ {
+	const calls = 200
+	cycles := flavorCalls(s, inst, arm, calls, func() *core.Call {
 		for i := range keys {
 			keys[i] = rng.Int63()
 		}
-		c := &core.Call{N: n, In: []*vector.Vector{vector.FromI64(keys)}, SelOut: out, Aux: f, Inst: inst}
-		_, cyc := fl.Fn(s.Ctx, c)
-		cycles += cyc
-		tuples += int64(n)
-	}
-	return cycles / float64(tuples)
+		return &core.Call{N: n, In: []*vector.Vector{vector.FromI64(keys)}, SelOut: out, Aux: f}
+	})
+	return cycles / float64(calls*n)
 }
 
 // Table4 reproduces Table 4: the interaction of hand unrolling with
@@ -349,24 +338,17 @@ func mapMulBench(cfg Config, s *core.Session, t vector.Type, arm int, label stri
 	b.SetLen(n)
 	res.SetLen(n)
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(selPct)))
-	fl := inst.Prim.Flavors[arm]
-	var cycles float64
-	calls := 200
-	for call := 0; call < calls; call++ {
-		var sel []int32
+	const calls = 200
+	cycles := flavorCalls(s, inst, arm, calls, func() *core.Call {
+		sel := []int32{}
 		for i := 0; i < n; i++ {
 			if rng.Intn(100) < selPct {
 				sel = append(sel, int32(i))
 			}
 		}
-		if sel == nil {
-			sel = []int32{}
-		}
-		c := &core.Call{N: n, Sel: sel, In: []*vector.Vector{a, b}, Res: res, Inst: inst}
-		_, cyc := fl.Fn(s.Ctx, c)
-		cycles += cyc
-	}
-	return cycles / float64(calls)
+		return &core.Call{N: n, Sel: sel, In: []*vector.Vector{a, b}, Res: res}
+	})
+	return cycles / calls
 }
 
 // Fig10 reproduces Figure 10: vw-greedy on three synthetic non-stationary

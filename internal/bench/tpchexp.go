@@ -20,16 +20,15 @@ import (
 // selectivity near 100% for most of the query and drops it at the end,
 // where the branching flavor collapses.
 func Fig2(cfg Config) (*Report, error) {
-	db := cfg.DB()
 	const label = "Q12/sel0/select_<_sint_col_sint_val#1" // l_receiptdate < 1995-01-01
-	var series []stats.Series
 	names := []string{"branching", "no branching"}
+	sessions, err := cfg.pinnedSessions(cfg.DB(), primitive.BranchSet(), len(names), tpch.Query(12))
+	if err != nil {
+		return nil, err
+	}
+	var series []stats.Series
 	var hists []*aph.History
-	for arm := 0; arm < 2; arm++ {
-		s := cfg.TPCHSession(primitive.BranchSet(), fixedArm(arm))
-		if _, err := tpch.Q12(db, s); err != nil {
-			return nil, err
-		}
+	for arm, s := range sessions {
 		inst := mustInstance(s, label)
 		series = append(series, stats.Series{Name: names[arm], Values: inst.History().Series()})
 		hists = append(hists, inst.History())
@@ -88,30 +87,18 @@ var fig4Compilers = []string{"gcc", "icc", "clang"}
 // fig4Sessions runs Figure 4's queries once per compiler build, each
 // session pinned to that build's arm.
 func fig4Sessions(cfg Config) ([]*core.Session, error) {
-	db := cfg.DB()
-	queries := []tpch.Spec{tpch.Query(1), tpch.Query(7), tpch.Query(12), tpch.Query(16)}
 	// Figure 4 measures whole builds (one binary per compiler), so the
 	// hash primitives carry compiler flavors here even though the
 	// evaluator-level flavor sets of Tables 5/7 do not reach them.
 	opts := primitive.CompilerSet()
 	opts.FullCompilerCoverage = true
-	sessions := make([]*core.Session, len(fig4Compilers))
-	for arm := range sessions {
-		s := cfg.TPCHSession(opts, fixedArm(arm))
-		for _, q := range queries {
-			if _, err := q.Run(db, s); err != nil {
-				return nil, err
-			}
-		}
-		sessions[arm] = s
-	}
-	return sessions, nil
+	return cfg.pinnedSessions(cfg.DB(), opts, len(fig4Compilers),
+		tpch.Query(1), tpch.Query(7), tpch.Query(12), tpch.Query(16))
 }
 
 // flavorSetRun holds everything the Tables 6-10 / Figure 11 experiments
 // need from one flavor-set study.
 type flavorSetRun struct {
-	opts     primitive.Options
 	armNames []string
 	arms     []*core.Session
 	adaptive *core.Session
@@ -127,28 +114,25 @@ type flavorSetRun struct {
 // adaptively, then computes the Table 6-10 aggregates. OPT is computed per
 // instance from the per-arm APHs (minimum per aligned bucket), as §4.1
 // describes.
-func runFlavorSet(cfg Config, opts primitive.Options, nArms int, armNames []string) (*flavorSetRun, error) {
+func runFlavorSet(cfg Config, opts primitive.Options, armNames []string) (*flavorSetRun, error) {
 	db := cfg.DB()
-	r := &flavorSetRun{opts: opts, armNames: armNames}
-	for arm := 0; arm < nArms; arm++ {
-		s := cfg.TPCHSession(opts, fixedArm(arm))
-		if err := RunTPCH(db, s); err != nil {
-			return nil, err
-		}
-		r.arms = append(r.arms, s)
+	arms, err := cfg.pinnedSessions(db, opts, len(armNames), tpch.Queries()...)
+	if err != nil {
+		return nil, err
+	}
+	r := &flavorSetRun{armNames: armNames, arms: arms}
+	for arm, s := range arms {
 		aff, tot := affectedCycles(s)
 		r.armAffected = append(r.armAffected, aff)
 		if arm == 0 {
 			r.defaultAffected, r.totalDefault = aff, tot
 		}
 	}
-	adaptive := cfg.TPCHSession(opts, nil)
-	if err := RunTPCH(db, adaptive); err != nil {
+	r.adaptive = cfg.TPCHSession(opts, nil)
+	if err := RunTPCH(db, r.adaptive); err != nil {
 		return nil, err
 	}
-	r.adaptive = adaptive
-	adaptAff, _ := affectedCycles(adaptive)
-	r.adaptAffected = adaptAff
+	r.adaptAffected, _ = affectedCycles(r.adaptive)
 
 	// OPT per affected instance across the pinned runs.
 	for _, inst := range r.arms[0].Instances() {
@@ -205,14 +189,13 @@ var flavorSetSpecs = []struct {
 	id       string
 	title    string
 	opts     func() primitive.Options
-	nArms    int
-	armNames []string
+	armNames []string // one pinned arm per name, in arm order
 }{
-	{"table6", "Table 6: (No-)Branching flavors", primitive.BranchSet, 2, []string{"Branching", "No-Branching"}},
-	{"table7", "Table 7: Compiler flavors", primitive.CompilerSet, 3, []string{"gcc", "icc", "clang"}},
-	{"table8", "Table 8: Loop Fission flavors", primitive.FissionSet, 2, []string{"Never Fission", "Always Fission"}},
-	{"table9", "Table 9: Full Computation flavors", primitive.ComputeSet, 2, []string{"Selective", "Full Computation"}},
-	{"table10", "Table 10: Hand-Unrolling flavors", primitive.UnrollSet, 2, []string{"unroll 8", "no unroll"}},
+	{"table6", "Table 6: (No-)Branching flavors", primitive.BranchSet, []string{"Branching", "No-Branching"}},
+	{"table7", "Table 7: Compiler flavors", primitive.CompilerSet, []string{"gcc", "icc", "clang"}},
+	{"table8", "Table 8: Loop Fission flavors", primitive.FissionSet, []string{"Never Fission", "Always Fission"}},
+	{"table9", "Table 9: Full Computation flavors", primitive.ComputeSet, []string{"Selective", "Full Computation"}},
+	{"table10", "Table 10: Hand-Unrolling flavors", primitive.UnrollSet, []string{"unroll 8", "no unroll"}},
 }
 
 // flavorSetCache shares the expensive runs between the table and figure
@@ -228,7 +211,7 @@ func flavorSet(cfg Config, id string) (*flavorSetRun, string, error) {
 		if r, ok := flavorSetCache[key]; ok {
 			return r, spec.title, nil
 		}
-		r, err := runFlavorSet(cfg, spec.opts(), spec.nArms, spec.armNames)
+		r, err := runFlavorSet(cfg, spec.opts(), spec.armNames)
 		if err != nil {
 			return nil, "", err
 		}

@@ -99,11 +99,17 @@ func TestDistributedBitIdentity(t *testing.T) {
 	}
 }
 
-// TestWarmCoordinatorDialsNothing: once a query mix has run, each shard
-// client's pool holds enough keep-alive connections for the coordinator's
-// concurrent fragment streams, so 30 more queries open no connection.
+// TestWarmCoordinatorDialsNothing: a warm coordinator's connection
+// count stays under one bound however many queries it runs. A shard
+// client dials when every pooled connection is busy, and at most
+// siteFanout streams go to one shard at once, so a pool that holds
+// siteFanout connections never dials again. When a pool gets there is up
+// to timing: the warm-up need not put siteFanout streams on one shard,
+// and a dial whose stream meanwhile takes a connection just returned
+// leaves one connection more. The bound is the idle connections a shard
+// client keeps, idleConnsPerHost (8, twice siteFanout), per shard.
 func TestWarmCoordinatorDialsNothing(t *testing.T) {
-	c, _ := startFleet(t, testDB, 2, service.DefaultConfig())
+	c, urls := startFleet(t, testDB, 2, service.DefaultConfig())
 	mix := []int{1, 3, 5, 9, 14}
 	run := func(n int) {
 		for i := 0; i < n; i++ {
@@ -113,13 +119,15 @@ func TestWarmCoordinatorDialsNothing(t *testing.T) {
 		}
 	}
 	run(len(mix))
-	warm := c.Fleet().ConnectionsOpened
-	if warm == 0 {
+	if c.Fleet().ConnectionsOpened == 0 {
 		t.Fatal("no connections counted during warm-up")
 	}
-	run(30)
-	if got := c.Fleet().ConnectionsOpened - warm; got != 0 {
-		t.Errorf("30 warm queries opened %d connections, want 0", got)
+	bound := int64(len(urls) * 2 * siteFanout)
+	for _, n := range []int{30, 120} {
+		run(n)
+		if got := c.Fleet().ConnectionsOpened; got > bound {
+			t.Fatalf("after %d more queries: %d connections opened, want at most %d", n, got, bound)
+		}
 	}
 }
 

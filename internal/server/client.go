@@ -61,9 +61,9 @@ func (p RetryPolicy) delay(attempt int, retryAfter time.Duration) time.Duration 
 var DefaultRetry = RetryPolicy{Max: 4, Base: 25 * time.Millisecond, Cap: time.Second}
 
 // Client talks madaptd's wire protocol. A shed (429) or drain (503)
-// answer is a well-formed protocol outcome, not an error: the soak
-// harness must distinguish "the server said back off" (expected under
-// overload) from a genuinely broken exchange. Sheds are retried with
+// answer is a well-formed protocol outcome, not an error: a caller must
+// distinguish "the server said back off" (expected under overload) from
+// a genuinely broken exchange. Sheds are retried with
 // backoff per the client's RetryPolicy before being surfaced.
 type Client struct {
 	base    string
@@ -292,7 +292,8 @@ func (c *Client) Healthy() bool {
 }
 
 // WaitReady polls /healthz until it answers 200 or the timeout passes —
-// the shared readiness helper for tests, the soak harness, and CI.
+// the shared readiness helper for tests, the coordinator, distverify,
+// and the benchmark.
 func (c *Client) WaitReady(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {

@@ -28,8 +28,8 @@ type QueryRequest struct {
 	// TimeoutMS overrides the server's default per-request deadline.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 	// IncludeResult returns the full result table, not just its
-	// fingerprint. The soak harness samples with this on to prove wire
-	// results bit-identical to in-process execution.
+	// fingerprint. The identity oracle and the benchmark set it to check
+	// wire results bit-identical to in-process execution.
 	IncludeResult bool `json:"include_result,omitempty"`
 }
 

@@ -396,8 +396,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Metrics())
 }
 
-// Running is a started server instance. Tests, madaptd, and the soak
-// harness all go through it so start/readiness/shutdown behave the same
+// Running is a started server instance. Tests, madaptd, and the
+// benchmark all go through it so start/readiness/shutdown behave the same
 // everywhere.
 type Running struct {
 	Server *Server

@@ -4,8 +4,8 @@ import "sync"
 
 // Window is a bounded-memory streaming variant of Percentile: it keeps the
 // most recent capacity samples in a ring buffer and computes percentiles
-// over that sliding window. A soak-length run pushes millions of latencies
-// through the server's metrics; the unbounded []float64 the batch
+// over that sliding window. A long-running server pushes millions of
+// latencies through its metrics; the unbounded []float64 the batch
 // Percentile wants would grow without limit, while a Window holds exactly
 // capacity float64s forever and still tracks the current latency
 // distribution (recent-biased, which is what a live /metrics endpoint

@@ -116,12 +116,6 @@ type (
 	ServerConfig = server.Config
 	// ServerClient talks the madaptd wire protocol.
 	ServerClient = server.Client
-	// SoakConfig parameterizes a sustained open-loop load run against a
-	// server, with sampled bit-identical result verification.
-	SoakConfig = server.SoakConfig
-	// SoakReport is a soak run's outcome; Validate applies the acceptance
-	// criteria (zero protocol errors, zero mismatches, stable p99).
-	SoakReport = server.SoakReport
 	// TableResolver resolves scan-table names when decoding wire plans.
 	TableResolver = plan.TableResolver
 )
@@ -364,11 +358,6 @@ func UnmarshalPlan(data []byte, resolve TableResolver) (*PlanBuilder, error) {
 // RegisterPlanMapFn names an int64 map function so MapI64 expressions
 // using it survive the plan wire format.
 func RegisterPlanMapFn(name string, fn func(int64) int64) { plan.RegisterMapI64(name, fn) }
-
-// RunSoak drives a sustained open-loop load run (query mix, burst
-// phases, sampled bit-identical result checks) against a running server,
-// or an in-process one when cfg.URL is empty.
-func RunSoak(cfg SoakConfig) (*SoakReport, error) { return server.RunSoak(cfg) }
 
 // UnknownExperimentError reports a bad experiment id.
 type UnknownExperimentError struct{ ID string }
