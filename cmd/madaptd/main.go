@@ -43,6 +43,7 @@ import (
 	_ "net/http/pprof" // -pprof serves the default mux's profile endpoints
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -59,7 +60,7 @@ func main() {
 	addr := fs.String("addr", "127.0.0.1:7433", "listen address (host:port; port 0 picks one)")
 	sf := fs.Float64("sf", 0.01, "TPC-H scale factor of the served database")
 	seed := fs.Int64("seed", 42, "database generator seed")
-	workers := fs.Int("workers", 0, "concurrent query executors (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "concurrent query executors")
 	queue := fs.Int("queue", 64, "admission queue depth beyond executing requests (-1 = none)")
 	timeout := fs.Duration("timeout", 30*time.Second, "default per-request deadline")
 	retryAfter := fs.Duration("retry-after", 50*time.Millisecond, "backoff suggested on 429")
@@ -87,6 +88,9 @@ func main() {
 	}
 	if *shard >= 0 && *shard >= *shards {
 		log.Fatalf("-shard %d out of range for -shards %d", *shard, *shards)
+	}
+	if *workers < 1 {
+		log.Fatalf("-workers %d: need at least one executor", *workers)
 	}
 
 	if *pprofAddr != "" {

@@ -178,30 +178,6 @@ func aligned(hs []*History) [][]Bucket {
 	return out
 }
 
-// MinWith returns, bucket by bucket, the minimum cycles/tuple across this
-// history and the others — the OPT lower envelope used in §4.1 of the
-// paper. Histories are first aligned to a common span (see aligned), so
-// comparing runs whose histories merged to different depths never mixes
-// unrelated call ranges; trailing length differences are truncated to the
-// shortest aligned history.
-func MinWith(hs ...*History) []float64 {
-	if len(hs) == 0 {
-		return nil
-	}
-	bs := aligned(hs)
-	out := make([]float64, len(bs[0]))
-	for i := range out {
-		best := bs[0][i].CyclesPerTuple()
-		for _, hb := range bs[1:] {
-			if v := hb[i].CyclesPerTuple(); v < best {
-				best = v
-			}
-		}
-		out[i] = best
-	}
-	return out
-}
-
 // OptCycles computes the OPT cycle total of §4.1: for each span-aligned
 // bucket the minimum cycles among the histories, summed.
 func OptCycles(hs ...*History) float64 {

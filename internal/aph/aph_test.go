@@ -122,15 +122,9 @@ func TestMinWithAndOptCycles(t *testing.T) {
 	a.Add(10, 100)
 	b.Add(10, 80)
 	b.Add(10, 20)
-	env := MinWith(a, b)
-	if len(env) != 2 || env[0] != 1 || env[1] != 2 {
-		t.Errorf("envelope = %v, want [1 2]", env)
-	}
+	// The envelope is a's first bucket (10 cycles) and b's second (20).
 	if got := OptCycles(a, b); got != 30 {
 		t.Errorf("OPT cycles = %v, want 30", got)
-	}
-	if MinWith() != nil {
-		t.Error("MinWith() should be nil")
 	}
 	if OptCycles() != 0 {
 		t.Error("OptCycles() should be 0")
@@ -145,17 +139,20 @@ func TestMinWithTruncatesToShortest(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		b.Add(1, 2)
 	}
-	if got := len(MinWith(a, b)); got != 3 {
-		t.Errorf("envelope length = %d, want 3", got)
+	// Three aligned buckets of 1 cycle each; a's last two have no partner.
+	if got := OptCycles(a, b); got != 3 {
+		t.Errorf("OPT cycles = %v, want 3 (envelope truncated to the shortest history)", got)
+	}
+	if got := OptCycles(b, a); got != 3 {
+		t.Errorf("OPT cycles (flipped) = %v, want 3", got)
 	}
 }
 
 // TestMinWithAlignsDifferentMergeDepths: two histories of the same call
 // sequence whose budgets forced different merge depths must be compared on
-// a common span, not bucket index by bucket index. Before span alignment,
-// bucket 1 of the merged history (calls 3-4) was compared against bucket 1
-// of the unmerged one (call 2) — an OPT envelope over unrelated call
-// ranges.
+// a common span, not bucket index by bucket index, or bucket 1 of the
+// merged history (calls 3-4) meets bucket 1 of the unmerged one (call 2):
+// an OPT envelope over unrelated call ranges.
 func TestMinWithAlignsDifferentMergeDepths(t *testing.T) {
 	costs := []float64{10, 10, 30, 30}
 	merged, flat := NewSize(2), NewSize(8)
@@ -166,20 +163,9 @@ func TestMinWithAlignsDifferentMergeDepths(t *testing.T) {
 	if merged.Span() == flat.Span() {
 		t.Fatal("test needs histories of different merge depth")
 	}
-	// Both histories recorded the identical sequence, so the envelope is
-	// the sequence itself at the coarser span: [10, 30].
-	got := MinWith(merged, flat)
-	want := []float64{10, 30}
-	if len(got) != len(want) {
-		t.Fatalf("envelope length = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("envelope[%d] = %v, want %v (span misalignment)", i, got[i], want[i])
-		}
-	}
-	// OPT cycles likewise: identical sequences mean OPT equals either
-	// history's total, 80 — not a min over mismatched ranges.
+	// Both histories recorded the identical sequence, so OPT equals either
+	// history's total, 80. Comparing bucket index by bucket index would
+	// give min(20, 10) + min(60, 10) = 20.
 	if opt := OptCycles(merged, flat); opt != 80 {
 		t.Errorf("OptCycles = %v, want 80", opt)
 	}
@@ -202,15 +188,13 @@ func TestAlignedTrailingPartialBucket(t *testing.T) {
 	if merged.Span() != 4 {
 		t.Fatalf("merged span = %d, want 4", merged.Span())
 	}
-	got := MinWith(merged, flat)
-	want := []float64{6, 2}
-	if len(got) != len(want) {
-		t.Fatalf("envelope length = %d, want %d", len(got), len(want))
+	// Aligned buckets: 24 cycles over four calls, then the trailer's 2.
+	// Dropping or misgrouping flat's trailer would lose or shift the 2.
+	if got := OptCycles(merged, flat); got != 26 {
+		t.Errorf("OPT cycles = %v, want 26", got)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("envelope[%d] = %v, want %v", i, got[i], want[i])
-		}
+	if got := OptCycles(flat, merged); got != 26 {
+		t.Errorf("OPT cycles (flipped) = %v, want 26", got)
 	}
 }
 

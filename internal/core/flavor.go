@@ -127,18 +127,6 @@ func NewDictionary() *Dictionary {
 	return &Dictionary{prims: make(map[string]*Primitive)}
 }
 
-// Register creates the signature entry if needed and returns it.
-func (d *Dictionary) Register(sig, class string) *Primitive {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if p, ok := d.prims[sig]; ok {
-		return p
-	}
-	p := &Primitive{Sig: sig, Class: class}
-	d.prims[sig] = p
-	return p
-}
-
 // AddFlavor registers a flavor under the signature, creating the entry when
 // absent. It returns an error on duplicate flavor names.
 func (d *Dictionary) AddFlavor(sig, class string, f *Flavor) error {
@@ -219,9 +207,4 @@ func (ctx *ExecCtx) ExecuteCycles() float64 { return ctx.PrimCycles + ctx.Operat
 // TotalCycles is the end-to-end query cost.
 func (ctx *ExecCtx) TotalCycles() float64 {
 	return ctx.PreCycles + ctx.ExecuteCycles() + ctx.PostCycles
-}
-
-// ResetCycles zeroes the stage accounting.
-func (ctx *ExecCtx) ResetCycles() {
-	ctx.PreCycles, ctx.PrimCycles, ctx.OperatorCycles, ctx.PostCycles = 0, 0, 0, 0
 }

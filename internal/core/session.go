@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -340,28 +339,3 @@ func (s *Session) Instances() []*Instance { return s.instances }
 
 // InstanceByLabel returns a registered instance or nil.
 func (s *Session) InstanceByLabel(label string) *Instance { return s.byLabel[label] }
-
-// FindInstances returns the labels of instances whose label contains
-// substr, sorted — a convenience for the experiment harness.
-func (s *Session) FindInstances(substr string) []*Instance {
-	var out []*Instance
-	for _, inst := range s.instances {
-		if substr == "" || strings.Contains(inst.Label, substr) {
-			out = append(out, inst)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Label < out[j].Label })
-	return out
-}
-
-// ResetInstances drops all instances and their profiling (including spawned
-// fragment sessions) but keeps the dictionary and machine; used between
-// benchmark repetitions.
-func (s *Session) ResetInstances() {
-	s.instances = nil
-	s.byLabel = make(map[string]*Instance)
-	s.decisions = nil
-	s.decByLabel = make(map[string]*Decision)
-	s.fragments = nil
-	s.Ctx.ResetCycles()
-}

@@ -75,10 +75,6 @@ func TestFragmentSessions(t *testing.T) {
 	if got := len(s.AllInstances()); got != 3 {
 		t.Errorf("AllInstances = %d, want 3 (root + 2 fragment nodes)", got)
 	}
-	s.ResetInstances()
-	if len(s.AllInstances()) != 0 || len(s.Fragments()) != 0 {
-		t.Error("reset must drop fragment sessions too")
-	}
 }
 
 // TestFragmentSpawnerOverride: a configured spawner decides the fragment

@@ -146,16 +146,6 @@ func NewVWGreedy(n int, p VWParams, rng *rand.Rand) *VWGreedy {
 	return v
 }
 
-// NewVWGreedyWarm builds a vw-greedy chooser seeded with prior per-flavor
-// cost estimates (cycles/tuple) observed elsewhere — by an earlier session,
-// another worker, or a previous run of the same query. It is shorthand for
-// NewVWGreedy followed by SeedPriors; see SeedPriors for the semantics.
-func NewVWGreedyWarm(n int, p VWParams, rng *rand.Rand, priors []float64) *VWGreedy {
-	v := NewVWGreedy(n, p, rng)
-	v.SeedPriors(priors)
-	return v
-}
-
 // SeedPriors implements WarmStarter. priors[i] < +Inf marks arm i as
 // already measured at that cost: the chooser starts on the cheapest known
 // arm and the initial sweep visits only arms with no prior. A nil or

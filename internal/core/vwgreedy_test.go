@@ -204,7 +204,8 @@ func TestVWGreedyAvgCostExposed(t *testing.T) {
 
 func TestVWGreedyWarmStartsAtBestPrior(t *testing.T) {
 	p := VWParams{ExplorePeriod: 256, ExploitPeriod: 8, ExploreLength: 2, WarmupSkip: 0, InitialSweep: true}
-	ch := NewVWGreedyWarm(3, p, rand.New(rand.NewSource(1)), []float64{5, 2, 9})
+	ch := NewVWGreedy(3, p, rand.New(rand.NewSource(1)))
+	ch.SeedPriors([]float64{5, 2, 9})
 	if ch.Current() != 1 {
 		t.Fatalf("warm chooser starts at arm %d, want 1 (cheapest prior)", ch.Current())
 	}
@@ -220,7 +221,8 @@ func TestVWGreedyWarmStartsAtBestPrior(t *testing.T) {
 
 func TestVWGreedyWarmSweepsOnlyUnknownArms(t *testing.T) {
 	p := VWParams{ExplorePeriod: 1 << 20, ExploitPeriod: 8, ExploreLength: 2, WarmupSkip: 0, InitialSweep: true}
-	ch := NewVWGreedyWarm(4, p, rand.New(rand.NewSource(2)), []float64{3, math.Inf(1), 2, math.NaN()})
+	ch := NewVWGreedy(4, p, rand.New(rand.NewSource(2)))
+	ch.SeedPriors([]float64{3, math.Inf(1), 2, math.NaN()})
 	if ch.Current() != 2 {
 		t.Fatalf("start arm = %d, want 2", ch.Current())
 	}
@@ -254,7 +256,8 @@ func TestVWGreedyWarmSweepsOnlyUnknownArms(t *testing.T) {
 
 func TestVWGreedyWarmNilPriorsIsCold(t *testing.T) {
 	p := VWParams{ExplorePeriod: 64, ExploitPeriod: 8, ExploreLength: 2, WarmupSkip: 0, InitialSweep: true}
-	warm := NewVWGreedyWarm(3, p, rand.New(rand.NewSource(3)), nil)
+	warm := NewVWGreedy(3, p, rand.New(rand.NewSource(3)))
+	warm.SeedPriors(nil)
 	cold := NewVWGreedy(3, p, rand.New(rand.NewSource(3)))
 	if warm.Current() != cold.Current() {
 		t.Error("nil priors should behave exactly like a cold start")
@@ -295,7 +298,8 @@ func TestVWGreedySnapshotRoundTrip(t *testing.T) {
 	}
 	// Round trip: seeding a fresh chooser with the snapshot starts it on
 	// the arm the first chooser found best.
-	warm := NewVWGreedyWarm(3, p, rand.New(rand.NewSource(5)), snap)
+	warm := NewVWGreedy(3, p, rand.New(rand.NewSource(5)))
+	warm.SeedPriors(snap)
 	if warm.Current() != 1 {
 		t.Errorf("round-tripped chooser starts at %d, want 1", warm.Current())
 	}

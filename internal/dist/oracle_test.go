@@ -174,7 +174,11 @@ func oracleRows(t *testing.T, db, enc *tpch.DB) []oracleRow {
 			return wireResult(c.Query(server.QueryRequest{Query: sp.ID, IncludeResult: true}))
 		}},
 		wire("http-plan", func(data []byte) (*engine.Table, error) {
-			return wireResult(c.Plan(server.PlanRequest{Plan: data, IncludeResult: true}))
+			body, err := server.EncodePlanRequest(server.PlanRequest{Plan: data, IncludeResult: true})
+			if err != nil {
+				return nil, err
+			}
+			return wireResult(c.PlanEncoded(body))
 		}),
 		wire("http-stream", func(data []byte) (*engine.Table, error) { return streamResult(c, data) }),
 	)
@@ -206,8 +210,12 @@ func wireResult(out *server.Outcome, err error) (*engine.Table, error) {
 // streamResult streams a plan, stitches its chunks in arrival order under
 // the header's schema, and checks them against the trailer's row count.
 func streamResult(c *server.Client, planJSON []byte) (*engine.Table, error) {
+	body, err := server.EncodePlanRequest(server.PlanRequest{Plan: planJSON})
+	if err != nil {
+		return nil, err
+	}
 	var chunks []*server.TableJSON
-	res, err := c.PlanStream(server.PlanRequest{Plan: planJSON}, func(ch *server.TableJSON) error {
+	res, err := c.PlanStreamEncoded(body, func(ch *server.TableJSON) error {
 		chunks = append(chunks, ch)
 		return nil
 	})

@@ -39,15 +39,19 @@ func TestScanBatches(t *testing.T) {
 	s := testSession(t)
 	tab := numbersTable(40)
 	scan := NewScan(s, tab, "id", "val")
-	batches, err := Run(scan)
+	out, err := Materialize(scan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := RowCount(batches); got != 40 {
+	if got := out.Rows(); got != 40 {
 		t.Fatalf("rows = %d, want 40", got)
 	}
-	if len(batches) != 3 { // 16+16+8
-		t.Errorf("batches = %d, want 3", len(batches))
+	batches := 0
+	if err := Drain(scan, func(*vector.Batch) error { batches++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if batches != 3 { // 16+16+8
+		t.Errorf("batches = %d, want 3", batches)
 	}
 	if len(scan.Schema()) != 2 {
 		t.Errorf("schema = %v", scan.Schema())
@@ -482,21 +486,6 @@ func TestSortAndTopNAndLimit(t *testing.T) {
 	}
 	if out3.Rows() != 7 {
 		t.Fatalf("limit rows = %d", out3.Rows())
-	}
-}
-
-func TestRenameAndProjectView(t *testing.T) {
-	tab := numbersTable(3)
-	r := Rename(tab, map[string]string{"val": "value"})
-	if r.Sch.IndexOf("value") != 1 || r.Sch.IndexOf("val") != -1 {
-		t.Error("rename wrong")
-	}
-	if tab.Sch.IndexOf("val") != 1 {
-		t.Error("rename mutated the original")
-	}
-	p := tab.Project("name", "id")
-	if p.Sch[0].Name != "name" || p.Cols[1] != tab.Cols[0] {
-		t.Error("project view wrong")
 	}
 }
 

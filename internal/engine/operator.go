@@ -32,9 +32,9 @@ type Operator interface {
 	// Next or Close on this operator: operators reuse that storage for the
 	// following batch, which is what keeps a steady-state Next free of
 	// heap allocation. A caller that keeps data across calls copies it out
-	// first (CompactInto, Materialize, the exchange's rebatcher) and never
-	// writes through the batch. Unselected positions of computed columns
-	// hold stale values from earlier batches, not zeros.
+	// first (Materialize, the exchange's rebatcher) and never writes
+	// through the batch. Unselected positions of computed columns hold
+	// stale values from earlier batches, not zeros.
 	Next() (*vector.Batch, error)
 	// Close releases resources; it must be called exactly once.
 	Close()
@@ -52,8 +52,8 @@ func chargeOp(s *core.Session, cycles float64) {
 // Drain opens op, streams every non-empty batch (selection vector intact)
 // to yield, and closes it. Batches may alias operator-owned or table-owned
 // storage: yield must consume them before returning and never retain them.
-// It is the streaming "postprocess" boundary of Table 1 — Run and
-// Materialize are both built on it.
+// It is the streaming "postprocess" boundary of Table 1; Materialize is
+// built on it.
 func Drain(op Operator, yield func(*vector.Batch) error) error {
 	if err := op.Open(); err != nil {
 		return err
@@ -74,34 +74,6 @@ func Drain(op Operator, yield func(*vector.Batch) error) error {
 			return err
 		}
 	}
-}
-
-// Run drains an operator, returning its batches compacted (selection
-// applied, one vector.Batch.CompactInto(nil) each). Because every batch is
-// retained, each one is copied into its own storage whether or not it
-// carries a selection — the operator reuses what it handed out. Callers
-// that only stream over the output should use Drain (raw batches) or
-// Materialize (gathers live tuples straight into growing columns) instead,
-// which allocate no fresh vectors per batch.
-func Run(op Operator) ([]*vector.Batch, error) {
-	var out []*vector.Batch
-	err := Drain(op, func(b *vector.Batch) error {
-		out = append(out, b.CompactInto(nil))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// RowCount sums the live tuples of batches.
-func RowCount(batches []*vector.Batch) int {
-	n := 0
-	for _, b := range batches {
-		n += b.Live()
-	}
-	return n
 }
 
 // labelf builds instance labels.

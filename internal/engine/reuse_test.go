@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"strconv"
 	"testing"
+	"testing/quick"
 
 	"microadapt/internal/core"
 	"microadapt/internal/expr"
@@ -82,15 +84,15 @@ func TestNextAllocFreeJoinProbe(t *testing.T) {
 	}
 }
 
-// TestRunCopiesEveryBatch: Run retains its batches while the operators
-// below reuse theirs, so every returned batch must be a copy — with a
-// predicate (selection applied) and without one (vector.Batch.Compact would
-// hand back the operator's own batch).
+// TestRunCopiesEveryBatch: Materialize retains every tuple while the
+// operators below reuse their batches, so each retained value must be a
+// copy — with a predicate (selection applied) and without one (where the
+// operator hands out its own batch unchanged).
 func TestRunCopiesEveryBatch(t *testing.T) {
 	tab := numbersTable(100)
 	for _, preds := range [][]Pred{nil, {CmpVal(0, ">=", 10)}} {
 		s := testSession(t)
-		batches, err := Run(NewSelect(s, NewScan(s, tab), "t", preds...))
+		out, err := Materialize(NewSelect(s, NewScan(s, tab), "t", preds...))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,16 +100,14 @@ func TestRunCopiesEveryBatch(t *testing.T) {
 		if preds != nil {
 			want = 10
 		}
-		for _, b := range batches {
-			for i := 0; i < b.N; i++ {
-				if got := b.Cols[0].GetI64(i); got != want {
-					t.Fatalf("preds %v: id = %d, want %d (a retained batch was overwritten)", preds, got, want)
-				}
-				if b.Cols[2].GetStr(i) != tab.Cols[2].GetStr(int(want)) {
-					t.Fatalf("preds %v: name of id %d overwritten", preds, want)
-				}
-				want++
+		for i := 0; i < out.Rows(); i++ {
+			if got := out.Cols[0].GetI64(i); got != want {
+				t.Fatalf("preds %v: id = %d, want %d (a retained batch was overwritten)", preds, got, want)
 			}
+			if out.Cols[2].GetStr(i) != tab.Cols[2].GetStr(int(want)) {
+				t.Fatalf("preds %v: name of id %d overwritten", preds, want)
+			}
+			want++
 		}
 		if want != 100 {
 			t.Fatalf("preds %v: saw ids up to %d, want 100", preds, want)
@@ -122,6 +122,65 @@ func (f *fixedOp) Schema() vector.Schema        { return vector.Schema{{Name: "x
 func (f *fixedOp) Open() error                  { return nil }
 func (f *fixedOp) Next() (*vector.Batch, error) { return &f.b, nil }
 func (f *fixedOp) Close()                       {}
+
+// onceOp emits one batch, then end of stream.
+type onceOp struct {
+	sch  vector.Schema
+	b    *vector.Batch
+	done bool
+}
+
+func (o *onceOp) Schema() vector.Schema { return o.sch }
+func (o *onceOp) Open() error           { o.done = false; return nil }
+func (o *onceOp) Next() (*vector.Batch, error) {
+	if o.done {
+		return nil, nil
+	}
+	o.done = true
+	return o.b, nil
+}
+func (o *onceOp) Close() {}
+
+// TestMaterializeCompactsSelection: Materialize keeps exactly the selected
+// tuples of a batch, in order, in every column.
+func TestMaterializeCompactsSelection(t *testing.T) {
+	f := func(vals []int64, picks []uint8) bool {
+		if len(vals) == 0 {
+			return true
+		}
+		sel := vector.Sel{} // empty but non-nil: an empty selection, not "all live"
+		for _, p := range picks {
+			sel = append(sel, int32(int(p)%len(vals)))
+		}
+		// Selection vectors are ascending by contract.
+		for i := 1; i < len(sel); i++ {
+			if sel[i] < sel[i-1] {
+				sel[i] = sel[i-1]
+			}
+		}
+		strs := make([]string, len(vals))
+		for i, v := range vals {
+			strs[i] = strconv.FormatInt(v, 10)
+		}
+		op := &onceOp{
+			sch: vector.Schema{{Name: "v", Type: vector.I64}, {Name: "s", Type: vector.Str}},
+			b:   &vector.Batch{N: len(vals), Sel: sel, Cols: []*vector.Vector{vector.FromI64(vals), vector.FromStr(strs)}},
+		}
+		out, err := Materialize(op)
+		if err != nil || out.Rows() != len(sel) {
+			return false
+		}
+		for j, i := range sel {
+			if out.Cols[0].I64()[j] != vals[i] || out.Cols[1].Str()[j] != strs[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
 
 // TestLimitLeavesChildBatchIntact: the batch that crosses the limit is
 // truncated in a Limit-owned header, never in the child's.

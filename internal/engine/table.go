@@ -71,31 +71,6 @@ func (t *Table) Slice(lo, hi int) *Table {
 // Col returns the named column vector.
 func (t *Table) Col(name string) *vector.Vector { return t.Cols[t.Sch.MustIndexOf(name)] }
 
-// Project returns a table view with only the named columns (zero copy).
-func (t *Table) Project(names ...string) *Table {
-	sch := make(vector.Schema, len(names))
-	cols := make([]*vector.Vector, len(names))
-	for i, n := range names {
-		idx := t.Sch.MustIndexOf(n)
-		sch[i] = t.Sch[idx]
-		cols[i] = t.Cols[idx]
-	}
-	return NewTable(t.Name, sch, cols)
-}
-
-// Rename returns a view of the table with columns renamed per the map
-// (zero copy); names absent from the map are kept.
-func Rename(t *Table, names map[string]string) *Table {
-	sch := make(vector.Schema, len(t.Sch))
-	copy(sch, t.Sch)
-	for i := range sch {
-		if nn, ok := names[sch[i].Name]; ok {
-			sch[i].Name = nn
-		}
-	}
-	return NewTable(t.Name, sch, t.Cols)
-}
-
 // Scan streams a table — or a contiguous row range of it — in vector-size
 // batches (zero-copy column slices).
 type Scan struct {
@@ -181,10 +156,8 @@ func (s *Scan) Close() {}
 
 // Materialize drains an operator into a Table (selection applied). It
 // streams: every batch's live tuples are gathered straight into growable
-// column accumulators — no per-batch vector allocation and no retained
-// compacted copies, unlike the old Run-then-copy implementation. (Drain
-// loops that need whole compacted batches rather than columns reuse a
-// destination via vector.Batch.CompactInto instead.)
+// column accumulators, with no per-batch vector allocation and no retained
+// copy of any batch.
 func Materialize(op Operator) (*Table, error) {
 	sch := op.Schema()
 	acc := make([]colAcc, len(sch))

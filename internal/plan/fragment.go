@@ -214,24 +214,6 @@ func buildSite(b *Builder, chainNodes []*Node, aggNode *Node) *FragmentSite {
 	return site
 }
 
-// MergePartials combines per-shard partial tables (in shard order) into
-// the site node's result table. Every partial must carry the fragment
-// root's schema; the output carries the site node's schema and label.
-// It is the whole-table convenience form of the incremental
-// PartialAccumulator.
-func (s *FragmentSite) MergePartials(parts []*engine.Table) (*engine.Table, error) {
-	acc := s.NewAccumulator(len(parts))
-	for i, p := range parts {
-		if err := acc.AddChunk(i, p); err != nil {
-			return nil, err
-		}
-		if err := acc.FinishShard(i); err != nil {
-			return nil, err
-		}
-	}
-	return acc.Result()
-}
-
 // PartialAccumulator folds per-shard partial chunks into one merged site
 // result incrementally, so a streaming coordinator can start merging while
 // shards are still producing. It is safe for concurrent use by one

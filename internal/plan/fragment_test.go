@@ -65,10 +65,7 @@ func runDistributed(t *testing.T, b *Builder, shards int, base *engine.Table) *e
 				t.Fatalf("shard %d fragment: %v", i, err)
 			}
 		}
-		m, err := site.MergePartials(parts)
-		if err != nil {
-			t.Fatalf("merge: %v", err)
-		}
+		m := mergeWhole(t, site, parts)
 		if err := ex.Preset(site.Node, m); err != nil {
 			t.Fatalf("preset: %v", err)
 		}
@@ -78,6 +75,26 @@ func runDistributed(t *testing.T, b *Builder, shards int, base *engine.Table) *e
 		t.Fatalf("residual run: %v", err)
 	}
 	return tab
+}
+
+// mergeWhole folds whole per-shard partials, in shard order, through the
+// site's PartialAccumulator: one chunk per shard.
+func mergeWhole(t *testing.T, site *FragmentSite, parts []*engine.Table) *engine.Table {
+	t.Helper()
+	acc := site.NewAccumulator(len(parts))
+	for i, p := range parts {
+		if err := acc.AddChunk(i, p); err != nil {
+			t.Fatalf("merge: %v", err)
+		}
+		if err := acc.FinishShard(i); err != nil {
+			t.Fatalf("merge: %v", err)
+		}
+	}
+	m, err := acc.Result()
+	if err != nil {
+		t.Fatalf("merge: %v", err)
+	}
+	return m
 }
 
 func mustRun(t *testing.T, b *Builder) *engine.Table {
@@ -374,17 +391,14 @@ func accPlans() map[string]func(tab *engine.Table) *Builder {
 }
 
 // TestAccumulatorChunkedMatchesWhole: feeding row chunks incrementally —
-// shards interleaved, finish order reversed — produces the exact table the
-// whole-partial MergePartials path produces, for both merge kinds.
+// shards interleaved, finish order reversed — produces the exact table a
+// single-process run of the whole input produces, for both merge kinds.
 func TestAccumulatorChunkedMatchesWhole(t *testing.T) {
 	tab := fragTable(97)
 	for name, mk := range accPlans() {
 		t.Run(name, func(t *testing.T) {
 			site, parts := sitePartials(t, mk(tab), 4, tab)
-			want, err := site.MergePartials(parts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := mustRun(t, mk(tab))
 			acc := site.NewAccumulator(len(parts))
 			chunks := make([][]*engine.Table, len(parts))
 			for i, p := range parts {
@@ -424,17 +438,14 @@ func TestAccumulatorChunkedMatchesWhole(t *testing.T) {
 }
 
 // TestAccumulatorFinishedShard: whole-partial delivery, one chunk per
-// shard, merges identically, and a finished shard refuses further chunks
-// and a second FinishShard.
+// shard, merges identically to the single-process run, and a finished
+// shard refuses further chunks and a second FinishShard.
 func TestAccumulatorFinishedShard(t *testing.T) {
 	tab := fragTable(61)
 	for name, mk := range accPlans() {
 		t.Run(name, func(t *testing.T) {
 			site, parts := sitePartials(t, mk(tab), 3, tab)
-			want, err := site.MergePartials(parts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := mustRun(t, mk(tab))
 			acc := site.NewAccumulator(len(parts))
 			for si, p := range parts {
 				if err := acc.AddChunk(si, p); err != nil {
@@ -461,17 +472,14 @@ func TestAccumulatorFinishedShard(t *testing.T) {
 }
 
 // TestAccumulatorConcurrent: one goroutine per shard streaming chunks and
-// finishing, merged result identical to the sequential whole-table path.
+// finishing, merged result identical to the single-process run.
 // This is the race coverage for the coordinator's concurrent-site merge.
 func TestAccumulatorConcurrent(t *testing.T) {
 	tab := fragTable(128)
 	for name, mk := range accPlans() {
 		t.Run(name, func(t *testing.T) {
 			site, parts := sitePartials(t, mk(tab), 8, tab)
-			want, err := site.MergePartials(parts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := mustRun(t, mk(tab))
 			acc := site.NewAccumulator(len(parts))
 			var wg sync.WaitGroup
 			errs := make([]error, len(parts))
@@ -510,7 +518,9 @@ func TestAccumulatorRejectsBadChunks(t *testing.T) {
 	mk := accPlans()["concat"]
 	site, parts := sitePartials(t, mk(tab), 2, tab)
 	acc := site.NewAccumulator(len(parts))
-	if err := acc.AddChunk(0, fragTable(3).Project("k", "v")); err == nil {
+	narrow := fragTable(3)
+	narrow = engine.NewTable(narrow.Name, narrow.Sch[:2], narrow.Cols[:2]) // k, v only
+	if err := acc.AddChunk(0, narrow); err == nil {
 		t.Error("schema-mismatched chunk accepted")
 	}
 	if err := acc.AddChunk(5, parts[0]); err == nil {
@@ -545,10 +555,7 @@ func TestPartialAggMergeCompositeKeyNoCollision(t *testing.T) {
 	if parts[0].Rows() != 1 || parts[1].Rows() != 1 {
 		t.Fatalf("partials hold %d and %d groups, want one each", parts[0].Rows(), parts[1].Rows())
 	}
-	got, err := site.MergePartials(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := mergeWhole(t, site, parts)
 	if got.Rows() != 2 {
 		t.Fatalf("merged groups = %d, want 2:\n%s", got.Rows(), engine.TableString(got, 0))
 	}

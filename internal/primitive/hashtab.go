@@ -153,16 +153,12 @@ type JoinTable struct {
 // JoinSizings are the capacity arms of the engine's hash-table sizing
 // decision, smallest first. "snug" packs entries at up to 80% load — the
 // smallest working set, but linear probing pays for the collisions;
-// "norm" is the classic 50% load of NewJoinTable; "roomy" quarters the
-// load again, trading resident bytes (and LLC misses once the table
-// outgrows the cache) for near-collision-free probes. Which arm wins
-// depends on build cardinality versus cache size, which is exactly why it
-// is a decision rather than a constant.
+// "norm" is the classic 50% load; "roomy" quarters the load again,
+// trading resident bytes (and LLC misses once the table outgrows the
+// cache) for near-collision-free probes. Which arm wins depends on build
+// cardinality versus cache size, which is exactly why it is a decision
+// rather than a constant.
 var JoinSizings = []string{"snug", "norm", "roomy"}
-
-// NewJoinTable builds the table from the build side's key column with the
-// default "norm" sizing.
-func NewJoinTable(keys []int64) *JoinTable { return NewJoinTableSized(keys, "norm") }
 
 // NewJoinTableSized builds the table under one of the JoinSizings arms.
 // Unknown sizing names fall back to "norm" so a stale cached decision can
@@ -227,28 +223,6 @@ func (t *JoinTable) Lookup(key int64) int32 {
 		h = (h + 1) & t.mask
 	}
 }
-
-// LookupAll appends all build rows for key to dst and returns it.
-func (t *JoinTable) LookupAll(key int64, dst []int32) []int32 {
-	h := HashI64(key) & t.mask
-	for {
-		e := t.slots[h]
-		if e == 0 {
-			return dst
-		}
-		if t.keys[e-1] == key {
-			for e != 0 {
-				dst = append(dst, t.rows[e-1])
-				e = t.next[e-1]
-			}
-			return dst
-		}
-		h = (h + 1) & t.mask
-	}
-}
-
-// Entries returns the number of build rows in the table.
-func (t *JoinTable) Entries() int { return len(t.keys) }
 
 // ByteSize approximates the resident size of the table.
 func (t *JoinTable) ByteSize() int {

@@ -122,14 +122,6 @@ func DecompressSet() Options {
 	return o
 }
 
-// PrefetchSet widens only the hash-lookup prefetch-distance axis (the
-// paper's future-work flavor set).
-func PrefetchSet() Options {
-	o := Defaults()
-	o.Prefetch = []string{"p0", "p4", "p16"}
-	return o
-}
-
 // prefetches resolves the configured prefetch distances (default p0).
 func (o Options) prefetches() []int {
 	if len(o.Prefetch) == 0 {

@@ -381,19 +381,16 @@ func TestGroupTableProperty(t *testing.T) {
 
 func TestJoinTable(t *testing.T) {
 	keys := []int64{10, 20, 10, 30}
-	jt := NewJoinTable(keys)
-	if jt.Entries() != 4 {
-		t.Fatalf("entries = %d", jt.Entries())
+	jt := NewJoinTableSized(keys, "norm")
+	if len(jt.keys) != 4 {
+		t.Fatalf("entries = %d", len(jt.keys))
 	}
 	if jt.Lookup(30) != 3 || jt.Lookup(99) != -1 {
 		t.Error("lookup wrong")
 	}
-	rows := jt.LookupAll(10, nil)
-	if len(rows) != 2 {
-		t.Fatalf("duplicate key rows = %v", rows)
-	}
-	if (rows[0] == 0) == (rows[1] == 0) {
-		t.Errorf("rows = %v, want {0,2}", rows)
+	// A duplicate key resolves to its first build row.
+	if got := jt.Lookup(10); got != 0 {
+		t.Errorf("duplicate key lookup = %d, want 0", got)
 	}
 	if jt.ByteSize() <= 0 {
 		t.Error("byte size must be positive")
@@ -581,7 +578,7 @@ func TestInsertCheckCostGrowsWithTable(t *testing.T) {
 
 func TestLookupPrimitives(t *testing.T) {
 	s, ctx := testSetup(t, Defaults())
-	jt := NewJoinTable([]int64{10, 20, 30})
+	jt := NewJoinTableSized([]int64{10, 20, 30}, "norm")
 	keys := vector.FromI64([]int64{20, 99, 10})
 	rows := vector.New(vector.I32, 3)
 	out := make([]int32, 3)
@@ -723,7 +720,9 @@ func TestMeasureDenseMulTable4Shape(t *testing.T) {
 // TestPrefetchFlavors covers the paper's future-work extension: prefetch
 // distances for hash lookups, with machine/table-size-dependent winners.
 func TestPrefetchFlavors(t *testing.T) {
-	s, ctx := testSetup(t, PrefetchSet())
+	o := Defaults()
+	o.Prefetch = []string{"p0", "p4", "p16"}
+	s, ctx := testSetup(t, o)
 	prim := s.Dict.MustLookup("sel_htlookup_slng_col")
 	if len(prim.Flavors) != 3 {
 		t.Fatalf("prefetch flavors = %d, want 3", len(prim.Flavors))
@@ -733,7 +732,7 @@ func TestPrefetchFlavors(t *testing.T) {
 		for i := range keys {
 			keys[i] = int64(i)
 		}
-		jt := NewJoinTable(keys)
+		jt := NewJoinTableSized(keys, "norm")
 		probe := vector.FromI64(make([]int64, 64))
 		out := make([]int32, 64)
 		rows := vector.New(vector.I32, 64)

@@ -213,9 +213,6 @@ func decodeOutcome(resp *http.Response) (*Outcome, error) {
 // Query runs one TPC-H query.
 func (c *Client) Query(req QueryRequest) (*Outcome, error) { return c.post("/v1/query", req) }
 
-// Plan ships a marshalled plan for server-side validation and execution.
-func (c *Client) Plan(req PlanRequest) (*Outcome, error) { return c.post("/v1/plan", req) }
-
 // Flavors pulls the server's flavor-knowledge snapshot — one half of the
 // federation gossip exchange.
 func (c *Client) Flavors() (service.KnowledgeSnapshot, error) {

@@ -81,7 +81,7 @@ func TestServerQueryBitIdentical(t *testing.T) {
 // row of TestIdentityOracle (internal/dist).
 func TestServerPlanEndpoint(t *testing.T) {
 	_, c := startTestServer(t, Config{})
-	out, err := c.Plan(PlanRequest{Plan: marshalQueryPlan(t, 6)})
+	out, err := c.PlanEncoded(planBody(t, PlanRequest{Plan: marshalQueryPlan(t, 6)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestServerPlanEndpoint(t *testing.T) {
 	}
 
 	// A malformed plan is rejected 400 before it consumes a queue slot.
-	bad, err := c.Plan(PlanRequest{Plan: []byte(`{"name":"X","nodes":[],"roots":[]}`)})
+	bad, err := c.PlanEncoded(planBody(t, PlanRequest{Plan: []byte(`{"name":"X","nodes":[],"roots":[]}`)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestServerDrainRejectsNew(t *testing.T) {
 	if !out.Draining() {
 		t.Errorf("post-drain query status = %d, want 503", out.Status)
 	}
-	out, err = c.Plan(PlanRequest{Plan: marshalQueryPlan(t, 6)})
+	out, err = c.PlanEncoded(planBody(t, PlanRequest{Plan: marshalQueryPlan(t, 6)}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -158,30 +158,21 @@ func (e *shedStreamError) Error() string { return "server: stream: shed" }
 // send identical bytes to every shard without re-encoding per shard.
 func EncodePlanRequest(req PlanRequest) ([]byte, error) { return json.Marshal(req) }
 
-// PlanEncoded is Plan with a pre-encoded request body.
+// PlanEncoded ships a plan request body built by EncodePlanRequest to
+// /v1/plan for server-side validation and execution.
 func (c *Client) PlanEncoded(body []byte) (*Outcome, error) {
 	return c.postBytes("/v1/plan", body)
 }
 
-// PlanStream ships a plan to the streaming endpoint, invoking onChunk for
-// every decoded chunk in arrival (row) order, and returns the verified
-// trailer. See PlanStreamEncoded for semantics.
-func (c *Client) PlanStream(req PlanRequest, onChunk func(*TableJSON) error) (*StreamResult, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	return c.PlanStreamEncoded(body, onChunk)
-}
-
-// PlanStreamEncoded is PlanStream with a pre-encoded request body. Shed
-// (429) answers retry with backoff exactly like the buffered client —
-// safely, because a shed is decided before any chunk is delivered. Any
-// other non-200 answer, and any failure after the status line
-// (truncation, a malformed frame, a chunk that does not decode, hash or
-// count mismatch, remote error frame, onChunk error), surfaces as an
-// error; rows already delivered to onChunk are unverified and the caller
-// must discard them.
+// PlanStreamEncoded ships a plan request body built by EncodePlanRequest to
+// the streaming endpoint, invoking onChunk for every decoded chunk in
+// arrival (row) order, and returns the verified trailer. Shed (429)
+// answers retry with backoff exactly like the buffered client — safely,
+// because a shed is decided before any chunk is delivered. Any other
+// non-200 answer, and any failure after the status line (truncation, a
+// malformed frame, a chunk that does not decode, hash or count mismatch,
+// remote error frame, onChunk error), surfaces as an error; rows already
+// delivered to onChunk are unverified and the caller must discard them.
 func (c *Client) PlanStreamEncoded(body []byte, onChunk func(*TableJSON) error) (*StreamResult, error) {
 	for attempt := 0; ; attempt++ {
 		res, err := c.planStreamOnce(body, onChunk)

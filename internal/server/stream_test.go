@@ -29,6 +29,17 @@ func marshalQueryPlan(t *testing.T, q int) []byte {
 	return data
 }
 
+// planBody encodes a plan request the way the coordinator and the
+// benchmark do, for PlanEncoded and PlanStreamEncoded.
+func planBody(t *testing.T, req PlanRequest) []byte {
+	t.Helper()
+	body, err := EncodePlanRequest(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
 // TestPlanStreamBitIdentical: a small chunk cap splits the result into
 // frames of at most that many rows, the header carries the schema and the
 // trailer the stats. That the stitched chunks equal in-process execution
@@ -36,7 +47,7 @@ func marshalQueryPlan(t *testing.T, q int) []byte {
 func TestPlanStreamBitIdentical(t *testing.T) {
 	_, c := startTestServer(t, Config{StreamChunkRows: 7})
 	var sizes []int
-	res, err := c.PlanStream(PlanRequest{Plan: marshalQueryPlan(t, 13)}, func(tj *TableJSON) error {
+	res, err := c.PlanStreamEncoded(planBody(t, PlanRequest{Plan: marshalQueryPlan(t, 13)}), func(tj *TableJSON) error {
 		sizes = append(sizes, tj.Rows)
 		return nil
 	})
@@ -69,7 +80,7 @@ func TestPlanStreamEmptyResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := 0
-	res, err := c.PlanStream(PlanRequest{Plan: wire}, func(*TableJSON) error { calls++; return nil })
+	res, err := c.PlanStreamEncoded(planBody(t, PlanRequest{Plan: wire}), func(*TableJSON) error { calls++; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +93,7 @@ func TestPlanStreamEmptyResult(t *testing.T) {
 // the endpoint all answer with ordinary status errors before any frame.
 func TestPlanStreamErrors(t *testing.T) {
 	_, c := startTestServer(t, Config{})
-	if _, err := c.PlanStream(PlanRequest{Plan: []byte(`{"name":"X","nodes":[],"roots":[]}`)}, nil); err == nil {
+	if _, err := c.PlanStreamEncoded(planBody(t, PlanRequest{Plan: []byte(`{"name":"X","nodes":[],"roots":[]}`)}), nil); err == nil {
 		t.Error("malformed plan streamed without error")
 	}
 	body := `{"plan":` + string(marshalQueryPlan(t, 6)) + `,"session":"x"}`

@@ -332,13 +332,3 @@ func (svc *Service) ExecutePlan(b *plan.Builder) (tab *engine.Table, st JobStats
 // DB exposes the shared database (the server's plan codec resolves scan
 // tables against it).
 func (svc *Service) DB() *tpch.DB { return svc.db }
-
-// Explain renders TPC-H query q's logical plan and the physical lowering
-// the service's sessions will execute — including which pipelines fan out
-// under the configured PipelineParallelism.
-func (svc *Service) Explain(q int) (string, error) {
-	if q < 1 || q > 22 {
-		return "", fmt.Errorf("service: no TPC-H query %d", q)
-	}
-	return tpch.Explain(svc.db, q, svc.cfg.PipelineParallelism), nil
-}

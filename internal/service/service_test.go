@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 
@@ -497,26 +496,5 @@ func TestCacheNeverStoresNonFiniteCosts(t *testing.T) {
 		if name, cost := c.BestFlavor(key); name == "" || !finiteCost(cost) {
 			t.Errorf("%s best = %q/%v, want a finite best", key, name, cost)
 		}
-	}
-}
-
-// TestServiceExplain: the service exposes the planner's explain under its
-// own configured pipeline parallelism.
-func TestServiceExplain(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.PipelineParallelism = 4
-	svc := New(testDB, cfg)
-	out, err := svc.Explain(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "morsel fragments") {
-		t.Errorf("explain at P=4 shows no fan-out:\n%s", out)
-	}
-	if !strings.Contains(out, "Q1/sel0") {
-		t.Errorf("explain misses derived labels:\n%s", out)
-	}
-	if _, err := svc.Explain(23); err == nil {
-		t.Error("query 23 should error")
 	}
 }

@@ -26,29 +26,6 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(sum / float64(len(xs)))
 }
 
-// Mean returns the arithmetic mean of xs; 0 if empty.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Min returns the minimum of xs; +Inf if empty.
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the maximum of xs; -Inf if empty.
 func Max(xs []float64) float64 {
 	m := math.Inf(-1)
@@ -58,15 +35,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs by linear

@@ -58,46 +58,3 @@ func YearOf(day int64) int64 {
 	}
 	return EpochYear
 }
-
-// DateString renders a day number as YYYY-MM-DD (for result display).
-func DateString(day int32) string {
-	y := int(YearOf(int64(day)))
-	rem := int(day - yearStart[y-EpochYear])
-	for m := 0; m < 12; m++ {
-		dm := daysInMonth[m]
-		if m == 1 && isLeap(y) {
-			dm++
-		}
-		if rem < dm {
-			return fmt.Sprintf("%04d-%02d-%02d", y, m+1, rem+1)
-		}
-		rem -= dm
-	}
-	return fmt.Sprintf("%04d-12-31", y)
-}
-
-// AddMonths returns the day number months after a first-of-month date; it
-// is used for the paper-style interval parameters (date + 3 months).
-func AddMonths(day int32, months int) int32 {
-	y := int(YearOf(int64(day)))
-	rem := int(day - yearStart[y-EpochYear])
-	m := 0
-	for {
-		dm := daysInMonth[m]
-		if m == 1 && isLeap(y) {
-			dm++
-		}
-		if rem < dm {
-			break
-		}
-		rem -= dm
-		m++
-	}
-	m += months
-	y += m / 12
-	m %= 12
-	if rem >= daysInMonth[m] {
-		rem = daysInMonth[m] - 1
-	}
-	return Date(y, m+1, rem+1)
-}

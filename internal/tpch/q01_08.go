@@ -1,7 +1,6 @@
 package tpch
 
 import (
-	"microadapt/internal/core"
 	"microadapt/internal/engine"
 	"microadapt/internal/expr"
 	"microadapt/internal/plan"
@@ -47,9 +46,6 @@ func q1Plan(db *DB) *plan.Builder {
 	return b
 }
 
-// Q1 runs the pricing summary report.
-func Q1(db *DB, s *core.Session) (*engine.Table, error) { return Query(1).Run(db, s) }
-
 // q2Plan finds the minimum-cost supplier per part in EUROPE for size-15
 // %BRASS parts; the min-cost correlated subquery is an aggregate over the
 // shared join result (materialized once by the planner) joined back.
@@ -85,9 +81,6 @@ func q2Plan(db *DB) *plan.Builder {
 	return b
 }
 
-// Q2 runs the minimum-cost supplier query.
-func Q2(db *DB, s *core.Session) (*engine.Table, error) { return Query(2).Run(db, s) }
-
 // q3Plan is the shipping-priority query: BUILDING customers, pre-date
 // orders, post-date lineitems, top-10 revenue. orders-lineitem is a merge
 // join on the clustered orderkey.
@@ -116,9 +109,6 @@ func q3Plan(db *DB) *plan.Builder {
 	return b
 }
 
-// Q3 runs the shipping-priority query.
-func Q3(db *DB, s *core.Session) (*engine.Table, error) { return Query(3).Run(db, s) }
-
 // q4Plan is the order-priority check: orders in a quarter having at least
 // one late lineitem (semi join), counted per priority.
 func q4Plan(db *DB) *plan.Builder {
@@ -134,9 +124,6 @@ func q4Plan(db *DB) *plan.Builder {
 	b.Root(agg.Sort(engine.Asc(0)))
 	return b
 }
-
-// Q4 runs the order-priority check.
-func Q4(db *DB, s *core.Session) (*engine.Table, error) { return Query(4).Run(db, s) }
 
 // q5Plan is local-supplier volume in ASIA for 1994: a five-way join with
 // the customer-nation = supplier-nation constraint as a column-column
@@ -174,9 +161,6 @@ func q5Plan(db *DB) *plan.Builder {
 	return b
 }
 
-// Q5 runs the local-supplier volume query.
-func Q5(db *DB, s *core.Session) (*engine.Table, error) { return Query(5).Run(db, s) }
-
 // q6Plan is the forecasting revenue-change query: three selections on one
 // lineitem scan and a global aggregate — the paper's canonical selection-
 // dominated query (the biggest heuristics/adaptivity win in Table 11).
@@ -196,9 +180,6 @@ func q6Plan(db *DB) *plan.Builder {
 	b.Root(proj.Agg(nil, engine.Agg(engine.AggSum, 0, "revenue")))
 	return b
 }
-
-// Q6 runs the forecasting revenue-change query.
-func Q6(db *DB, s *core.Session) (*engine.Table, error) { return Query(6).Run(db, s) }
 
 // q7Plan is the volume-shipping query between FRANCE and GERMANY, grouped
 // by the shipping year; orders-lineitem runs as the merge join of
@@ -244,9 +225,6 @@ func q7Plan(db *DB) *plan.Builder {
 	b.Root(agg.Sort(engine.Asc(0), engine.Asc(1), engine.Asc(2)))
 	return b
 }
-
-// Q7 runs the volume-shipping query.
-func Q7(db *DB, s *core.Session) (*engine.Table, error) { return Query(7).Run(db, s) }
 
 // q8Plan is national market share: BRAZIL's fraction of AMERICA's ECONOMY
 // ANODIZED STEEL volume per year, via an indicator CASE expression; the
@@ -295,9 +273,6 @@ func q8Plan(db *DB) *plan.Builder {
 	b.NamedRoot("agg", agg.Sort(engine.Asc(0)))
 	return b
 }
-
-// Q8 runs the national market-share query.
-func Q8(db *DB, s *core.Session) (*engine.Table, error) { return Query(8).Run(db, s) }
 
 // deliverQ8 finishes Q8: the plan delivers per-year brazil/total volumes,
 // and the share division happens here.

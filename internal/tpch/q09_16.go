@@ -3,7 +3,6 @@ package tpch
 import (
 	"sort"
 
-	"microadapt/internal/core"
 	"microadapt/internal/engine"
 	"microadapt/internal/expr"
 	"microadapt/internal/plan"
@@ -58,9 +57,6 @@ func q9Plan(db *DB) *plan.Builder {
 	return b
 }
 
-// Q9 runs the product-type profit query.
-func Q9(db *DB, s *core.Session) (*engine.Table, error) { return Query(9).Run(db, s) }
-
 // q10Plan is returned-item reporting: revenue lost to returns per customer
 // in a quarter, top 20.
 func q10Plan(db *DB) *plan.Builder {
@@ -89,9 +85,6 @@ func q10Plan(db *DB) *plan.Builder {
 	return b
 }
 
-// Q10 runs the returned-item reporting query.
-func Q10(db *DB, s *core.Session) (*engine.Table, error) { return Query(10).Run(db, s) }
-
 // q11Plan is important-stock identification in GERMANY. The HAVING
 // threshold is a scalar subplan inside the plan: the shared value
 // projection is materialized once, the global sum resolves to a constant
@@ -113,9 +106,6 @@ func q11Plan(db *DB) *plan.Builder {
 	b.Root(sel.Sort(engine.Desc(1)))
 	return b
 }
-
-// Q11 runs the important-stock query.
-func Q11(db *DB, s *core.Session) (*engine.Table, error) { return Query(11).Run(db, s) }
 
 // q12Plan is the shipping-modes query of Figure 2: the receiptdate range
 // selection runs over date-clustered lineitem, so its selectivity is ~0,
@@ -150,9 +140,6 @@ func q12Plan(db *DB) *plan.Builder {
 	return b
 }
 
-// Q12 runs the shipping-modes query.
-func Q12(db *DB, s *core.Session) (*engine.Table, error) { return Query(12).Run(db, s) }
-
 // q13Plan is customer order-count distribution. The per-customer aggregate
 // is shared by the distribution root and by the anti join counting
 // zero-order customers; the zero bucket and the final ordering are a
@@ -171,9 +158,6 @@ func q13Plan(db *DB) *plan.Builder {
 	b.NamedRoot("zero", zero)
 	return b
 }
-
-// Q13 runs the order-count distribution query.
-func Q13(db *DB, s *core.Session) (*engine.Table, error) { return Query(13).Run(db, s) }
 
 // deliverQ13 finishes Q13: both plan roots share the per-customer
 // aggregate, and the zero-order bucket plus the distribution ordering are
@@ -242,9 +226,6 @@ func q14Plan(db *DB) *plan.Builder {
 	return b
 }
 
-// Q14 runs the promotion-effect query.
-func Q14(db *DB, s *core.Session) (*engine.Table, error) { return Query(14).Run(db, s) }
-
 // deliverQ14 finishes Q14 with the promo-share division.
 func deliverQ14(b *plan.Builder, ex *plan.Exec) (*engine.Table, error) {
 	agg, err := ex.Run(b.MainRoot())
@@ -284,9 +265,6 @@ func q15Plan(db *DB) *plan.Builder {
 	return b
 }
 
-// Q15 runs the top-supplier query.
-func Q15(db *DB, s *core.Session) (*engine.Table, error) { return Query(15).Run(db, s) }
-
 // q16Plan is parts/supplier relationship: distinct supplier counts per
 // (brand, type, size) excluding complained-about suppliers.
 func q16Plan(db *DB) *plan.Builder {
@@ -309,6 +287,3 @@ func q16Plan(db *DB) *plan.Builder {
 	b.Root(cnt.Sort(engine.Desc(3), engine.Asc(0), engine.Asc(1), engine.Asc(2)))
 	return b
 }
-
-// Q16 runs the parts/supplier relationship query.
-func Q16(db *DB, s *core.Session) (*engine.Table, error) { return Query(16).Run(db, s) }

@@ -1,7 +1,6 @@
 package tpch
 
 import (
-	"microadapt/internal/core"
 	"microadapt/internal/engine"
 	"microadapt/internal/expr"
 	"microadapt/internal/plan"
@@ -33,9 +32,6 @@ func q17Plan(db *DB) *plan.Builder {
 	return b
 }
 
-// Q17 runs the small-quantity-order revenue query.
-func Q17(db *DB, s *core.Session) (*engine.Table, error) { return Query(17).Run(db, s) }
-
 // deliverQ17 finishes Q17 with the yearly division.
 func deliverQ17(b *plan.Builder, ex *plan.Exec) (*engine.Table, error) {
 	sumAgg, err := ex.Run(b.MainRoot())
@@ -63,9 +59,6 @@ func q18Plan(db *DB) *plan.Builder {
 		engine.Desc(j2.Idx("o_totalprice")), engine.Asc(j2.Idx("o_orderdate"))))
 	return b
 }
-
-// Q18 runs the large-volume customers query.
-func Q18(db *DB, s *core.Session) (*engine.Table, error) { return Query(18).Run(db, s) }
 
 // q19Branch declares one disjunct of Q19 (the branches are disjoint by
 // brand, so their revenues add): a brand/container/quantity-filtered semi
@@ -102,9 +95,6 @@ func q19Plan(db *DB) *plan.Builder {
 		[]string{"LG CASE", "LG BOX", "LG PACK", "LG PKG"}, 20, 30, 15))
 	return b
 }
-
-// Q19 runs the discounted-revenue query.
-func Q19(db *DB, s *core.Session) (*engine.Table, error) { return Query(19).Run(db, s) }
 
 // deliverQ19 finishes Q19, summing the three branch roots.
 func deliverQ19(b *plan.Builder, ex *plan.Exec) (*engine.Table, error) {
@@ -156,9 +146,6 @@ func q20Plan(db *DB) *plan.Builder {
 	return b
 }
 
-// Q20 runs the potential part promotion query.
-func Q20(db *DB, s *core.Session) (*engine.Table, error) { return Query(20).Run(db, s) }
-
 // q21Plan is suppliers who kept orders waiting: the multi-exists query. Its
 // hash joins carry bloom-filter pre-filters — the sel_bloomfilter primitive
 // of Figure 11(d) and Table 8.
@@ -196,9 +183,6 @@ func q21Plan(db *DB) *plan.Builder {
 	return b
 }
 
-// Q21 runs the waiting-suppliers query.
-func Q21(db *DB, s *core.Session) (*engine.Table, error) { return Query(21).Run(db, s) }
-
 // q22Plan is global sales opportunity: well-funded customers in selected
 // country codes with no orders. The code-filtered customers are a shared
 // subtree, and the average positive balance filters the rich set as an
@@ -226,6 +210,3 @@ func q22Plan(db *DB) *plan.Builder {
 	b.Root(agg.Sort(engine.Asc(0)))
 	return b
 }
-
-// Q22 runs the global sales opportunity query.
-func Q22(db *DB, s *core.Session) (*engine.Table, error) { return Query(22).Run(db, s) }

@@ -1,11 +1,6 @@
 package tpch
 
-import (
-	"fmt"
-	"strings"
-
-	"microadapt/internal/engine"
-)
+import "microadapt/internal/engine"
 
 // Tables returns the eight base tables in schema order.
 func (db *DB) Tables() []*engine.Table {
@@ -58,18 +53,4 @@ func (db *DB) StorageFootprint() (flat, resident int) {
 		}
 	}
 	return flat, resident
-}
-
-// StorageSummary renders the analyzer's per-column encoding choices for
-// every encoded table.
-func (db *DB) StorageSummary() string {
-	var b strings.Builder
-	for _, t := range db.Tables() {
-		if t.Enc == nil {
-			fmt.Fprintf(&b, "%s: flat (not encoded)\n", t.Name)
-			continue
-		}
-		b.WriteString(t.Enc.Summary())
-	}
-	return b.String()
 }

@@ -22,7 +22,7 @@ func TestEncodeShrinksResidentBytes(t *testing.T) {
 		t.Fatalf("encoded resident bytes %d >= flat %d", resident, flat)
 	}
 	if ratio := float64(resident) / float64(flat); ratio > 0.8 {
-		t.Errorf("compression ratio %.2f, want <= 0.8:\n%s", ratio, db.StorageSummary())
+		t.Errorf("compression ratio %.2f, want <= 0.8; lineitem:\n%s", ratio, db.Lineitem.Enc.Summary())
 	}
 	// The scenario needs non-flat encodings on the hot scan columns.
 	for _, col := range []string{"l_shipdate", "l_quantity", "l_discount"} {

@@ -42,15 +42,6 @@ func (tr *InstanceTrace) OptCycles() float64 {
 	return total
 }
 
-// FixedCycles returns the total cost of always using one arm.
-func (tr *InstanceTrace) FixedCycles(arm int) float64 {
-	var total float64
-	for _, c := range tr.Cycles[arm] {
-		total += c
-	}
-	return total
-}
-
 // recorder is a pinned chooser that logs every observation.
 type recorder struct {
 	arm    int

@@ -47,15 +47,6 @@ func (b *Batch) Live() int {
 	return b.N
 }
 
-// Selectivity returns the fraction of live tuples, in [0,1]. An empty batch
-// reports 1.
-func (b *Batch) Selectivity() float64 {
-	if b.N == 0 {
-		return 1
-	}
-	return float64(b.Live()) / float64(b.N)
-}
-
 // NewBatch builds a batch over the given columns; all columns must have the
 // same length.
 func NewBatch(cols ...*Vector) *Batch {
@@ -69,85 +60,4 @@ func NewBatch(cols ...*Vector) *Batch {
 		}
 	}
 	return &Batch{N: n, Cols: cols}
-}
-
-// Compact materializes the selection: it copies the live tuples of every
-// column to the front and clears Sel. It allocates fresh vectors; use
-// CompactInto to reuse a destination batch across a drain loop.
-func (b *Batch) Compact() *Batch {
-	if b.Sel == nil {
-		return b
-	}
-	return b.CompactInto(nil)
-}
-
-// CompactInto compacts b into dst, reusing dst's vectors whenever their type
-// matches and their capacity holds the live count — the reusable-destination
-// variant of Compact for drain loops that process one compacted batch at a
-// time instead of retaining them all. A nil dst (or one with missing /
-// undersized / wrongly-typed columns) allocates what it needs. It returns
-// the destination batch; b itself is never modified. When b carries no
-// selection the copy is still performed, so the returned batch never aliases
-// b's vectors.
-func (b *Batch) CompactInto(dst *Batch) *Batch {
-	k := b.Live()
-	if dst == nil {
-		dst = &Batch{}
-	}
-	dst.N = k
-	dst.Sel = nil
-	if len(dst.Cols) != len(b.Cols) {
-		dst.Cols = make([]*Vector, len(b.Cols))
-	}
-	for ci, c := range b.Cols {
-		nc := dst.Cols[ci]
-		if nc == nil || nc.Type() != c.Type() || nc.Cap() < k {
-			nc = New(c.Type(), k)
-			dst.Cols[ci] = nc
-		}
-		nc.SetLen(k)
-		if b.Sel == nil {
-			switch c.Type() {
-			case I16:
-				copy(nc.I16()[:k], c.I16()[:k])
-			case I32:
-				copy(nc.I32()[:k], c.I32()[:k])
-			case I64:
-				copy(nc.I64()[:k], c.I64()[:k])
-			case F64:
-				copy(nc.F64()[:k], c.F64()[:k])
-			case Str:
-				copy(nc.Str()[:k], c.Str()[:k])
-			}
-			continue
-		}
-		switch c.Type() {
-		case I16:
-			src, d := c.I16(), nc.I16()
-			for j, i := range b.Sel {
-				d[j] = src[i]
-			}
-		case I32:
-			src, d := c.I32(), nc.I32()
-			for j, i := range b.Sel {
-				d[j] = src[i]
-			}
-		case I64:
-			src, d := c.I64(), nc.I64()
-			for j, i := range b.Sel {
-				d[j] = src[i]
-			}
-		case F64:
-			src, d := c.F64(), nc.F64()
-			for j, i := range b.Sel {
-				d[j] = src[i]
-			}
-		case Str:
-			src, d := c.Str(), nc.Str()
-			for j, i := range b.Sel {
-				d[j] = src[i]
-			}
-		}
-	}
-	return dst
 }

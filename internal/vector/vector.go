@@ -245,25 +245,6 @@ func Reuse(v *Vector, t Type, n int) *Vector {
 	return v
 }
 
-// Clone returns a deep copy of the live prefix of v.
-func (v *Vector) Clone() *Vector {
-	out := New(v.typ, v.n)
-	out.n = v.n
-	switch v.typ {
-	case I16:
-		copy(out.i16, v.i16[:v.n])
-	case I32:
-		copy(out.i32, v.i32[:v.n])
-	case I64:
-		copy(out.i64, v.i64[:v.n])
-	case F64:
-		copy(out.f64, v.f64[:v.n])
-	case Str:
-		copy(out.str, v.str[:v.n])
-	}
-	return out
-}
-
 // GetI64 returns tuple i widened to int64 for any integer-typed vector.
 // It is a convenience for tests and result verification, not a hot path.
 func (v *Vector) GetI64(i int) int64 {

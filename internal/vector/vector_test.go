@@ -1,9 +1,6 @@
 package vector
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestNewAndAccessors(t *testing.T) {
 	cases := []struct {
@@ -76,15 +73,6 @@ func TestSliceZeroCopy(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	v := FromStr([]string{"a", "b"})
-	c := v.Clone()
-	c.Str()[0] = "z"
-	if v.Str()[0] != "a" {
-		t.Error("Clone aliases the original")
-	}
-}
-
 func TestGetHelpers(t *testing.T) {
 	if got := FromI16([]int16{-5}).GetI64(0); got != -5 {
 		t.Errorf("GetI64(i16) = %d", got)
@@ -117,34 +105,12 @@ func TestConstVectors(t *testing.T) {
 
 func TestBatchLiveAndSelectivity(t *testing.T) {
 	b := NewBatch(FromI32([]int32{1, 2, 3, 4}))
-	if b.Live() != 4 || b.Selectivity() != 1 {
-		t.Errorf("dense live/sel = %d/%v", b.Live(), b.Selectivity())
+	if b.Live() != 4 {
+		t.Errorf("dense live = %d, want 4", b.Live())
 	}
 	b.Sel = []int32{0, 2}
-	if b.Live() != 2 || b.Selectivity() != 0.5 {
-		t.Errorf("selected live/sel = %d/%v", b.Live(), b.Selectivity())
-	}
-}
-
-func TestBatchCompact(t *testing.T) {
-	b := NewBatch(FromI32([]int32{10, 20, 30, 40}), FromStr([]string{"a", "b", "c", "d"}))
-	b.Sel = []int32{1, 3}
-	c := b.Compact()
-	if c.Sel != nil || c.N != 2 {
-		t.Fatalf("compact: sel=%v n=%d", c.Sel, c.N)
-	}
-	if c.Cols[0].I32()[0] != 20 || c.Cols[0].I32()[1] != 40 {
-		t.Errorf("compact col0 = %v", c.Cols[0].I32())
-	}
-	if c.Cols[1].Str()[0] != "b" || c.Cols[1].Str()[1] != "d" {
-		t.Errorf("compact col1 = %v", c.Cols[1].Str())
-	}
-}
-
-func TestBatchCompactNoSelIsIdentity(t *testing.T) {
-	b := NewBatch(FromI32([]int32{1}))
-	if b.Compact() != b {
-		t.Error("Compact without selection should return the batch itself")
+	if b.Live() != 2 {
+		t.Errorf("selected live = %d, want 2", b.Live())
 	}
 }
 
@@ -162,38 +128,4 @@ func TestSchemaIndexOf(t *testing.T) {
 		}
 	}()
 	s.MustIndexOf("zzz")
-}
-
-// Property: Compact preserves exactly the selected values, in order.
-func TestCompactProperty(t *testing.T) {
-	f := func(vals []int64, picks []uint8) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		sel := Sel{} // empty but non-nil: an empty selection, not "all live"
-		for _, p := range picks {
-			sel = append(sel, int32(int(p)%len(vals)))
-		}
-		// Selection vectors are ascending by contract.
-		for i := 1; i < len(sel); i++ {
-			if sel[i] < sel[i-1] {
-				sel[i] = sel[i-1]
-			}
-		}
-		b := NewBatch(FromI64(vals))
-		b.Sel = sel
-		c := b.Compact()
-		if c.N != len(sel) {
-			return false
-		}
-		for j, i := range sel {
-			if c.Cols[0].I64()[j] != vals[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
 }
