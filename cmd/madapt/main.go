@@ -71,7 +71,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   madapt exp [-sf F] [-seed N] [-vecsize N] [-machine machineK] <id>... | all
-  madapt explain [-sf F] [-q N] [-pipeline-parallel P] [-encoded]
+  madapt explain [-sf F] [-seed N] [-q N] [-pipeline-parallel P] [-encoded]
   madapt tpch [-sf F] [-q N] [-flavors defaults|everything|branch|compiler|fission|compute|unroll|decompress] [-policy SPEC] [-pipeline-parallel P] [-encoded]
   madapt distverify -addr URL [-sf F] [-seed N] [-mix 1,6,12|all]
   madapt policies
@@ -137,17 +137,16 @@ func cmdExp(args []string) error {
 // automatic morsel-partition annotations — of one query (or all 22).
 func cmdExplain(args []string) error {
 	fs := flag.NewFlagSet("explain", flag.ExitOnError)
-	cfg, finish := benchFlags(fs)
+	def := bench.DefaultConfig()
+	sf := fs.Float64("sf", def.SF, "TPC-H scale factor")
+	seed := fs.Int64("seed", def.Seed, "generator seed")
 	q := fs.Int("q", 0, "query number (0 = all)")
 	pp := fs.Int("pipeline-parallel", 1, "intra-query pipeline parallelism (morsel partitions)")
 	encoded := fs.Bool("encoded", false, "explain over a compressed-resident database (encoded scans, pushdown)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := finish(); err != nil {
-		return err
-	}
-	db := cfg.DB()
+	db := tpch.Generate(*sf, *seed)
 	if *encoded {
 		db.Encode()
 	}
@@ -203,35 +202,36 @@ func cmdTPCH(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg.Policy = *spec
-	cfg.PipelineParallelism = *pp
-	// Validate the spec up front: Session panics on wiring bugs, but a CLI
-	// typo deserves a flag-style error.
-	if _, err := policy.NewFactory(cfg.Policy, cfg.PolicyEnv()); err != nil {
+	// WarmStart stays off, so every query runs cold in its own session.
+	svc := service.New(cfg.DB(), service.Config{
+		Flavors:             opts,
+		Machine:             cfg.Machine,
+		VectorSize:          cfg.VectorSize,
+		Policy:              *spec,
+		VW:                  cfg.VW,
+		PipelineParallelism: *pp,
+		EncodedStorage:      *encoded,
+		Seed:                cfg.Seed,
+	})
+	if err := svc.Err(); err != nil {
 		return err
 	}
-
-	db := cfg.DB()
 	if *encoded {
-		db.Encode()
-		flat, resident := db.StorageFootprint()
+		flat, resident := svc.DB().StorageFootprint()
 		fmt.Printf("-- encoded storage: %d -> %d resident bytes (%.1f%%)\n",
 			flat, resident, 100*float64(resident)/float64(flat))
 	}
-	var queries []tpch.Spec
-	if *q == 0 {
-		queries = tpch.Queries()
-	} else {
+	queries := tpch.Queries()
+	if *q != 0 {
 		queries = []tpch.Spec{tpch.Query(*q)}
 	}
 	for _, qs := range queries {
-		s := cfg.Session(opts, nil)
-		tab, err := qs.Run(db, s)
+		tab, st, err := svc.Execute(qs.ID)
 		if err != nil {
-			return fmt.Errorf("%s: %w", qs.Name, err)
+			return err
 		}
-		fmt.Printf("-- %s: %d rows, %.0f virtual cycles (%.0f in primitives, %d instances)\n",
-			qs.Name, tab.Rows(), s.Ctx.TotalCycles(), s.Ctx.PrimCycles, len(s.AllInstances()))
+		fmt.Printf("-- %s: %d rows, %.0f primitive cycles, %d instances, %d adaptive calls (%d off-best)\n",
+			qs.Name, tab.Rows(), st.PrimCycles, st.Instances, st.AdaptiveCalls, st.OffBestCalls)
 		if *rows > 0 {
 			fmt.Print(engine.TableString(tab, *rows))
 		}

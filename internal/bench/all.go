@@ -13,18 +13,6 @@ type Experiment struct {
 	Run   func(cfg Config) (*Report, error)
 }
 
-// serialOnly pins an experiment to serial execution: the paper
-// reproductions introspect per-instance histories by serial plan label
-// (mustInstance, APH charts), which a partitioned plan splits across
-// fragment sessions, and a serial run is what makes every report the same
-// bytes on every run.
-func serialOnly(run func(Config) (*Report, error)) func(Config) (*Report, error) {
-	return func(cfg Config) (*Report, error) {
-		cfg.PipelineParallelism = 0
-		return run(cfg)
-	}
-}
-
 // Experiments returns the full registry, in the paper's order. Every entry
 // runs serially on virtual cycles and seeded generators, so its report is
 // deterministic (testdata/paper pins each one).
@@ -53,9 +41,6 @@ func Experiments() []Experiment {
 		Experiment{"policycmp", "Policy comparison: cold vs. warm per policy", PolicyComparison},
 		Experiment{"storage", "Compressed storage: flavor-adaptive scans vs. flat", StorageComparison},
 	)
-	for i := range exps {
-		exps[i].Run = serialOnly(exps[i].Run)
-	}
 	return exps
 }
 

@@ -27,16 +27,8 @@ type Config struct {
 	Seed       int64
 	VectorSize int
 	Machine    *hw.Machine
-	// Policy is the default flavor-selection policy spec (registry syntax,
-	// e.g. "ucb1:c=2"); empty means "vw-greedy" with the VW parameters.
-	Policy string
-	// VW are the base vw-greedy parameters (spec parameters override).
+	// VW are the parameters of every registry-built vw-greedy chooser.
 	VW core.VWParams
-	// PipelineParallelism is the intra-query fan-out of partitionable
-	// plans (0/1 = serial), applied to every session the config builds.
-	PipelineParallelism int
-	// ChartWidth/Height controls ASCII figure rendering.
-	ChartWidth, ChartHeight int
 }
 
 // DefaultConfig returns the standard experiment configuration.
@@ -47,9 +39,11 @@ func DefaultConfig() Config {
 		VectorSize: 128,
 		Machine:    hw.Machine1(),
 		VW:         core.VWParams{ExplorePeriod: 512, ExploitPeriod: 8, ExploreLength: 1, WarmupSkip: 2, InitialSweep: true},
-		ChartWidth: 72, ChartHeight: 14,
 	}
 }
+
+// chartCols and chartRows size every ASCII figure.
+const chartCols, chartRows = 72, 14
 
 // cacheScale is the factor applied to cache capacities for TPC-H runs so
 // working-set-to-cache ratios match the paper's SF-100 regime (DESIGN §4).
@@ -119,35 +113,16 @@ func (cfg Config) PolicyEnv() policy.Env {
 	return policy.Env{Machine: cfg.Machine, VW: cfg.VW, Seed: cfg.Seed}
 }
 
-// Session builds a session over a fresh dictionary with the given flavor
-// options and chooser (nil = cfg.Policy via the registry, defaulting to
-// vw-greedy with cfg.VW). An invalid cfg.Policy spec panics: experiment
-// configurations are wired by code, and the CLI validates specs up front.
+// Session builds a serial session over a fresh dictionary with the given
+// flavor options and chooser (nil = the registry's vw-greedy with cfg.VW).
+// Experiments stay serial because they read per-instance histories by
+// serial plan label (mustInstance, APH charts), which a partitioned plan
+// would split across fragment sessions.
 func (cfg Config) Session(o primitive.Options, chooser core.ChooserFactory) *core.Session {
 	dict := primitive.NewDictionary(o)
 	opts := []core.SessionOption{core.WithVectorSize(cfg.VectorSize), core.WithSeed(cfg.Seed)}
-	if cfg.PipelineParallelism > 1 {
-		opts = append(opts, core.WithParallelism(cfg.PipelineParallelism))
-		if chooser == nil {
-			// Registry-built policies get a fresh factory per fragment
-			// session with a partition-derived seed: one shared factory
-			// would hand out its per-chooser random streams in instance-
-			// creation arrival order across concurrently opening fragments,
-			// making cycle traces vary run to run (results never differ —
-			// flavors are equivalent — but experiments must be
-			// reproducible).
-			opts = append(opts, core.WithFragmentSpawner(func(part int) *core.Session {
-				env := cfg.PolicyEnv()
-				env.Seed = cfg.Seed + core.FragmentSeedStride*int64(part+1)
-				return core.NewSession(dict, cfg.Machine,
-					core.WithVectorSize(cfg.VectorSize),
-					core.WithSeed(env.Seed),
-					core.WithChooser(policy.MustFactory(cfg.policySpec(), env)))
-			}))
-		}
-	}
 	if chooser == nil {
-		chooser = policy.MustFactory(cfg.policySpec(), cfg.PolicyEnv())
+		chooser = policy.MustFactory("vw-greedy", cfg.PolicyEnv())
 	} else {
 		// An explicitly supplied factory pins (or traces) primitive
 		// flavors; operator-level decisions stay on their default arms so
@@ -163,14 +138,6 @@ func (cfg Config) Session(o primitive.Options, chooser core.ChooserFactory) *cor
 	}
 	opts = append(opts, core.WithChooser(chooser))
 	return core.NewSession(dict, cfg.Machine, opts...)
-}
-
-// policySpec is cfg.Policy with the vw-greedy default applied.
-func (cfg Config) policySpec() string {
-	if cfg.Policy == "" {
-		return "vw-greedy"
-	}
-	return cfg.Policy
 }
 
 // fixedArm resolves the registry's "fixed:arm=N" spec: every instance
@@ -232,8 +199,8 @@ func affectedCycles(s *core.Session) (affected, total float64) {
 }
 
 // chartAPH renders overlaid APH cycles/tuple series.
-func (cfg Config) chartAPH(title string, series []stats.Series) string {
-	return stats.ASCIIChart(title, series, cfg.ChartWidth, cfg.ChartHeight)
+func chartAPH(title string, series []stats.Series) string {
+	return stats.ASCIIChart(title, series, chartCols, chartRows)
 }
 
 // instancesByLabel collects one labelled instance from several sessions,

@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"microadapt/internal/core"
-	"microadapt/internal/primitive"
-	"microadapt/internal/tpch"
 )
 
 // tinyConfig keeps experiment smoke tests fast.
@@ -98,43 +96,6 @@ func TestFig6CrossoverOrdering(t *testing.T) {
 	}
 	if m4Cross != "4M" {
 		t.Errorf("machine4 cross-over = %q, want 4M", m4Cross)
-	}
-}
-
-// TestParallelSessionDeterministic: identical configurations must produce
-// identical virtual-cycle totals across runs even with pipeline
-// parallelism — per-fragment policy factories pin each partition's random
-// streams, so goroutine scheduling cannot leak into the measurements.
-func TestParallelSessionDeterministic(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.PipelineParallelism = 4
-	run := func() (float64, int) {
-		s := cfg.TPCHSession(primitive.Everything(), nil)
-		if _, err := tpch.Query(1).Run(cfg.DB(), s); err != nil {
-			t.Fatal(err)
-		}
-		return s.Ctx.PrimCycles, len(s.AllInstances())
-	}
-	c1, n1 := run()
-	c2, n2 := run()
-	if c1 != c2 || n1 != n2 {
-		t.Errorf("parallel runs differ: %v/%d vs %v/%d cycles/instances", c1, n1, c2, n2)
-	}
-	if n1 <= 20 {
-		t.Errorf("instances = %d; expected fragment fan-out (plan did not parallelize)", n1)
-	}
-}
-
-// TestPaperExperimentsPinSerial: paper-reproduction experiments introspect
-// per-instance histories by serial plan label, so they must run serial even
-// when the caller's config asks for pipeline parallelism (fig2 would panic
-// in mustInstance otherwise).
-func TestPaperExperimentsPinSerial(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.PipelineParallelism = 4
-	e, _ := ByID("fig2")
-	if _, err := e.Run(cfg); err != nil {
-		t.Fatalf("fig2 with PipelineParallelism=4: %v", err)
 	}
 }
 

@@ -81,7 +81,7 @@ func Fig1(cfg Config) (*Report, error) {
 		nobranch = append(nobranch, nb)
 		xs = append(xs, fmt.Sprintf("%d", sel))
 	}
-	body := cfg.chartAPH("cycles/tuple vs selectivity (0..100%)", []stats.Series{
+	body := chartAPH("cycles/tuple vs selectivity (0..100%)", []stats.Series{
 		{Name: "branching", Values: branch},
 		{Name: "no-branching", Values: nobranch},
 	})
@@ -202,7 +202,7 @@ func Fig6(cfg Config) (*Report, error) {
 		}
 		crossRows = append(crossRows, []string{m.Name, cross, fmt.Sprintf("%.2f", stats.Max(speedups))})
 	}
-	body := cfg.chartAPH("fission speedup vs bloom filter size (4KB..128MB, log scale)", series)
+	body := chartAPH("fission speedup vs bloom filter size (4KB..128MB, log scale)", series)
 	body += stats.FormatTable(transpose(rows))
 	body += "\n" + stats.FormatTable(crossRows)
 	body += "\npaper: cross-over at 1MB on machine 1 but 4MB on machine 4; fission up to\n" +
@@ -317,7 +317,7 @@ func Fig8(cfg Config) (*Report, error) {
 			rows[i+1] = append(rows[i+1], fmt.Sprintf("%.2f", v))
 		}
 	}
-	body := cfg.chartAPH("full-computation speedup vs input selectivity", series)
+	body := chartAPH("full-computation speedup vs input selectivity", series)
 	body += stats.FormatTable(rows)
 	body += "\npaper: int crosses over at ~30% on machine 1 but ~80% on machine 2; short\n" +
 		"benefits much earlier; long never benefits.\n"
@@ -397,7 +397,7 @@ func Fig10(cfg Config) (*Report, error) {
 		{Name: "flavor 3", Values: hists[2].Series()},
 		{Name: "adaptive", Values: inst.History().Series()},
 	}
-	body := cfg.chartAPH("cycles/tuple over 100K calls (EXPLORE_PERIOD=1024, EXPLOIT_PERIOD=256, EXPLORE_LENGTH=32)", series)
+	body := chartAPH("cycles/tuple over 100K calls (EXPLORE_PERIOD=1024, EXPLOIT_PERIOD=256, EXPLORE_LENGTH=32)", series)
 
 	adaptive := inst.Cycles
 	var opt, best float64

@@ -75,8 +75,8 @@ func StorageComparison(cfg Config) (*Report, error) {
 			onCompressed++
 		}
 	}
-	fmt.Fprintf(&b, "\n%d instances learned an operate-on-compressed selection; one cold session\nper cell (policy %s). Lineitem encodings:\n%s",
-		onCompressed, cfg.policySpec(), encDB.Lineitem.Enc.Summary())
+	fmt.Fprintf(&b, "\n%d instances learned an operate-on-compressed selection; one cold session\nper cell (policy vw-greedy). Lineitem encodings:\n%s",
+		onCompressed, encDB.Lineitem.Enc.Summary())
 	return &Report{
 		ID:    "storage",
 		Title: "Compressed storage: flavor-adaptive scans vs. flat",

@@ -33,7 +33,7 @@ func Fig2(cfg Config) (*Report, error) {
 		series = append(series, stats.Series{Name: names[arm], Values: inst.History().Series()})
 		hists = append(hists, inst.History())
 	}
-	body := cfg.chartAPH("avg cycles/tuple during Q12 ("+label+")", series)
+	body := chartAPH("avg cycles/tuple during Q12 ("+label+")", series)
 	bTot, nbTot := histCycles(hists[0]), histCycles(hists[1])
 	body += fmt.Sprintf("\ntotal cycles: branching %.0f, no-branching %.0f; branching is faster for\n"+
 		"most of the query but collapses when the selectivity drops at the end —\n"+
@@ -72,7 +72,7 @@ func Fig4(cfg Config) (*Report, error) {
 			inst := mustInstance(sessions[arm], panel.label)
 			series = append(series, stats.Series{Name: name, Values: inst.History().Series()})
 		}
-		body.WriteString(cfg.chartAPH(panel.title, series))
+		body.WriteString(chartAPH(panel.title, series))
 		body.WriteString("\n")
 	}
 	body.WriteString("paper: no single best compiler even within one query — gcc wins (a),\n" +
@@ -173,7 +173,7 @@ func (r *flavorSetRun) report() string {
 
 // fig11Panel renders one Figure 11 panel: the pinned flavor curves plus
 // the adaptive curve of one instance.
-func (r *flavorSetRun) fig11Panel(cfg Config, title, label string) string {
+func (r *flavorSetRun) fig11Panel(title, label string) string {
 	var series []stats.Series
 	for arm, s := range r.arms {
 		inst := mustInstance(s, label)
@@ -181,7 +181,7 @@ func (r *flavorSetRun) fig11Panel(cfg Config, title, label string) string {
 	}
 	inst := mustInstance(r.adaptive, label)
 	series = append(series, stats.Series{Name: "micro adaptive", Values: inst.History().Series()})
-	return cfg.chartAPH(title, series)
+	return chartAPH(title, series)
 }
 
 // flavorSetSpecs defines the five studies of §4.1.
@@ -251,7 +251,7 @@ func Fig11(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		body.WriteString(r.fig11Panel(cfg, p.title, p.label))
+		body.WriteString(r.fig11Panel(p.title, p.label))
 		body.WriteString("\n")
 	}
 	body.WriteString("micro adaptivity tracks the lower bound of the flavors, switching when\n" +

@@ -229,9 +229,10 @@ func WithParallelism(p int) core.SessionOption { return core.WithParallelism(p) 
 // sessions whose choosers run on concurrent goroutines). Streams are
 // assigned in chooser-creation order; with one factory serving several
 // concurrently opening fragments that order follows goroutine scheduling,
-// so parallel cycle traces may vary run to run (results never do). Use
-// core.WithFragmentSpawner with a per-fragment factory for bit-reproducible
-// parallel runs.
+// so parallel cycle traces may vary run to run (results never do). For
+// bit-reproducible parallel runs use NewService with
+// ServiceConfig.PipelineParallelism, which gives every fragment session its
+// own seeded factory.
 func VWGreedyChooser(p VWParams, seed int64) ChooserFactory {
 	var ctr atomic.Int64
 	return func(n int) Chooser {
