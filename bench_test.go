@@ -4,56 +4,11 @@ import (
 	"math/rand"
 	"testing"
 
-	"microadapt/internal/bench"
 	"microadapt/internal/core"
 	"microadapt/internal/hw"
 	"microadapt/internal/primitive"
 	"microadapt/internal/vector"
 )
-
-// benchConfig keeps the per-iteration cost of `go test -bench` reasonable:
-// experiments run at a reduced scale factor (shapes are scale-free).
-func benchConfig() bench.Config {
-	cfg := bench.DefaultConfig()
-	cfg.SF = 0.01
-	return cfg
-}
-
-// runExperiment executes one paper experiment per iteration and reports
-// nothing but wall time — the regeneration cost of that table/figure.
-func runExperiment(b *testing.B, id string) {
-	cfg := benchConfig()
-	e, ok := bench.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// One benchmark per table and figure of the paper's evaluation.
-
-func BenchmarkTable1StageBreakdown(b *testing.B)    { runExperiment(b, "table1") }
-func BenchmarkFig1BranchVsSelectivity(b *testing.B) { runExperiment(b, "fig1") }
-func BenchmarkFig2Q12Trace(b *testing.B)            { runExperiment(b, "fig2") }
-func BenchmarkFig4CompilerAPH(b *testing.B)         { runExperiment(b, "fig4") }
-func BenchmarkFig5MergejoinMachines(b *testing.B)   { runExperiment(b, "fig5") }
-func BenchmarkFig6BloomFission(b *testing.B)        { runExperiment(b, "fig6") }
-func BenchmarkTable4Unrolling(b *testing.B)         { runExperiment(b, "table4") }
-func BenchmarkFig8FullComputation(b *testing.B)     { runExperiment(b, "fig8") }
-func BenchmarkFig10VWGreedyDemo(b *testing.B)       { runExperiment(b, "fig10") }
-func BenchmarkTable5MABComparison(b *testing.B)     { runExperiment(b, "table5") }
-func BenchmarkTable6Branching(b *testing.B)         { runExperiment(b, "table6") }
-func BenchmarkTable7Compilers(b *testing.B)         { runExperiment(b, "table7") }
-func BenchmarkTable8LoopFission(b *testing.B)       { runExperiment(b, "table8") }
-func BenchmarkTable9FullComputation(b *testing.B)   { runExperiment(b, "table9") }
-func BenchmarkTable10Unrolling(b *testing.B)        { runExperiment(b, "table10") }
-func BenchmarkFig11AdaptiveAPH(b *testing.B)        { runExperiment(b, "fig11") }
-func BenchmarkTable11TPCH(b *testing.B)             { runExperiment(b, "table11") }
 
 // Wall-clock micro-benchmarks of the real Go flavor implementations: on
 // the host CPU, branching vs no-branching selection genuinely differ with
@@ -91,8 +46,9 @@ func BenchmarkWallClockNoBranchingSel1(b *testing.B)  { wallClockSelection(b, fa
 func BenchmarkWallClockNoBranchingSel50(b *testing.B) { wallClockSelection(b, false, 50) }
 func BenchmarkWallClockNoBranchingSel99(b *testing.B) { wallClockSelection(b, false, 99) }
 
-// Ablation benchmarks for the vw-greedy design choices called out in
-// DESIGN.md §6. Each replays the same non-stationary two-arm scenario and
+// Ablation benchmarks for vw-greedy's design choices (Listing 8's windowed
+// mean and explore/exploit pattern, plus the initial sweep and warmup
+// skip). Each replays the same non-stationary two-arm scenario and
 // reports achieved-cost/OPT as cost_over_opt (lower is better, 1.0 = OPT).
 
 type abScenario struct {

@@ -146,18 +146,30 @@ func cmdExplain(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	queries, err := querySpecs(*q)
+	if err != nil {
+		return err
+	}
 	db := tpch.Generate(*sf, *seed)
 	if *encoded {
 		db.Encode()
-	}
-	queries := tpch.Queries()
-	if *q != 0 {
-		queries = []tpch.Spec{tpch.Query(*q)}
 	}
 	for _, qs := range queries {
 		fmt.Printf("-- %s\n%s\n", qs.Name, tpch.Explain(db, qs.ID, *pp))
 	}
 	return nil
+}
+
+// querySpecs resolves a -q flag: 0 is all 22 queries, 1-22 is one query.
+func querySpecs(q int) ([]tpch.Spec, error) {
+	all := tpch.Queries()
+	if q == 0 {
+		return all, nil
+	}
+	if q < 1 || q > len(all) {
+		return nil, fmt.Errorf("no query %d (want 1-%d, or 0 for all)", q, len(all))
+	}
+	return all[q-1 : q], nil
 }
 
 func flavorOptions(name string) (primitive.Options, error) {
@@ -202,6 +214,10 @@ func cmdTPCH(args []string) error {
 	if err != nil {
 		return err
 	}
+	queries, err := querySpecs(*q)
+	if err != nil {
+		return err
+	}
 	// WarmStart stays off, so every query runs cold in its own session.
 	svc := service.New(cfg.DB(), service.Config{
 		Flavors:             opts,
@@ -220,10 +236,6 @@ func cmdTPCH(args []string) error {
 		flat, resident := svc.DB().StorageFootprint()
 		fmt.Printf("-- encoded storage: %d -> %d resident bytes (%.1f%%)\n",
 			flat, resident, 100*float64(resident)/float64(flat))
-	}
-	queries := tpch.Queries()
-	if *q != 0 {
-		queries = []tpch.Spec{tpch.Query(*q)}
 	}
 	for _, qs := range queries {
 		tab, st, err := svc.Execute(qs.ID)

@@ -17,11 +17,12 @@ import (
 	"microadapt/internal/primitive"
 	"microadapt/internal/stats"
 	"microadapt/internal/tpch"
+	"microadapt/internal/trace"
 )
 
 // Config parameterizes an experiment run. The defaults trade the paper's
-// SF-100 for a laptop-scale workload with proportionally scaled vector
-// size and vw-greedy parameters (see DESIGN.md §4).
+// SF-100 for a laptop scale with proportionally scaled vector size and
+// vw-greedy parameters (README: "Regenerating the paper's tables and figures").
 type Config struct {
 	SF         float64
 	Seed       int64
@@ -46,7 +47,7 @@ func DefaultConfig() Config {
 const chartCols, chartRows = 72, 14
 
 // cacheScale is the factor applied to cache capacities for TPC-H runs so
-// working-set-to-cache ratios match the paper's SF-100 regime (DESIGN §4).
+// working-set-to-cache ratios match the paper's SF-100 regime.
 func (cfg Config) cacheScale() float64 {
 	s := cfg.SF / 2
 	if s > 1 {
@@ -159,11 +160,13 @@ func runQueries(db *tpch.DB, s *core.Session, queries []tpch.Spec) error {
 }
 
 // pinnedSessions runs queries once per arm, each arm in its own session
-// pinned to it, and returns the sessions in arm order.
+// pinned to it, and returns the sessions in arm order. Every pinned
+// instance records its per-call costs, so trace.Collect can replay the
+// runs (Table 5 replays Table 7's).
 func (cfg Config) pinnedSessions(db *tpch.DB, o primitive.Options, arms int, queries ...tpch.Spec) ([]*core.Session, error) {
 	sessions := make([]*core.Session, arms)
 	for arm := range sessions {
-		sessions[arm] = cfg.TPCHSession(o, fixedArm(arm))
+		sessions[arm] = cfg.TPCHSession(o, trace.Recording(fixedArm(arm)))
 		if err := runQueries(db, sessions[arm], queries); err != nil {
 			return nil, err
 		}
@@ -217,13 +220,6 @@ func mustInstance(s *core.Session, label string) *core.Instance {
 	}
 	sort.Strings(near)
 	panic(fmt.Sprintf("bench: no instance %q; near matches: %v", label, near))
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func fmtFactor(base, other float64) string {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"microadapt/internal/core"
+	"microadapt/internal/hw"
 )
 
 // tinyConfig keeps experiment smoke tests fast.
@@ -37,39 +38,9 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 }
 
-// TestMicroExperimentsRun smoke-tests the non-TPC-H experiments.
-func TestMicroExperimentsRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("micro experiments take ~10s; skipped in -short mode")
-	}
-	for _, id := range []string{"fig1", "fig5", "fig6", "table4", "fig8"} {
-		rep := tinyReport(t, id)
-		if rep.ID != id || len(rep.Body) < 100 {
-			t.Errorf("%s: malformed report", id)
-		}
-		if !strings.Contains(rep.String(), rep.Title) {
-			t.Errorf("%s: rendering misses title", id)
-		}
-	}
-}
-
-// TestTPCHExperimentsRun smoke-tests the workload-based experiments at a
-// tiny scale factor (shape assertions live in the packages below; this
-// guards against instance-label drift between plans and the harness).
-func TestTPCHExperimentsRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("TPC-H experiments skipped in -short mode")
-	}
-	for _, id := range []string{"table1", "fig2", "fig4", "fig10", "table6", "table9", "fig11", "table11"} {
-		if rep := tinyReport(t, id); len(rep.Body) < 50 {
-			t.Errorf("%s: empty report", id)
-		}
-	}
-}
-
 func TestFig6CrossoverOrdering(t *testing.T) {
 	if testing.Short() {
-		t.Skip("fig6 sweeps four machines over seven filter sizes (~11s); skipped in -short mode")
+		t.Skip("fig6 sweeps four machines over nine filter sizes (~2s, ~20s under -race); skipped in -short mode")
 	}
 	rep := tinyReport(t, "fig6")
 	// The paper's headline: machine 1 crosses over at a smaller filter
@@ -108,6 +79,28 @@ func TestDBCaching(t *testing.T) {
 	cfg2.Seed = 99
 	if cfg.DB() == cfg2.DB() {
 		t.Error("different seeds should generate different databases")
+	}
+}
+
+// TestFlavorSetMemoKeysOnMachine runs Table 7 on two machines in one
+// process: the second must get its own study run, not the first's row.
+func TestFlavorSetMemoKeysOnMachine(t *testing.T) {
+	cfg := tinyConfig()
+	var bodies []string
+	for _, m := range []*hw.Machine{hw.Machine1(), hw.Machine3()} {
+		cfg.Machine = m
+		rep, err := FlavorSetTable(cfg, "table7")
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, _, _ := flavorSet(cfg, "table7")
+		if got := r.adaptive.Machine.Name; got != m.Name {
+			t.Errorf("table7 on %s ran on %s", m.Name, got)
+		}
+		bodies = append(bodies, rep.Body)
+	}
+	if bodies[0] == bodies[1] {
+		t.Errorf("table7 on machine3 printed machine1's table:\n%s", bodies[1])
 	}
 }
 

@@ -177,16 +177,26 @@ func Fig6(cfg Config) (*Report, error) {
 		rows[0] = append(rows[0], sizeName(sz))
 	}
 	crossRows := [][]string{{"machine", "cross-over size", "max speedup"}}
-	for _, m := range hw.Machines() {
+	machines := hw.Machines()
+	sessions := make([]*core.Session, len(machines))
+	for mi, m := range machines {
 		mcfg := cfg
 		mcfg.Machine = m
-		s := mcfg.Session(primitive.FissionSet(), fixedArm(0))
-		var speedups []float64
-		for i, sz := range sizes {
-			nof := bloomBench(mcfg, s, 0, fmt.Sprintf("fig6/%s/n%d", m.Name, i), sz)
-			fis := bloomBench(mcfg, s, 1, fmt.Sprintf("fig6/%s/f%d", m.Name, i), sz)
-			speedups = append(speedups, nof/fis)
+		sessions[mi] = mcfg.Session(primitive.FissionSet(), fixedArm(0))
+	}
+	// The probe's cost depends only on the filter's size and the live
+	// tuples, so every machine and arm probes one filter per size.
+	bySize := make([][]float64, len(machines)) // [machine][size]
+	for i, sz := range sizes {
+		f, keys := bloomFilter(cfg, sz)
+		for mi, m := range machines {
+			nof := bloomBench(cfg, sessions[mi], 0, fmt.Sprintf("fig6/%s/n%d", m.Name, i), f, keys)
+			fis := bloomBench(cfg, sessions[mi], 1, fmt.Sprintf("fig6/%s/f%d", m.Name, i), f, keys)
+			bySize[mi] = append(bySize[mi], nof/fis)
 		}
+	}
+	for mi, m := range machines {
+		speedups := bySize[mi]
 		series = append(series, stats.Series{Name: m.Name, Values: speedups})
 		row := []string{m.Name}
 		for _, sp := range speedups {
@@ -233,25 +243,36 @@ func transpose(rows [][]string) [][]string {
 	return out
 }
 
-func bloomBench(cfg Config, s *core.Session, arm int, label string, sizeBytes int) float64 {
-	inst := s.Instance("sel_bloomfilter_slng_col", label)
+// bloomFilter fills a filter of sizeBytes to a realistic load (~20% of
+// probes hit) and draws the keys of bloomCalls probe calls after the fill.
+func bloomFilter(cfg Config, sizeBytes int) (*bloom.Filter, []int64) {
 	f := bloom.New(sizeBytes, 2)
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	// Fill to a realistic load (~20% of probes hit).
 	for i := 0; i < sizeBytes/8; i++ {
 		f.Add(rng.Int63())
 	}
+	keys := make([]int64, bloomCalls*cfg.VectorSize)
+	for i := range keys {
+		keys[i] = rng.Int63()
+	}
+	return f, keys
+}
+
+const bloomCalls = 200
+
+// bloomBench probes f with keys through flavor arm and returns the
+// cycles per tuple.
+func bloomBench(cfg Config, s *core.Session, arm int, label string, f *bloom.Filter, keys []int64) float64 {
+	inst := s.Instance("sel_bloomfilter_slng_col", label)
 	n := cfg.VectorSize
-	keys := make([]int64, n)
 	out := make([]int32, n)
-	const calls = 200
-	cycles := flavorCalls(s, inst, arm, calls, func() *core.Call {
-		for i := range keys {
-			keys[i] = rng.Int63()
-		}
-		return &core.Call{N: n, In: []*vector.Vector{vector.FromI64(keys)}, SelOut: out, Aux: f}
+	call := 0
+	cycles := flavorCalls(s, inst, arm, bloomCalls, func() *core.Call {
+		batch := keys[call*n : (call+1)*n]
+		call++
+		return &core.Call{N: n, In: []*vector.Vector{vector.FromI64(batch)}, SelOut: out, Aux: f}
 	})
-	return cycles / float64(calls*n)
+	return cycles / float64(bloomCalls*n)
 }
 
 // Table4 reproduces Table 4: the interaction of hand unrolling with

@@ -19,9 +19,9 @@ type tinyRun struct {
 var tinyRuns = map[string]tinyRun{}
 
 // tinyReport runs experiment id at tinyConfig() once per test binary and
-// hands every later caller the same report, so the golden and the smoke
-// tests do not pay for an experiment twice. Reports are deterministic, so
-// sharing one run changes nothing they check.
+// hands every later caller the same report, so TestPaperGolden and
+// TestFig6CrossoverOrdering do not pay for Figure 6 twice. Reports are
+// deterministic, so sharing one run changes nothing they check.
 func tinyReport(t *testing.T, id string) *Report {
 	t.Helper()
 	r, ok := tinyRuns[id]
@@ -52,9 +52,13 @@ func TestPaperGolden(t *testing.T) {
 	for _, e := range Experiments() {
 		t.Run(e.ID, func(t *testing.T) {
 			if e.ID == "fig6" && testing.Short() {
-				t.Skip("fig6 sweeps four machines over seven filter sizes (~16s); skipped in -short mode")
+				t.Skip("fig6 sweeps four machines over nine filter sizes (~2s, ~20s under -race); skipped in -short mode")
 			}
-			got := tinyReport(t, e.ID).String()
+			rep := tinyReport(t, e.ID)
+			if rep.ID != e.ID {
+				t.Errorf("report id %q, want %q", rep.ID, e.ID)
+			}
+			got := rep.String()
 			path := filepath.Join("testdata", "paper", e.ID+".golden")
 			if *updatePaper {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

@@ -198,16 +198,24 @@ var flavorSetSpecs = []struct {
 	{"table10", "Table 10: Hand-Unrolling flavors", primitive.UnrollSet, []string{"unroll 8", "no unroll"}},
 }
 
+// flavorSetKey names one study run: its id and the whole configuration,
+// the machine by name (cfg.Machine is cleared).
+type flavorSetKey struct {
+	id, machine string
+	cfg         Config
+}
+
 // flavorSetCache shares the expensive runs between the table and figure
 // experiments within one process.
-var flavorSetCache = map[string]*flavorSetRun{}
+var flavorSetCache = map[flavorSetKey]*flavorSetRun{}
 
 func flavorSet(cfg Config, id string) (*flavorSetRun, string, error) {
 	for _, spec := range flavorSetSpecs {
 		if spec.id != id {
 			continue
 		}
-		key := fmt.Sprintf("%s/%v/%d", id, cfg.SF, cfg.VectorSize)
+		key := flavorSetKey{id: id, machine: cfg.Machine.Name, cfg: cfg}
+		key.cfg.Machine = nil
 		if r, ok := flavorSetCache[key]; ok {
 			return r, spec.title, nil
 		}
@@ -260,17 +268,15 @@ func Fig11(cfg Config) (*Report, error) {
 	return &Report{ID: "fig11", Title: "Figure 11: Micro Adaptive execution (sample APHs)", Body: body.String()}, nil
 }
 
-// Table5 reproduces the MAB-algorithm comparison: record per-call costs of
-// the three compiler flavors over the full TPC-H run, then replay the
-// traces through each algorithm and score against OPT.
+// Table5 reproduces the MAB-algorithm comparison: replay the per-call
+// costs of the three compiler flavors, recorded by Table 7's pinned runs
+// over the full TPC-H suite, through each algorithm and score against OPT.
 func Table5(cfg Config) (*Report, error) {
-	db := cfg.DB()
-	traces, err := trace.Record(3, func(f core.ChooserFactory) *core.Session {
-		return cfg.TPCHSession(primitive.CompilerSet(), f)
-	}, func(s *core.Session) error { return RunTPCH(db, s) })
+	r, _, err := flavorSet(cfg, "table7")
 	if err != nil {
 		return nil, err
 	}
+	traces := trace.Collect(r.arms)
 	var calls int
 	for _, tr := range traces {
 		calls += tr.Calls()
@@ -281,6 +287,7 @@ func Table5(cfg Config) (*Report, error) {
 		name string
 		mk   func(n int) core.Chooser
 	}
+	rng := func() *rand.Rand { return rand.New(rand.NewSource(cfg.Seed)) }
 	vw := func(p, e, l int) algo {
 		return algo{
 			name: fmt.Sprintf("vw-greedy(%d,%d,%d)", p, e, l),
@@ -288,39 +295,21 @@ func Table5(cfg Config) (*Report, error) {
 				return core.NewVWGreedy(n, core.VWParams{
 					ExplorePeriod: p, ExploitPeriod: e, ExploreLength: l,
 					WarmupSkip: 2, InitialSweep: true,
-				}, rand.New(rand.NewSource(cfg.Seed)))
+				}, rng())
 			},
 		}
 	}
 	algos := []algo{
 		vw(1024, 8, 2), vw(2048, 8, 1), vw(2048, 8, 2), vw(128, 8, 2), vw(256, 8, 2),
-		{"eps-first(0.001)", func(n int) core.Chooser {
-			return core.NewEpsFirst(n, 0.001, horizon, rand.New(rand.NewSource(cfg.Seed)))
-		}},
-		{"eps-first(0.05)", func(n int) core.Chooser {
-			return core.NewEpsFirst(n, 0.05, horizon, rand.New(rand.NewSource(cfg.Seed)))
-		}},
-		{"eps-first(0.1)", func(n int) core.Chooser {
-			return core.NewEpsFirst(n, 0.1, horizon, rand.New(rand.NewSource(cfg.Seed)))
-		}},
-		{"eps-greedy(0.001)", func(n int) core.Chooser {
-			return core.NewEpsGreedy(n, 0.001, rand.New(rand.NewSource(cfg.Seed)))
-		}},
-		{"eps-greedy(0.05)", func(n int) core.Chooser {
-			return core.NewEpsGreedy(n, 0.05, rand.New(rand.NewSource(cfg.Seed)))
-		}},
-		{"eps-greedy(0.1)", func(n int) core.Chooser {
-			return core.NewEpsGreedy(n, 0.1, rand.New(rand.NewSource(cfg.Seed)))
-		}},
-		{"eps-decreasing(1.0)", func(n int) core.Chooser {
-			return core.NewEpsDecreasing(n, 1.0, rand.New(rand.NewSource(cfg.Seed)))
-		}},
-		{"eps-decreasing(0.1)", func(n int) core.Chooser {
-			return core.NewEpsDecreasing(n, 0.1, rand.New(rand.NewSource(cfg.Seed)))
-		}},
-		{"eps-decreasing(5.0)", func(n int) core.Chooser {
-			return core.NewEpsDecreasing(n, 5.0, rand.New(rand.NewSource(cfg.Seed)))
-		}},
+		{"eps-first(0.001)", func(n int) core.Chooser { return core.NewEpsFirst(n, 0.001, horizon, rng()) }},
+		{"eps-first(0.05)", func(n int) core.Chooser { return core.NewEpsFirst(n, 0.05, horizon, rng()) }},
+		{"eps-first(0.1)", func(n int) core.Chooser { return core.NewEpsFirst(n, 0.1, horizon, rng()) }},
+		{"eps-greedy(0.001)", func(n int) core.Chooser { return core.NewEpsGreedy(n, 0.001, rng()) }},
+		{"eps-greedy(0.05)", func(n int) core.Chooser { return core.NewEpsGreedy(n, 0.05, rng()) }},
+		{"eps-greedy(0.1)", func(n int) core.Chooser { return core.NewEpsGreedy(n, 0.1, rng()) }},
+		{"eps-decreasing(1.0)", func(n int) core.Chooser { return core.NewEpsDecreasing(n, 1.0, rng()) }},
+		{"eps-decreasing(0.1)", func(n int) core.Chooser { return core.NewEpsDecreasing(n, 0.1, rng()) }},
+		{"eps-decreasing(5.0)", func(n int) core.Chooser { return core.NewEpsDecreasing(n, 5.0, rng()) }},
 	}
 	type scored struct {
 		name string

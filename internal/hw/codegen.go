@@ -37,8 +37,8 @@ func (d Drift) At(calls int) float64 {
 
 // Codegen is a compiler profile: the efficiency of the code one compiler
 // generates for each primitive class on each machine, relative to the
-// reference (gcc = 1.0 unless the paper reports otherwise). This is the
-// substitution for building with gcc/icc/clang (Table 3); see DESIGN.md §4.
+// reference (gcc = 1.0 unless the paper reports otherwise). It replaces real
+// gcc/icc/clang builds (Table 3) so every run is deterministic and portable.
 type Codegen struct {
 	Name string
 

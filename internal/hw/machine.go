@@ -19,8 +19,8 @@
 package hw
 
 // Machine is a virtual machine profile. The four constructors correspond to
-// Table 2 of the paper; the microarchitectural parameters are calibrated to
-// reproduce the relations the paper reports (see DESIGN.md §4).
+// Table 2 of the paper; their parameters are calibrated to reproduce the
+// relations the paper reports (docs/ARCHITECTURE.md, paper-to-package map).
 type Machine struct {
 	Name   string
 	Vendor string

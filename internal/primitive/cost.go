@@ -9,7 +9,7 @@
 // cycle cost is produced by the calibrated cost functions in this file,
 // driven by the actual data the call processed (branch outcomes through the
 // instance's predictor, selection densities, working-set sizes, type
-// widths). See internal/hw and DESIGN.md §4 for the substitution rationale.
+// widths), so figures are deterministic on any host (docs/ARCHITECTURE.md).
 package primitive
 
 import (

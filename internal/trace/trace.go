@@ -1,12 +1,12 @@
 // Package trace implements the simulation-on-traces methodology of §3.2
-// (Table 5): it records per-call flavor costs for every primitive instance
-// of a workload (one run per flavor, each pinned), then replays the traces
-// through candidate multi-armed-bandit algorithms and scores them against
-// OPT, the per-call oracle.
+// (Table 5): Recording logs the per-call flavor costs of every primitive
+// instance in a pinned run, Collect lines the runs up into one cost matrix
+// per instance (one run per flavor), and Score replays those traces
+// through candidate multi-armed-bandit algorithms against OPT, the
+// per-call oracle. Table 5 replays Table 7's pinned compiler runs.
 package trace
 
 import (
-	"fmt"
 	"sort"
 
 	"microadapt/internal/core"
@@ -18,7 +18,6 @@ import (
 // deterministic, call sequences align exactly across the per-arm runs.
 type InstanceTrace struct {
 	Label  string
-	Sig    string
 	Arms   int
 	Tuples []int       // tuples per call
 	Cycles [][]float64 // [arm][call]
@@ -42,54 +41,43 @@ func (tr *InstanceTrace) OptCycles() float64 {
 	return total
 }
 
-// recorder is a pinned chooser that logs every observation.
+// recorder wraps a chooser and logs every observation it is fed.
 type recorder struct {
-	arm    int
+	core.Chooser
 	tuples []int
 	cycles []float64
 }
 
-func (r *recorder) Name() string                  { return "recorder" }
-func (r *recorder) Choose(core.ChooseContext) int { return r.arm }
 func (r *recorder) Observe(o core.Observation) {
+	r.Chooser.Observe(o)
 	r.tuples = append(r.tuples, o.Tuples)
 	r.cycles = append(r.cycles, o.Cycles)
 }
 
-// Workload runs a job against a session (e.g. the full TPC-H suite).
-type Workload func(s *core.Session) error
+// Recording wraps every chooser f builds so that Collect can read back the
+// per-call costs its instance observed. Choices are f's own.
+func Recording(f core.ChooserFactory) core.ChooserFactory {
+	return func(n int) core.Chooser { return &recorder{Chooser: f(n)} }
+}
 
-// Record runs the workload once per arm in [0, nArms), pinning every
-// instance to that arm (clamped to the instance's flavor count), and
-// returns the per-instance traces sorted by label. Instances whose flavor
-// count is below nArms get their extra columns filled from arm 0 so that
-// simulation still sees a full matrix.
-func Record(nArms int, mkSession func(core.ChooserFactory) *core.Session, workload Workload) ([]*InstanceTrace, error) {
+// Collect builds the per-instance traces of runs that executed the same
+// workload, sessions[arm] pinned to arm under a Recording factory, and
+// returns them sorted by label. An instance missing from a run, or
+// recorded with a different call count (fewer flavors), gets that arm's
+// column from arm 0 so that simulation still sees a full matrix.
+func Collect(sessions []*core.Session) []*InstanceTrace {
+	nArms := len(sessions)
 	byLabel := make(map[string]*InstanceTrace)
-	for arm := 0; arm < nArms; arm++ {
-		arm := arm
-		recs := make(map[*core.Instance]*recorder)
-		s := mkSession(func(n int) core.Chooser {
-			a := arm
-			if a >= n {
-				a = 0
-			}
-			return &recorder{arm: a}
-		})
-		if err := workload(s); err != nil {
-			return nil, fmt.Errorf("trace.Record arm %d: %w", arm, err)
-		}
+	for arm, s := range sessions {
 		for _, inst := range s.Instances() {
 			rec, _ := inst.Chooser().(*recorder)
 			if rec == nil {
 				continue
 			}
-			recs[inst] = rec
 			tr := byLabel[inst.Label]
 			if tr == nil {
 				tr = &InstanceTrace{
 					Label:  inst.Label,
-					Sig:    inst.Prim.Sig,
 					Arms:   nArms,
 					Cycles: make([][]float64, nArms),
 				}
@@ -122,7 +110,7 @@ func Record(nArms int, mkSession func(core.ChooserFactory) *core.Session, worklo
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Label < out[j].Label })
-	return out, nil
+	return out
 }
 
 // Simulate replays one trace through a chooser and returns its total cost.

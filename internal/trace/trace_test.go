@@ -8,8 +8,19 @@ import (
 	"microadapt/internal/hw"
 )
 
-// fakeWorkload builds a session workload with two primitives whose flavor
-// costs are controlled exactly.
+// pinnedRuns runs workload once per arm, each run in its own session with
+// every instance pinned to that arm (clamped to its last flavor) under a
+// Recording factory, the way the paper harness builds its pinned runs.
+func pinnedRuns(nArms int, mk func(core.ChooserFactory) *core.Session, workload func(*core.Session)) []*core.Session {
+	sessions := make([]*core.Session, nArms)
+	for arm := range sessions {
+		sessions[arm] = mk(Recording(func(n int) core.Chooser { return core.NewFixed(min(arm, n-1)) }))
+		workload(sessions[arm])
+	}
+	return sessions
+}
+
+// fakeDict builds a dictionary whose flavor costs are controlled exactly.
 func fakeDict(costs map[string][]float64) *core.Dictionary {
 	d := core.NewDictionary()
 	for sig, armCosts := range costs {
@@ -35,19 +46,15 @@ func TestRecordAndScores(t *testing.T) {
 		return core.NewSession(fakeDict(costs), hw.Machine1(),
 			core.WithVectorSize(10), core.WithChooser(f))
 	}
-	workload := func(s *core.Session) error {
+	workload := func(s *core.Session) {
 		i1 := s.Instance("p1", "w/p1")
 		i2 := s.Instance("p2", "w/p2")
 		for call := 0; call < 50; call++ {
 			i1.Run(s.Ctx, &core.Call{N: 10})
 			i2.Run(s.Ctx, &core.Call{N: 10})
 		}
-		return nil
 	}
-	traces, err := Record(2, mk, workload)
-	if err != nil {
-		t.Fatal(err)
-	}
+	traces := Collect(pinnedRuns(2, mk, workload))
 	if len(traces) != 2 {
 		t.Fatalf("traces = %d, want 2", len(traces))
 	}
@@ -115,17 +122,13 @@ func TestVWGreedyNearOptimalOnStationaryTrace(t *testing.T) {
 		return core.NewSession(fakeDict(costs), hw.Machine1(),
 			core.WithVectorSize(100), core.WithChooser(f))
 	}
-	workload := func(s *core.Session) error {
+	workload := func(s *core.Session) {
 		inst := s.Instance("p", "w/p")
 		for call := 0; call < 4000; call++ {
 			inst.Run(s.Ctx, &core.Call{N: 100})
 		}
-		return nil
 	}
-	traces, err := Record(3, mk, workload)
-	if err != nil {
-		t.Fatal(err)
-	}
+	traces := Collect(pinnedRuns(3, mk, workload))
 	score := Score(traces, func(n int) core.Chooser {
 		return core.NewVWGreedy(n, core.VWParams{
 			ExplorePeriod: 512, ExploitPeriod: 8, ExploreLength: 1,
@@ -138,8 +141,9 @@ func TestVWGreedyNearOptimalOnStationaryTrace(t *testing.T) {
 }
 
 func TestRecordClampsMissingArms(t *testing.T) {
-	// p1 has 3 flavors, p2 only 1: recording 3 arms must still produce a
-	// complete matrix for p2 (filled from arm 0).
+	// p1 has 3 flavors, p2 only 1, and p3 runs only in arm 0's session:
+	// collecting 3 arms must still produce a complete matrix for p2 and p3
+	// (filled from arm 0), and p1's columns must be its pinned flavors.
 	d := core.NewDictionary()
 	for arm := 0; arm < 3; arm++ {
 		cost := float64(arm + 1)
@@ -150,29 +154,40 @@ func TestRecordClampsMissingArms(t *testing.T) {
 			},
 		})
 	}
-	d.AddFlavor("p2", hw.ClassMapArith, &core.Flavor{
-		Name: "only",
-		Fn:   func(ctx *core.ExecCtx, c *core.Call) (int, float64) { return c.N, float64(c.N) },
-	})
+	for _, sig := range []string{"p2", "p3"} {
+		d.AddFlavor(sig, hw.ClassMapArith, &core.Flavor{
+			Name: "only",
+			Fn:   func(ctx *core.ExecCtx, c *core.Call) (int, float64) { return c.N, float64(c.N) },
+		})
+	}
 	mk := func(f core.ChooserFactory) *core.Session {
 		return core.NewSession(d, hw.Machine1(), core.WithChooser(f))
 	}
-	workload := func(s *core.Session) error {
+	runs := 0
+	workload := func(s *core.Session) {
 		for call := 0; call < 10; call++ {
 			s.Instance("p1", "p1").Run(s.Ctx, &core.Call{N: 4})
 			s.Instance("p2", "p2").Run(s.Ctx, &core.Call{N: 4})
+			if runs == 0 {
+				s.Instance("p3", "p3").Run(s.Ctx, &core.Call{N: 4})
+			}
 		}
-		return nil
+		runs++
 	}
-	traces, err := Record(3, mk, workload)
-	if err != nil {
-		t.Fatal(err)
+	traces := Collect(pinnedRuns(3, mk, workload))
+	if len(traces) != 3 {
+		t.Fatalf("traces = %d, want 3", len(traces))
 	}
 	for _, tr := range traces {
 		for arm := 0; arm < 3; arm++ {
 			if len(tr.Cycles[arm]) != tr.Calls() {
 				t.Errorf("%s arm %d incomplete", tr.Label, arm)
 			}
+		}
+	}
+	for arm, cycles := range traces[0].Cycles {
+		if want := float64(4 * (arm + 1)); cycles[0] != want {
+			t.Errorf("p1 arm %d cost %v, want %v", arm, cycles[0], want)
 		}
 	}
 }
