@@ -12,8 +12,9 @@ import (
 	"fmt"
 	"math/rand"
 
-	"microadapt"
 	"microadapt/internal/core"
+	"microadapt/internal/hw"
+	"microadapt/internal/policy"
 	"microadapt/internal/primitive"
 	"microadapt/internal/vector"
 )
@@ -38,12 +39,12 @@ func selectivityAt(call int) float64 {
 
 // runPolicy streams the workload through one session and returns the total
 // virtual cycles of the selection instance.
-func runPolicy(name string, chooser microadapt.ChooserFactory) float64 {
-	sess := microadapt.NewSession(
-		microadapt.BranchFlavors(),
-		microadapt.Machine1(),
-		microadapt.WithVectorSize(vectorSize),
-		microadapt.WithChooser(chooser),
+func runPolicy(name string, chooser core.ChooserFactory) float64 {
+	sess := core.NewSession(
+		primitive.NewDictionary(primitive.BranchSet()),
+		hw.Machine1(),
+		core.WithVectorSize(vectorSize),
+		core.WithChooser(chooser),
 	)
 	sig := primitive.SelSig("<", vector.I32, false)
 	inst := sess.Instance(sig, "demo/"+sig)
@@ -78,8 +79,8 @@ func main() {
 	fmt.Println("selection over a stream whose selectivity shifts 98% -> 2% -> 60%")
 	fmt.Printf("(%d calls x %d tuples)\n\n", totalCalls, vectorSize)
 
-	always0 := runPolicy("always branching", microadapt.FixedChooser(0))
-	always1 := runPolicy("always no-branching", microadapt.FixedChooser(1))
+	always0 := runPolicy("always branching", policy.MustFactory("fixed:arm=0", policy.Env{}))
+	always1 := runPolicy("always no-branching", policy.MustFactory("fixed:arm=1", policy.Env{}))
 	adaptive := runPolicy("micro adaptive", nil)
 
 	best := always0

@@ -12,33 +12,34 @@ import (
 	"fmt"
 	"log"
 
-	"microadapt"
+	"microadapt/internal/service"
+	"microadapt/internal/tpch"
 )
 
 // offBestPerJob runs jobs queries of mix round-robin and returns their
 // mean off-best calls.
-func offBestPerJob(svc *microadapt.Service, mix []int, jobs int) float64 {
-	var sum microadapt.JobStats
+func offBestPerJob(svc *service.Service, mix []int, jobs int) float64 {
+	var offBest int64
 	for i := 0; i < jobs; i++ {
 		_, st, err := svc.Execute(mix[i%len(mix)])
 		if err != nil {
 			log.Fatal(err)
 		}
-		sum.OffBestCalls += st.OffBestCalls
+		offBest += st.OffBestCalls
 	}
-	return float64(sum.OffBestCalls) / float64(jobs)
+	return float64(offBest) / float64(jobs)
 }
 
 func main() {
-	db := microadapt.GenerateTPCH(0.01, 42)
+	db := tpch.Generate(0.01, 42)
 	mix := []int{1, 6, 12, 14}
 	const jobs = 48
 
 	// Phase 1: every session explores from scratch.
-	cold := microadapt.DefaultServiceConfig()
+	cold := service.DefaultConfig()
 	cold.WarmStart = false
 	cold.Seed = 7
-	coldTax := offBestPerJob(microadapt.NewService(db, cold), mix, jobs)
+	coldTax := offBestPerJob(service.New(db, cold), mix, jobs)
 
 	// Phase 2: same queries, but sessions seed their choosers from the
 	// shared cache through the WarmStarter capability — the same code path
@@ -47,7 +48,7 @@ func main() {
 	// phase then runs warm.
 	warm := cold
 	warm.WarmStart = true
-	svc := microadapt.NewService(db, warm)
+	svc := service.New(db, warm)
 	offBestPerJob(svc, mix, len(mix))
 	warmTax := offBestPerJob(svc, mix, jobs)
 	seeded, coldInsts := svc.SeededInstances()

@@ -8,10 +8,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"math/rand"
 
-	"microadapt"
 	"microadapt/internal/core"
+	"microadapt/internal/hw"
+	"microadapt/internal/policy"
 	"microadapt/internal/primitive"
 	"microadapt/internal/vector"
 )
@@ -23,11 +25,12 @@ func main() {
 	calls := flag.Int("calls", 2000, "number of calls")
 	flag.Parse()
 
-	machine := pickMachine(*machineName)
-	sess := microadapt.NewSession(microadapt.AllFlavors(), machine,
-		microadapt.WithVectorSize(1024), microadapt.WithSeed(3))
-
-	prim, ok := sess.Dict.Lookup(*sig)
+	machine := hw.MachineByName(*machineName)
+	if machine == nil {
+		log.Fatalf("unknown machine %q", *machineName)
+	}
+	dict := primitive.NewDictionary(primitive.Everything())
+	prim, ok := dict.Lookup(*sig)
 	if !ok {
 		log.Fatalf("unknown signature %q; run 'madapt flavors' for the list", *sig)
 	}
@@ -40,69 +43,31 @@ func main() {
 		return
 	}
 
-	// Race every flavor on identical data, then run the adaptive policy.
-	type result struct {
-		name   string
-		cycles float64
-	}
-	var results []result
-	for arm := range prim.Flavors {
-		inst := sess.Instance(*sig, fmt.Sprintf("lab/arm%d", arm))
-		cycles := drive(sess, inst, arm, *selectivity, *calls)
-		results = append(results, result{prim.Flavors[arm].Name, cycles})
-	}
-	adaptInst := sess.Instance(*sig, "lab/adaptive")
-	adaptive := drive(sess, adaptInst, -1, *selectivity, *calls)
-
-	best := results[0].cycles
-	for _, r := range results {
-		fmt.Printf("  %-28s %14.0f cycles\n", r.name, r.cycles)
-		if r.cycles < best {
-			best = r.cycles
+	// Race every flavor on identical data, each pinned by the registry's
+	// fixed policy, then run the session's default vw-greedy (nil factory).
+	drive := func(chooser core.ChooserFactory) float64 {
+		sess := core.NewSession(dict, machine,
+			core.WithVectorSize(1024), core.WithSeed(3), core.WithChooser(chooser))
+		inst := sess.Instance(*sig, "lab")
+		n := sess.VectorSize
+		col := make([]int32, n)
+		out := make([]int32, n)
+		rng := rand.New(rand.NewSource(11))
+		threshold := vector.ConstI32(int32(*selectivity * 1000))
+		for call := 0; call < *calls; call++ {
+			for i := range col {
+				col[i] = int32(rng.Intn(1000))
+			}
+			inst.Run(sess.Ctx, &core.Call{N: n, In: []*vector.Vector{vector.FromI32(col), threshold}, SelOut: out})
 		}
+		return inst.Cycles
 	}
+	best := math.Inf(1)
+	for arm, f := range prim.Flavors {
+		cycles := drive(policy.MustFactory(fmt.Sprintf("fixed:arm=%d", arm), policy.Env{}))
+		fmt.Printf("  %-28s %14.0f cycles\n", f.Name, cycles)
+		best = math.Min(best, cycles)
+	}
+	adaptive := drive(nil)
 	fmt.Printf("  %-28s %14.0f cycles (%.2fx vs best static)\n", "micro adaptive", adaptive, best/adaptive)
 }
-
-func pickMachine(name string) *microadapt.Machine {
-	for _, m := range []*microadapt.Machine{
-		microadapt.Machine1(), microadapt.Machine2(), microadapt.Machine3(), microadapt.Machine4(),
-	} {
-		if m.Name == name {
-			return m
-		}
-	}
-	log.Fatalf("unknown machine %q", name)
-	return nil
-}
-
-// drive feeds synthetic vectors through the instance; arm >= 0 pins a
-// flavor, arm < 0 uses the instance's (vw-greedy) chooser.
-func drive(sess *microadapt.Session, inst *core.Instance, arm int, sel float64, calls int) float64 {
-	n := sess.VectorSize
-	col := make([]int32, n)
-	out := make([]int32, n)
-	res := vector.New(vector.I64, n)
-	res.SetLen(n)
-	rng := rand.New(rand.NewSource(11))
-	threshold := vector.ConstI32(int32(sel * 1000))
-	for call := 0; call < calls; call++ {
-		for i := range col {
-			col[i] = int32(rng.Intn(1000))
-		}
-		c := &core.Call{N: n, In: []*vector.Vector{vector.FromI32(col), threshold}, SelOut: out, Res: res}
-		if arm >= 0 {
-			fl := inst.Prim.Flavors[arm]
-			c.Inst = inst
-			_, cyc := fl.Fn(sess.Ctx, c)
-			inst.Cycles += cyc
-			inst.Calls++
-			inst.Tuples += int64(n)
-		} else {
-			inst.Run(sess.Ctx, c)
-		}
-	}
-	return inst.Cycles
-}
-
-var _ = primitive.SelSig

@@ -9,13 +9,17 @@ import (
 	"fmt"
 	"log"
 
-	"microadapt"
+	"microadapt/internal/core"
 	"microadapt/internal/engine"
 	"microadapt/internal/expr"
+	"microadapt/internal/hw"
+	"microadapt/internal/plan"
+	"microadapt/internal/primitive"
+	"microadapt/internal/tpch"
 )
 
 func main() {
-	db := microadapt.GenerateTPCH(0.02, 42)
+	db := tpch.Generate(0.02, 42)
 
 	// A custom query, not one of the built-in 22: revenue and order count
 	// of high-discount lineitems per return flag, largest revenue first.
@@ -24,12 +28,12 @@ func main() {
 	// ("discount-report/sel0", ...), detects that scan→select→project is
 	// morsel-partitionable, and materializes nothing except the final
 	// result — all from the DAG's shape.
-	build := func() *microadapt.PlanBuilder {
-		b := microadapt.NewPlan("discount-report")
+	build := func() *plan.Builder {
+		b := plan.New("discount-report")
 		scan := b.Scan(db.Lineitem, "l_returnflag", "l_extendedprice", "l_discount", "l_quantity")
 		sel := scan.Select(
-			microadapt.PlanCmpVal(2, ">=", 5),
-			microadapt.PlanCmpVal(3, "<", 30),
+			plan.CmpVal(2, ">=", 5),
+			plan.CmpVal(3, "<", 30),
 		)
 		proj := sel.Project(
 			engine.Keep("l_returnflag", 0),
@@ -49,12 +53,12 @@ func main() {
 
 	var serial string
 	for _, p := range []int{1, 4} {
-		sess := microadapt.NewSession(
-			microadapt.AllFlavors(),
-			microadapt.Machine1(),
-			microadapt.WithVectorSize(256),
-			microadapt.WithSeed(7),
-			microadapt.WithParallelism(p),
+		sess := core.NewSession(
+			primitive.NewDictionary(primitive.Everything()),
+			hw.Machine1(),
+			core.WithVectorSize(256),
+			core.WithSeed(7),
+			core.WithParallelism(p),
 		)
 		b := build()
 		tab, err := b.Bind(sess).Run(b.MainRoot())
@@ -62,8 +66,8 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("P=%d result (%d fragment sessions spawned):\n%s\n",
-			p, len(sess.Fragments()), microadapt.FormatTable(tab, 5))
-		out := microadapt.FormatTable(tab, 0)
+			p, len(sess.Fragments()), engine.TableString(tab, 5))
+		out := engine.TableString(tab, 0)
 		if p == 1 {
 			serial = out
 		} else if out == serial {

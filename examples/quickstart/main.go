@@ -7,28 +7,32 @@ import (
 	"fmt"
 	"log"
 
-	"microadapt"
+	"microadapt/internal/core"
+	"microadapt/internal/engine"
+	"microadapt/internal/hw"
+	"microadapt/internal/primitive"
+	"microadapt/internal/tpch"
 )
 
 func main() {
 	// A session carries the primitive dictionary (here: every flavor on
 	// every axis), the virtual machine profile, and the learning policy
 	// (vw-greedy by default).
-	sess := microadapt.NewSession(
-		microadapt.AllFlavors(),
-		microadapt.Machine1(),
-		microadapt.WithVectorSize(256),
-		microadapt.WithSeed(7),
+	sess := core.NewSession(
+		primitive.NewDictionary(primitive.Everything()),
+		hw.Machine1(),
+		core.WithVectorSize(256),
+		core.WithSeed(7),
 	)
 
-	db := microadapt.GenerateTPCH(0.01, 42)
+	db := tpch.Generate(0.01, 42)
 
-	result, err := microadapt.RunQuery(db, sess, 1)
+	result, err := tpch.Query(1).Run(db, sess)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("TPC-H Q1 result:")
-	fmt.Print(microadapt.FormatTable(result, 10))
+	fmt.Print(engine.TableString(result, 10))
 
 	fmt.Printf("\nvirtual cycles: %.0f total, %.0f in primitives\n",
 		sess.Ctx.TotalCycles(), sess.Ctx.PrimCycles)

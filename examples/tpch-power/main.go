@@ -8,9 +8,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 
-	"microadapt"
+	"microadapt/internal/core"
+	"microadapt/internal/hw"
+	"microadapt/internal/policy"
+	"microadapt/internal/primitive"
+	"microadapt/internal/stats"
 	"microadapt/internal/tpch"
 )
 
@@ -19,14 +22,22 @@ func main() {
 	vecsize := flag.Int("vecsize", 128, "tuples per vector")
 	flag.Parse()
 
-	db := microadapt.GenerateTPCH(*sf, 42)
+	db := tpch.Generate(*sf, 42)
 	fmt.Printf("TPC-H SF %.3g: %d lineitems, %d orders, vector size %d\n\n",
 		*sf, db.Lineitem.Rows(), db.Orders.Rows(), *vecsize)
 
-	run := func(mk func() *microadapt.Session) []float64 {
+	env := policy.Env{Machine: hw.Machine1(), VW: core.DefaultVWParams().Scaled(8), Seed: 1}
+	// run executes the suite with one fresh session per query. A non-empty
+	// spec names the registry policy; each session gets its own factory, so
+	// every query's choosers draw the same seed streams.
+	run := func(o primitive.Options, spec string) []float64 {
 		var out []float64
 		for _, q := range tpch.Queries() {
-			s := mk()
+			opts := []core.SessionOption{core.WithVectorSize(*vecsize), core.WithSeed(1)}
+			if spec != "" {
+				opts = append(opts, core.WithChooser(policy.MustFactory(spec, env)))
+			}
+			s := core.NewSession(primitive.NewDictionary(o), hw.Machine1(), opts...)
 			if _, err := q.Run(db, s); err != nil {
 				log.Fatalf("%s: %v", q.Name, err)
 			}
@@ -35,32 +46,17 @@ func main() {
 		return out
 	}
 
-	base := run(func() *microadapt.Session {
-		return microadapt.NewSession(microadapt.DefaultFlavors(), microadapt.Machine1(),
-			microadapt.WithVectorSize(*vecsize), microadapt.WithSeed(1))
-	})
-	heur := run(func() *microadapt.Session {
-		return microadapt.NewSession(microadapt.AllFlavors(), microadapt.Machine1(),
-			microadapt.WithVectorSize(*vecsize), microadapt.WithSeed(1),
-			microadapt.WithChooser(microadapt.HeuristicsChooser(microadapt.Machine1())))
-	})
-	vw := microadapt.DefaultVWParams().Scaled(8)
-	adapt := run(func() *microadapt.Session {
-		return microadapt.NewSession(microadapt.AllFlavors(), microadapt.Machine1(),
-			microadapt.WithVectorSize(*vecsize), microadapt.WithSeed(1),
-			microadapt.WithChooser(microadapt.VWGreedyChooser(vw, 1)))
-	})
+	base := run(primitive.Defaults(), "")
+	heur := run(primitive.Everything(), "heuristics")
+	adapt := run(primitive.Everything(), "vw-greedy")
 
 	fmt.Printf("%-6s %16s %12s %16s\n", "query", "baseline cycles", "heuristics", "micro adaptive")
-	hGeo, aGeo := 0.0, 0.0
+	var hf, af []float64
 	for i, q := range tpch.Queries() {
-		hf := base[i] / heur[i]
-		af := base[i] / adapt[i]
-		hGeo += math.Log(hf)
-		aGeo += math.Log(af)
-		fmt.Printf("%-6s %16.0f %12.2f %16.2f\n", q.Name, base[i], hf, af)
+		hf = append(hf, base[i]/heur[i])
+		af = append(af, base[i]/adapt[i])
+		fmt.Printf("%-6s %16.0f %12.2f %16.2f\n", q.Name, base[i], hf[i], af[i])
 	}
-	n := float64(len(base))
-	fmt.Printf("%-6s %16s %12.2f %16.2f\n", "geo", "", math.Exp(hGeo/n), math.Exp(aGeo/n))
+	fmt.Printf("%-6s %16s %12.2f %16.2f\n", "geo", "", stats.GeoMean(hf), stats.GeoMean(af))
 	fmt.Println("\n(paper, SF-100: heuristics 1.05, micro adaptivity 1.09)")
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
 // Experiment is a registry entry.
@@ -52,16 +51,6 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// IDs returns all experiment ids, sorted.
-func IDs() []string {
-	var out []string
-	for _, e := range Experiments() {
-		out = append(out, e.ID)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // RunAll executes every experiment, streaming reports to w. It keeps going

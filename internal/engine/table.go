@@ -26,9 +26,6 @@ type Table struct {
 	Enc *storage.EncodedTable
 }
 
-// Encoded reports whether the table is resident in compressed form.
-func (t *Table) Encoded() bool { return t.Enc != nil }
-
 // NewTable builds a table; all columns must have equal lengths.
 func NewTable(name string, sch vector.Schema, cols []*vector.Vector) *Table {
 	if len(sch) != len(cols) {

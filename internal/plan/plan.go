@@ -430,9 +430,6 @@ func (n *Node) Schema() vector.Schema { return n.sch }
 // Label returns the derived plan-position label.
 func (n *Node) Label() string { return n.label }
 
-// Kind returns the node's operator kind.
-func (n *Node) Kind() Kind { return n.kind }
-
 // Idx resolves a column name in the node's output schema; it panics on an
 // unknown name, like every schema lookup at plan-build time.
 func (n *Node) Idx(name string) int { return n.sch.MustIndexOf(name) }

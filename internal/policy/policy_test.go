@@ -72,6 +72,9 @@ func TestRegistryShape(t *testing.T) {
 	if len(names) != len(want) {
 		t.Fatalf("registry has %d policies %v, want %d", len(names), names, len(want))
 	}
+	if len(Definitions()) != len(names) {
+		t.Errorf("Definitions() has %d entries, Names() %d", len(Definitions()), len(names))
+	}
 	for _, w := range want {
 		if _, ok := Lookup(w); !ok {
 			t.Errorf("registry missing %q", w)
@@ -102,6 +105,9 @@ func TestZeroChooseContextValidEverywhere(t *testing.T) {
 			t.Fatalf("%s: %v", def.Name, err)
 		}
 		ch := factory(3)
+		if ch.Name() == "" {
+			t.Errorf("%s chooser has no name", def.Name)
+		}
 		for i := 0; i < 20; i++ {
 			arm := ch.Choose(core.ChooseContext{})
 			if arm < 0 || arm >= 3 {

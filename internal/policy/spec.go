@@ -7,7 +7,7 @@
 //	fixed:arm=2
 //
 // The registry is the single place the CLI, the concurrent service, the
-// experiment harness and the public facade resolve policies, so adding a
+// experiment harness and the examples resolve policies, so adding a
 // policy here makes it selectable — and warm-startable, if it implements
 // the core.WarmStarter capability — everywhere at once.
 package policy

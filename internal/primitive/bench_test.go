@@ -18,11 +18,20 @@ func benchSession(b *testing.B, o Options) *core.Session {
 	return core.NewSession(NewDictionary(o), hw.Machine1(), core.WithVectorSize(1024))
 }
 
-func BenchmarkKernelSelectBranching(b *testing.B) { benchSelect(b, 0) }
+// Branching vs no-branching selection at 1%, 50% and 99% selectivity:
+// on the host CPU the two genuinely diverge with selectivity (the Figure 1
+// effect, measured rather than modelled).
 
-func BenchmarkKernelSelectNoBranching(b *testing.B) { benchSelect(b, 1) }
+func BenchmarkKernelSelectBranching(b *testing.B)        { benchSelect(b, 0, 50) }
+func BenchmarkKernelSelectBranchingSel1(b *testing.B)    { benchSelect(b, 0, 1) }
+func BenchmarkKernelSelectBranchingSel99(b *testing.B)   { benchSelect(b, 0, 99) }
+func BenchmarkKernelSelectNoBranching(b *testing.B)      { benchSelect(b, 1, 50) }
+func BenchmarkKernelSelectNoBranchingSel1(b *testing.B)  { benchSelect(b, 1, 1) }
+func BenchmarkKernelSelectNoBranchingSel99(b *testing.B) { benchSelect(b, 1, 99) }
 
-func benchSelect(b *testing.B, arm int) {
+// benchSelect times one selection flavor over values uniform in [0,100)
+// against the threshold selPct, so selPct percent of the tuples qualify.
+func benchSelect(b *testing.B, arm, selPct int) {
 	s := benchSession(b, BranchSet())
 	inst := s.Instance("select_<_sint_col_sint_val", "bench")
 	fl := inst.Prim.Flavors[arm]
@@ -33,7 +42,7 @@ func benchSelect(b *testing.B, arm int) {
 		col[i] = int32(rng.Intn(100))
 	}
 	out := make([]int32, n)
-	c := &core.Call{N: n, In: []*vector.Vector{vector.FromI32(col), vector.ConstI32(50)}, SelOut: out, Inst: inst}
+	c := &core.Call{N: n, In: []*vector.Vector{vector.FromI32(col), vector.ConstI32(int32(selPct))}, SelOut: out, Inst: inst}
 	b.SetBytes(int64(4 * n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

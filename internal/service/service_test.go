@@ -76,6 +76,9 @@ func TestConcurrentResultsMatchBaseline(t *testing.T) {
 				if st.AdaptiveCalls == 0 {
 					errs <- fmt.Errorf("Q%02d: no adaptive calls recorded", q)
 				}
+				if st.Query != q {
+					errs <- fmt.Errorf("Q%02d: stats name Q%02d", q, st.Query)
+				}
 			}(q)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"microadapt/internal/core"
 	"microadapt/internal/engine"
 	"microadapt/internal/hw"
+	"microadapt/internal/policy"
 	"microadapt/internal/primitive"
 )
 
@@ -195,6 +196,31 @@ func TestParallelMatchesSerial(t *testing.T) {
 	})
 }
 
+// TestPolicyFactorySharedByFragments: one registry factory serves every
+// chooser of a P=4 session, fragment sessions included, whose choosers run
+// on concurrent goroutines (run with -race: a factory that shared one rand
+// across its choosers would race), and the result equals the serial one.
+func TestPolicyFactorySharedByFragments(t *testing.T) {
+	run := func(p int) (string, *core.Session) {
+		// A short explore period makes every chooser draw from its stream.
+		f := policy.MustFactory("vw-greedy:explore=16", policy.Env{Seed: 7})
+		s := newSession(primitive.Everything(), core.WithChooser(f), core.WithParallelism(p))
+		tab, err := Query(1).Run(testDB, s)
+		if err != nil {
+			t.Fatalf("P=%d: %v", p, err)
+		}
+		return engine.TableString(tab, 0), s
+	}
+	serial, _ := run(1)
+	parallel, s := run(4)
+	if parallel != serial {
+		t.Error("P=4 result differs from serial")
+	}
+	if len(s.Fragments()) == 0 {
+		t.Error("P=4 session spawned no fragments")
+	}
+}
+
 // TestQ1Values cross-checks Q1 aggregates against a straightforward Go
 // reimplementation of the query.
 func TestQ1Values(t *testing.T) {
@@ -280,6 +306,9 @@ func TestQ6Value(t *testing.T) {
 		if ship[i] >= lo && ship[i] < hi && disc[i] >= 5 && disc[i] <= 7 && qty[i] < 24 {
 			want += price[i] * disc[i] / 100
 		}
+	}
+	if tab.Rows() != 1 {
+		t.Fatalf("Q6 rows = %d, want 1", tab.Rows())
 	}
 	if got := tab.Col("revenue").GetI64(0); got != want {
 		t.Errorf("Q6 revenue = %d, want %d", got, want)
