@@ -85,22 +85,6 @@ func (h *History) merge() {
 	h.span *= 2
 }
 
-// Buckets returns the current buckets in call order. The returned slice
-// aliases internal state and must not be modified.
-func (h *History) Buckets() []Bucket { return h.buckets }
-
-// Span returns the number of calls a full bucket currently represents.
-func (h *History) Span() int { return h.span }
-
-// Calls returns the total number of calls recorded.
-func (h *History) Calls() int {
-	total := 0
-	for _, b := range h.buckets {
-		total += b.Calls
-	}
-	return total
-}
-
 // Totals returns the total tuples and cycles recorded.
 func (h *History) Totals() (tuples int64, cycles float64) {
 	for _, b := range h.buckets {

@@ -10,10 +10,10 @@ func TestAddWithinBudget(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		h.Add(100, float64(i))
 	}
-	if len(h.Buckets()) != 8 || h.Span() != 1 {
-		t.Fatalf("buckets/span = %d/%d, want 8/1", len(h.Buckets()), h.Span())
+	if len(h.buckets) != 8 || h.span != 1 {
+		t.Fatalf("buckets/span = %d/%d, want 8/1", len(h.buckets), h.span)
 	}
-	for i, b := range h.Buckets() {
+	for i, b := range h.buckets {
 		if b.Calls != 1 || b.Cycles != float64(i) {
 			t.Errorf("bucket %d = %+v", i, b)
 		}
@@ -26,13 +26,13 @@ func TestMergeHalvesBuckets(t *testing.T) {
 		h.Add(10, 1)
 	}
 	// The 9th call triggers a merge to 4 buckets, then appends one.
-	if len(h.Buckets()) != 5 {
-		t.Fatalf("buckets = %d, want 5", len(h.Buckets()))
+	if len(h.buckets) != 5 {
+		t.Fatalf("buckets = %d, want 5", len(h.buckets))
 	}
-	if h.Span() != 2 {
-		t.Fatalf("span = %d, want 2", h.Span())
+	if h.span != 2 {
+		t.Fatalf("span = %d, want 2", h.span)
 	}
-	b0 := h.Buckets()[0]
+	b0 := h.buckets[0]
 	if b0.Calls != 2 || b0.Tuples != 20 || b0.Cycles != 2 {
 		t.Errorf("merged bucket = %+v", b0)
 	}
@@ -43,11 +43,11 @@ func TestRepeatedMergesKeepSpanPowerOfTwo(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Add(1, 1)
 	}
-	if h.Span() != 32 {
-		t.Errorf("span = %d, want 32", h.Span())
+	if h.span != 32 {
+		t.Errorf("span = %d, want 32", h.span)
 	}
-	if h.Calls() != 100 {
-		t.Errorf("calls = %d, want 100", h.Calls())
+	if tuples, _ := h.Totals(); tuples != 100 {
+		t.Errorf("calls = %d, want 100", tuples)
 	}
 }
 
@@ -59,10 +59,11 @@ func TestNeverExceedsBudget(t *testing.T) {
 		for i := 0; i < int(calls); i++ {
 			h.Add(1, 1)
 		}
-		if len(h.Buckets()) > 16 {
+		if len(h.buckets) > 16 {
 			return false
 		}
-		return h.Calls() == int(calls)
+		tuples, _ := h.Totals()
+		return tuples == int64(calls)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -93,12 +94,12 @@ func TestDefaultBudgetIs512(t *testing.T) {
 	for i := 0; i < 100000; i++ {
 		h.Add(1, 1)
 	}
-	if len(h.Buckets()) > DefaultBuckets {
-		t.Errorf("buckets = %d, want <= 512", len(h.Buckets()))
+	if len(h.buckets) > DefaultBuckets {
+		t.Errorf("buckets = %d, want <= 512", len(h.buckets))
 	}
 	// After 100K calls: span must be 256 (512*256 = 131072 >= 100000).
-	if h.Span() != 256 {
-		t.Errorf("span = %d, want 256", h.Span())
+	if h.span != 256 {
+		t.Errorf("span = %d, want 256", h.span)
 	}
 }
 
@@ -160,7 +161,7 @@ func TestMinWithAlignsDifferentMergeDepths(t *testing.T) {
 		merged.Add(1, c)
 		flat.Add(1, c)
 	}
-	if merged.Span() == flat.Span() {
+	if merged.span == flat.span {
 		t.Fatal("test needs histories of different merge depth")
 	}
 	// Both histories recorded the identical sequence, so OPT equals either
@@ -185,8 +186,8 @@ func TestAlignedTrailingPartialBucket(t *testing.T) {
 	}
 	// merged reaches span 4: buckets (4,4,8,8) and the partial (2); flat's
 	// five span-1 buckets must group identically — including the trailer.
-	if merged.Span() != 4 {
-		t.Fatalf("merged span = %d, want 4", merged.Span())
+	if merged.span != 4 {
+		t.Fatalf("merged span = %d, want 4", merged.span)
 	}
 	// Aligned buckets: 24 cycles over four calls, then the trailer's 2.
 	// Dropping or misgrouping flat's trailer would lose or shift the 2.
@@ -225,17 +226,17 @@ func TestHistoryGrowMatchesPresized(t *testing.T) {
 			if cap(grown.buckets) > budget {
 				t.Fatalf("budget %d: capacity %d after %d calls", budget, cap(grown.buckets), i+1)
 			}
-			if grown.Span() != sized.Span() || len(grown.Buckets()) != len(sized.Buckets()) {
+			if grown.span != sized.span || len(grown.buckets) != len(sized.buckets) {
 				t.Fatalf("budget %d call %d: span/len %d/%d, want %d/%d", budget, i,
-					grown.Span(), len(grown.Buckets()), sized.Span(), len(sized.Buckets()))
+					grown.span, len(grown.buckets), sized.span, len(sized.buckets))
 			}
 		}
-		if grown.Span() < 8 {
-			t.Fatalf("budget %d: span %d, test must cross >= 3 merges", budget, grown.Span())
+		if grown.span < 8 {
+			t.Fatalf("budget %d: span %d, test must cross >= 3 merges", budget, grown.span)
 		}
-		for i, b := range grown.Buckets() {
-			if b != sized.Buckets()[i] {
-				t.Fatalf("budget %d bucket %d = %+v, want %+v", budget, i, b, sized.Buckets()[i])
+		for i, b := range grown.buckets {
+			if b != sized.buckets[i] {
+				t.Fatalf("budget %d bucket %d = %+v, want %+v", budget, i, b, sized.buckets[i])
 			}
 		}
 	}

@@ -15,6 +15,7 @@ import (
 	"microadapt/internal/hw"
 	"microadapt/internal/policy"
 	"microadapt/internal/primitive"
+	"microadapt/internal/service"
 	"microadapt/internal/stats"
 	"microadapt/internal/tpch"
 	"microadapt/internal/trace"
@@ -32,15 +33,12 @@ type Config struct {
 	VW core.VWParams
 }
 
-// DefaultConfig returns the standard experiment configuration.
+// DefaultConfig returns the standard experiment configuration: the served
+// vector size, machine and vw-greedy parameters (service.DefaultConfig) at
+// a laptop scale factor.
 func DefaultConfig() Config {
-	return Config{
-		SF:         0.05,
-		Seed:       42,
-		VectorSize: 128,
-		Machine:    hw.Machine1(),
-		VW:         core.VWParams{ExplorePeriod: 512, ExploitPeriod: 8, ExploreLength: 1, WarmupSkip: 2, InitialSweep: true},
-	}
+	svc := service.DefaultConfig()
+	return Config{SF: 0.05, Seed: 42, VectorSize: svc.VectorSize, Machine: svc.Machine, VW: svc.VW}
 }
 
 // chartCols and chartRows size every ASCII figure.

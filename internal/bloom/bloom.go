@@ -5,8 +5,6 @@
 // Figure 6.
 package bloom
 
-import "math"
-
 // Filter is a bloom filter over 64-bit keys.
 type Filter struct {
 	bits  []uint64
@@ -38,12 +36,6 @@ func New(sizeBytes int, k int) *Filter {
 
 // SizeBytes returns the bitmap size in bytes.
 func (f *Filter) SizeBytes() int { return len(f.bits) * 8 }
-
-// K returns the number of probes per key.
-func (f *Filter) K() int { return f.k }
-
-// Items returns how many keys have been added.
-func (f *Filter) Items() int { return f.items }
 
 // Hash is the 64-bit mix function used for filter probes; it is exported so
 // the primitive cost model can account for its work explicitly.
@@ -89,14 +81,4 @@ func (f *Filter) TestHash(h uint64) bool {
 		}
 	}
 	return true
-}
-
-// FalsePositiveRate estimates the current false-positive probability from
-// the fill factor: (1 - (1-1/m)^(kn))^k.
-func (f *Filter) FalsePositiveRate() float64 {
-	m := float64(f.mask + 1)
-	n := float64(f.items)
-	k := float64(f.k)
-	inner := 1.0 - math.Pow(1.0-1.0/m, k*n)
-	return math.Pow(inner, k)
 }

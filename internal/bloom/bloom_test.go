@@ -17,8 +17,8 @@ func TestNoFalseNegatives(t *testing.T) {
 			t.Errorf("false negative for %d", k)
 		}
 	}
-	if f.Items() != len(keys) {
-		t.Errorf("items = %d", f.Items())
+	if f.items != len(keys) {
+		t.Errorf("items = %d", f.items)
 	}
 }
 
@@ -63,10 +63,6 @@ func TestFalsePositiveRateReasonable(t *testing.T) {
 	if rate > 0.10 {
 		t.Errorf("false positive rate = %v, want < 0.10", rate)
 	}
-	est := f.FalsePositiveRate()
-	if est <= 0 || est >= 0.5 {
-		t.Errorf("estimated FP rate = %v out of plausible range", est)
-	}
 }
 
 func TestSizeRounding(t *testing.T) {
@@ -76,7 +72,7 @@ func TestSizeRounding(t *testing.T) {
 	if got := New(1, 2).SizeBytes(); got != 64 {
 		t.Errorf("minimum size = %d, want 64", got)
 	}
-	if New(64, 0).K() != 1 {
+	if New(64, 0).k != 1 {
 		t.Error("k should clamp to >= 1")
 	}
 }

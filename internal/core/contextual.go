@@ -114,10 +114,3 @@ func (c *Contextual) SeedPriors(priors []float64) {
 		}
 	}
 }
-
-// Buckets returns the bucket keys seen so far, sorted (tests/telemetry).
-func (c *Contextual) Buckets() []string {
-	out := append([]string(nil), c.order...)
-	sort.Strings(out)
-	return out
-}

@@ -32,7 +32,7 @@ func TestContextualSeparatesRegimes(t *testing.T) {
 		c.Observe(Observation{Arm: arm, Tuples: 100, Cycles: 100 * cost(sel, arm)})
 	}
 	// The "" bucket always exists (NewContextual probes it for the name).
-	if got := c.Buckets(); len(got) != 3 || got[1] != "s0" || got[2] != "s2" {
+	if got := c.order; len(got) != 3 || got[1] != "s0" || got[2] != "s2" {
 		t.Fatalf("buckets = %v, want [\"\" s0 s2]", got)
 	}
 	// After learning, each regime must pick its own best arm (ε-greedy
@@ -71,7 +71,7 @@ func TestContextualZeroContextDegrades(t *testing.T) {
 			t.Fatalf("call %d chose arm %d, want %d (single round-robin bucket)", i, arm, i%3)
 		}
 	}
-	if b := c.Buckets(); len(b) != 1 || b[0] != "" {
+	if b := c.order; len(b) != 1 || b[0] != "" {
 		t.Errorf("buckets = %v, want exactly [\"\"]", b)
 	}
 }

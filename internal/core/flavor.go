@@ -102,17 +102,6 @@ func (p *Primitive) FlavorIndex(name string) int {
 	return -1
 }
 
-// FlavorByTag returns the index of the first flavor whose tag key equals
-// val, or -1.
-func (p *Primitive) FlavorByTag(key, val string) int {
-	for i, f := range p.Flavors {
-		if f.Tag(key) == val {
-			return i
-		}
-	}
-	return -1
-}
-
 // Dictionary is the Primitive Dictionary of the query evaluator, extended
 // (as in the paper) to map each signature to a list of flavors instead of a
 // single function pointer. Registration is dynamic: flavor libraries can be
@@ -174,14 +163,6 @@ func (d *Dictionary) Sigs() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// NumFlavors returns the flavor count of a signature, 0 when unknown.
-func (d *Dictionary) NumFlavors(sig string) int {
-	if p, ok := d.Lookup(sig); ok {
-		return len(p.Flavors)
-	}
-	return 0
 }
 
 // ExecCtx carries per-query virtual-hardware state: the machine profile the

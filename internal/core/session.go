@@ -148,10 +148,6 @@ func (s *Session) Parallelism() int {
 	return s.parallelism
 }
 
-// Partition returns the fragment's partition index, or -1 for a session
-// that is not a pipeline fragment.
-func (s *Session) Partition() int { return s.partition }
-
 // FragmentSeedStride spaces the derived seeds of fragment sessions; any
 // odd constant keeps partitions distinct without colliding with the
 // +1-per-session sequences callers use. Custom FragmentSpawners (the

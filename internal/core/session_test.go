@@ -42,8 +42,8 @@ func TestFragmentSessions(t *testing.T) {
 	d.AddFlavor("p", hw.ClassMapArith, testFlavor("a", 1, 5))
 	d.AddFlavor("p", hw.ClassMapArith, testFlavor("b", 2, 3))
 	s := NewSession(d, hw.Machine1(), WithVectorSize(64), WithSeed(9), WithParallelism(4))
-	if s.Parallelism() != 4 || s.Partition() != -1 {
-		t.Fatalf("parallelism/partition = %d/%d, want 4/-1", s.Parallelism(), s.Partition())
+	if s.Parallelism() != 4 || s.partition != -1 {
+		t.Fatalf("parallelism/partition = %d/%d, want 4/-1", s.Parallelism(), s.partition)
 	}
 	s.Instance("p", "root")
 
@@ -52,8 +52,8 @@ func TestFragmentSessions(t *testing.T) {
 	if f0.Dict != s.Dict || f0.Machine != s.Machine || f0.VectorSize != 64 {
 		t.Error("fragment must share dictionary/machine/vector size")
 	}
-	if f0.Partition() != 0 || f1.Partition() != 1 {
-		t.Errorf("fragment partitions = %d/%d", f0.Partition(), f1.Partition())
+	if f0.partition != 0 || f1.partition != 1 {
+		t.Errorf("fragment partitions = %d/%d", f0.partition, f1.partition)
 	}
 	if f0.Parallelism() != 1 {
 		t.Error("fragments must not fan out further")
@@ -94,8 +94,8 @@ func TestFragmentSpawnerOverride(t *testing.T) {
 	if fs.VectorSize != 32 {
 		t.Error("spawner-built session was replaced")
 	}
-	if fs.Partition() != 2 {
-		t.Errorf("partition = %d, want 2 (set by Fragment)", fs.Partition())
+	if fs.partition != 2 {
+		t.Errorf("partition = %d, want 2 (set by Fragment)", fs.partition)
 	}
 	inst := fs.Instance("p", "n")
 	if BaseLabel(inst.Label) != "n" || inst.Label == "n" {

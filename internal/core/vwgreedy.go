@@ -58,30 +58,6 @@ func DemoVWParams() VWParams {
 	return VWParams{ExplorePeriod: 1024, ExploitPeriod: 256, ExploreLength: 32, WarmupSkip: 2, InitialSweep: true}
 }
 
-// Scaled returns the parameters divided by f (minimum 1 each), used when a
-// workload has far fewer primitive calls than the paper's SF-100 runs.
-func (p VWParams) Scaled(f int) VWParams {
-	div := func(v int) int {
-		v /= f
-		if v < 1 {
-			v = 1
-		}
-		return v
-	}
-	p.ExplorePeriod = div(p.ExplorePeriod)
-	p.ExploitPeriod = div(p.ExploitPeriod)
-	if p.ExploitPeriod > p.ExplorePeriod {
-		p.ExploitPeriod = p.ExplorePeriod
-	}
-	if p.ExploreLength > p.ExploitPeriod {
-		p.ExploreLength = p.ExploitPeriod
-	}
-	if p.ExploreLength < 1 {
-		p.ExploreLength = 1
-	}
-	return p
-}
-
 // VWGreedy is the vw-greedy algorithm of Listing 8: ε-greedy restructured
 // for non-stationary rewards by (1) alternating exploration and
 // exploitation in a deterministic pattern and (2) ranking flavors by the
@@ -198,16 +174,6 @@ func (v *VWGreedy) warmup() int {
 // Name implements Chooser.
 func (v *VWGreedy) Name() string { return "vw-greedy" }
 
-// Params returns the active parameters.
-func (v *VWGreedy) Params() VWParams { return v.p }
-
-// Current returns the flavor currently in use (for tests/telemetry).
-func (v *VWGreedy) Current() int { return v.cur }
-
-// AvgCost returns the last windowed average cost of an arm (+Inf when the
-// arm has not been measured yet).
-func (v *VWGreedy) AvgCost(arm int) float64 { return v.avgCost[arm] }
-
 // Snapshot implements Snapshotter: the most recent windowed average cost
 // (cycles/tuple) of every arm, +Inf for arms never measured, plus the mask
 // of arms this chooser measured itself after construction. Both slices are
@@ -219,13 +185,6 @@ func (v *VWGreedy) Snapshot() ([]float64, []bool) {
 	live := append([]bool(nil), v.live...)
 	return costs, live
 }
-
-// SessionMeasured reports whether the chooser itself measured the arm
-// after construction. Seeded priors leave it false until the arm's first
-// live measurement window completes; knowledge harvesters must skip
-// non-live arms, or a warm-started chooser would echo the cache's own
-// priors back into the cache as if they were fresh observations.
-func (v *VWGreedy) SessionMeasured(arm int) bool { return v.live[arm] }
 
 // Choose implements Chooser: vw-greedy switches flavors only at phase
 // boundaries, handled in Observe, so Choose just returns the current one.

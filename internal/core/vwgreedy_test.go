@@ -76,8 +76,8 @@ func TestVWGreedyDetectsDeteriorationFast(t *testing.T) {
 		c := []float64{2, 4}[arm]
 		ch.Observe(Observation{Arm: arm, Tuples: 100, Cycles: c * 100})
 	}
-	if ch.Current() != 0 {
-		t.Fatalf("expected arm 0 before the change, got %d", ch.Current())
+	if ch.cur != 0 {
+		t.Fatalf("expected arm 0 before the change, got %d", ch.cur)
 	}
 	// Arm 0 deteriorates hard (the Figure 2 branching collapse).
 	switched := -1
@@ -116,7 +116,7 @@ func TestVWGreedyInitialSweepTriesAllArms(t *testing.T) {
 func TestVWGreedyNoSweepStartsExploiting(t *testing.T) {
 	p := VWParams{ExplorePeriod: 64, ExploitPeriod: 8, ExploreLength: 2, WarmupSkip: 0, InitialSweep: false}
 	ch := NewVWGreedy(3, p, rand.New(rand.NewSource(5)))
-	if ch.Current() != 0 {
+	if ch.cur != 0 {
 		t.Error("without a sweep the first arm should be 0")
 	}
 	use, _ := simulate(ch, 1024, func(arm, call int) float64 { return float64(arm + 1) })
@@ -173,32 +173,18 @@ func TestVWGreedyDefaultParams(t *testing.T) {
 	}
 }
 
-func TestVWParamsScaled(t *testing.T) {
-	p := DefaultVWParams().Scaled(8)
-	if p.ExplorePeriod != 128 || p.ExploitPeriod != 1 || p.ExploreLength != 1 {
-		t.Errorf("scaled params = %+v", p)
-	}
-	// Scaling preserves the ordering invariants.
-	if p.ExploitPeriod > p.ExplorePeriod || p.ExploreLength > p.ExploitPeriod {
-		t.Errorf("scaled params violate invariants: %+v", p)
-	}
-}
-
 func TestVWGreedyAvgCostExposed(t *testing.T) {
 	p := VWParams{ExplorePeriod: 16, ExploitPeriod: 4, ExploreLength: 4, WarmupSkip: 0, InitialSweep: true}
 	ch := NewVWGreedy(2, p, rand.New(rand.NewSource(7)))
-	if !math.IsInf(ch.AvgCost(0), 1) {
+	if !math.IsInf(ch.avgCost[0], 1) {
 		t.Error("unmeasured arm cost should be +Inf")
 	}
 	simulate(ch, 64, func(arm, call int) float64 { return float64(arm*2 + 3) })
-	if ch.AvgCost(0) <= 0 || math.IsInf(ch.AvgCost(0), 1) {
+	if ch.avgCost[0] <= 0 || math.IsInf(ch.avgCost[0], 1) {
 		t.Error("arm 0 should have a measured cost")
 	}
 	if ch.Name() != "vw-greedy" {
 		t.Error("name wrong")
-	}
-	if ch.Params().ExplorePeriod != 16 {
-		t.Error("params accessor wrong")
 	}
 }
 
@@ -206,8 +192,8 @@ func TestVWGreedyWarmStartsAtBestPrior(t *testing.T) {
 	p := VWParams{ExplorePeriod: 256, ExploitPeriod: 8, ExploreLength: 2, WarmupSkip: 0, InitialSweep: true}
 	ch := NewVWGreedy(3, p, rand.New(rand.NewSource(1)))
 	ch.SeedPriors([]float64{5, 2, 9})
-	if ch.Current() != 1 {
-		t.Fatalf("warm chooser starts at arm %d, want 1 (cheapest prior)", ch.Current())
+	if ch.cur != 1 {
+		t.Fatalf("warm chooser starts at arm %d, want 1 (cheapest prior)", ch.cur)
 	}
 	// With all arms seeded there is nothing to sweep: the first exploit
 	// window should stay on the known-best arm.
@@ -223,8 +209,8 @@ func TestVWGreedyWarmSweepsOnlyUnknownArms(t *testing.T) {
 	p := VWParams{ExplorePeriod: 1 << 20, ExploitPeriod: 8, ExploreLength: 2, WarmupSkip: 0, InitialSweep: true}
 	ch := NewVWGreedy(4, p, rand.New(rand.NewSource(2)))
 	ch.SeedPriors([]float64{3, math.Inf(1), 2, math.NaN()})
-	if ch.Current() != 2 {
-		t.Fatalf("start arm = %d, want 2", ch.Current())
+	if ch.cur != 2 {
+		t.Fatalf("start arm = %d, want 2", ch.cur)
 	}
 	seen := make(map[int]bool)
 	for call := 0; call < 64; call++ {
@@ -242,13 +228,13 @@ func TestVWGreedyWarmSweepsOnlyUnknownArms(t *testing.T) {
 	if seen[0] {
 		t.Errorf("sweep re-tested seeded arm 0: seen=%v", seen)
 	}
-	// SessionMeasured distinguishes live measurements from seeded priors:
+	// The live mask distinguishes live measurements from seeded priors:
 	// arm 0 was never run here, the start arm and swept arms were.
-	if ch.SessionMeasured(0) {
+	if ch.live[0] {
 		t.Error("seeded-but-unvisited arm must not count as session-measured")
 	}
 	for _, arm := range []int{1, 2, 3} {
-		if !ch.SessionMeasured(arm) {
+		if !ch.live[arm] {
 			t.Errorf("arm %d was measured this session", arm)
 		}
 	}
@@ -259,7 +245,7 @@ func TestVWGreedyWarmNilPriorsIsCold(t *testing.T) {
 	warm := NewVWGreedy(3, p, rand.New(rand.NewSource(3)))
 	warm.SeedPriors(nil)
 	cold := NewVWGreedy(3, p, rand.New(rand.NewSource(3)))
-	if warm.Current() != cold.Current() {
+	if warm.cur != cold.cur {
 		t.Error("nil priors should behave exactly like a cold start")
 	}
 	for call := 0; call < 512; call++ {
@@ -281,13 +267,13 @@ func TestVWGreedySnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("snapshot len = %d/%d", len(snap), len(measured))
 	}
 	for a := 0; a < 3; a++ {
-		if measured[a] != ch.SessionMeasured(a) {
-			t.Errorf("snapshot mask[%d] = %v, SessionMeasured = %v", a, measured[a], ch.SessionMeasured(a))
+		if measured[a] != ch.live[a] {
+			t.Errorf("snapshot mask[%d] = %v, live = %v", a, measured[a], ch.live[a])
 		}
 	}
 	for a := 0; a < 3; a++ {
-		if snap[a] != ch.AvgCost(a) {
-			t.Errorf("snapshot[%d] = %v, AvgCost = %v", a, snap[a], ch.AvgCost(a))
+		if snap[a] != ch.avgCost[a] {
+			t.Errorf("snapshot[%d] = %v, avgCost = %v", a, snap[a], ch.avgCost[a])
 		}
 	}
 	// The snapshot is a copy: later observations must not mutate it.
@@ -300,8 +286,8 @@ func TestVWGreedySnapshotRoundTrip(t *testing.T) {
 	// the arm the first chooser found best.
 	warm := NewVWGreedy(3, p, rand.New(rand.NewSource(5)))
 	warm.SeedPriors(snap)
-	if warm.Current() != 1 {
-		t.Errorf("round-tripped chooser starts at %d, want 1", warm.Current())
+	if warm.cur != 1 {
+		t.Errorf("round-tripped chooser starts at %d, want 1", warm.cur)
 	}
 }
 
@@ -315,7 +301,7 @@ func TestVWGreedyZeroTupleWindows(t *testing.T) {
 		ch.Observe(Observation{Arm: arm, Tuples: 0, Cycles: 50}) // only call overhead, no tuples
 	}
 	for a := 0; a < 2; a++ {
-		if math.IsNaN(ch.AvgCost(a)) {
+		if math.IsNaN(ch.avgCost[a]) {
 			t.Errorf("arm %d cost is NaN", a)
 		}
 	}

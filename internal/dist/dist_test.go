@@ -94,7 +94,7 @@ func TestDistributedBitIdentity(t *testing.T) {
 	if fleet.TTFCP50US <= 0 {
 		t.Error("no time-to-first-chunk recorded")
 	}
-	if got := c.ttfc.Count(); got != fleet.FragmentsSent {
+	if got := int64(c.ttfc.Len()); got != fleet.FragmentsSent {
 		t.Errorf("%d TTFC samples for %d fragments", got, fleet.FragmentsSent)
 	}
 }

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -38,10 +39,10 @@ type oracleRow struct {
 // storage encoding, the plan codec, the service, the HTTP surface and
 // distributed execution are functionally equivalent, so every query must
 // return its reference table under every row — bit for bit in wire form
-// (server.EncodeTable: column names and types, integers, float bits,
-// strings). The references run serially on flat storage with the
-// single-flavor primitive.Defaults() build; the spec and plan references
-// differ only for queries with a Go delivery step.
+// (the MWT1 body of server.EncodeTable: column names and types,
+// integers, float bits, strings). The references run serially on flat
+// storage with the single-flavor primitive.Defaults() build; the spec and
+// plan references differ only for queries with a Go delivery step.
 //
 // A failure names the query and the row, as in
 // TestIdentityOracle/Q05/arm1-p4, which is also the -run pattern that
@@ -75,7 +76,7 @@ func TestIdentityOracle(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s %s: %v", sp.Name, r.name, err)
 					}
-					if w := want[r.plan]; !server.EncodeTable(got).Equal(server.EncodeTable(w)) {
+					if w := want[r.plan]; !bytes.Equal(wireBytes(t, got), wireBytes(t, w)) {
 						t.Errorf("%s %s: wire form (column names, types, exact values) differs from the reference; fingerprint %s (%d rows), want %s (%d rows)",
 							sp.Name, r.name, server.Fingerprint(got), got.Rows(), server.Fingerprint(w), w.Rows())
 					}
@@ -83,6 +84,18 @@ func TestIdentityOracle(t *testing.T) {
 			}
 		})
 	}
+}
+
+// wireBytes is tab's MWT1 body with the table name set aside: tiers name
+// results differently, and the oracle compares only what they hold.
+func wireBytes(t *testing.T, tab *engine.Table) []byte {
+	tj := server.EncodeTable(tab)
+	tj.Name = ""
+	data, err := server.MarshalTableBin(tj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // runRoots runs every root of b on s and returns the main root's table.
@@ -101,8 +114,8 @@ func runRoots(b *plan.Builder, s *core.Session) (main *engine.Table, err error) 
 }
 
 // oracleRows builds every row once: in-process sessions over db and its
-// encoded twin enc, three services, one HTTP server and nine distributed
-// fleets. Rows are safe to run from parallel subtests.
+// encoded twin enc, three services, one HTTP server and eleven
+// distributed fleets. Rows are safe to run from parallel subtests.
 func oracleRows(t *testing.T, db, enc *tpch.DB) []oracleRow {
 	everything := primitive.NewDictionary(primitive.Everything())
 	session := func(dict *core.Dictionary, opts ...core.SessionOption) *core.Session {
@@ -192,6 +205,15 @@ func oracleRows(t *testing.T, db, enc *tpch.DB) []oracleRow {
 			rows = append(rows, executor(fmt.Sprintf("dist-n%d-p%d", n, p), coord))
 		}
 	}
+	// Encoded shards, as madaptd -encoded -shard I serves them: each
+	// shard's service encodes its own slice of the rows.
+	for _, n := range []int{2, 4} {
+		cfg := svcConfig(1)
+		cfg.EncodedStorage = true
+		urls := startShards(t, db, n, cfg, server.Config{StreamChunkRows: 64})
+		coord := newCoordinator(t, Config{Shards: urls, DB: db, Service: svcConfig(1)})
+		rows = append(rows, executor(fmt.Sprintf("dist-enc-n%d", n), coord))
+	}
 	return rows
 }
 
@@ -235,7 +257,7 @@ func streamResult(c *server.Client, planJSON []byte) (*engine.Table, error) {
 }
 
 // decodeChecked decodes a wire table and checks it against the row count
-// the server reported. Bit identity is the oracle's wire-form Equal.
+// the server reported. Bit identity is the oracle's wireBytes comparison.
 func decodeChecked(tj *server.TableJSON, rows int) (*engine.Table, error) {
 	tab, err := server.DecodeTable(tj)
 	if err != nil {

@@ -186,13 +186,13 @@ func TestStreamingFallbackCounters(t *testing.T) {
 	// Every site sent one fragment per shard; shard 0 completed all of
 	// them and shard 1 none.
 	perShard := fleet.FragmentsSent / 2
-	if got := c.ttfc.Count(); got != perShard {
+	if got := int64(c.ttfc.Len()); got != perShard {
 		t.Errorf("TTFC window holds %d samples, want %d (completed streams only)", got, perShard)
 	}
-	if got := c.shards[0].lat.Count(); got != perShard {
+	if got := int64(c.shards[0].lat.Len()); got != perShard {
 		t.Errorf("healthy shard's round-trip window holds %d samples, want %d", got, perShard)
 	}
-	if got := c.shards[1].lat.Count(); got != 0 {
+	if got := int64(c.shards[1].lat.Len()); got != 0 {
 		t.Errorf("dying shard's round-trip window holds %d samples, want 0", got)
 	}
 }

@@ -129,7 +129,7 @@ func TestEncodedScanPushdownMatchesSelect(t *testing.T) {
 func TestPushdownSplitBoundaries(t *testing.T) {
 	tab := encTestTable(1000)
 	EncodeTable(tab)
-	if tab.Enc.Col("id").Encoding() != storage.Flat {
+	if tab.Enc.Cols[tab.Sch.MustIndexOf("id")].Encoding() != storage.Flat {
 		t.Skip("id column unexpectedly compressed; boundary case needs a flat column")
 	}
 	// id is flat: its conjunct blocks the split there.

@@ -153,7 +153,7 @@ func FuzzHashAggCompositeKeys(f *testing.F) {
 			} else {
 				data = nil
 			}
-			b := vector.NewBatch(cols...)
+			b := &vector.Batch{N: n, Cols: cols}
 			if live != 0 {
 				if sel == nil {
 					sel = vector.Sel{}

@@ -17,9 +17,6 @@ type Morsel struct {
 	Hi   int
 }
 
-// Rows returns the morsel's row count.
-func (m Morsel) Rows() int { return m.Hi - m.Lo }
-
 // FragmentBuilder constructs the pipeline fragment of one partition: the
 // operator tree above a range scan of the morsel's rows, built entirely on
 // the fragment session fs (a NewRangeScan over m.Lo..m.Hi plus whatever

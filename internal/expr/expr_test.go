@@ -16,8 +16,11 @@ func testEval(t testing.TB, sch vector.Schema) (*core.Session, *Evaluator) {
 	return s, NewEvaluator(s, sch, "test")
 }
 
-func i64Batch(vals ...int64) *vector.Batch {
-	return vector.NewBatch(vector.FromI64(vals))
+func i64Batch(vals ...int64) *vector.Batch { return batch(vector.FromI64(vals)) }
+
+// batch is a dense batch over equal-length columns.
+func batch(cols ...*vector.Vector) *vector.Batch {
+	return &vector.Batch{N: cols[0].Len(), Cols: cols}
 }
 
 func TestColAndConst(t *testing.T) {
@@ -42,7 +45,7 @@ func TestColAndConst(t *testing.T) {
 func TestBinOpShapes(t *testing.T) {
 	sch := vector.Schema{{Name: "x", Type: vector.I64}, {Name: "y", Type: vector.I64}}
 	_, ev := testEval(t, sch)
-	b := vector.NewBatch(vector.FromI64([]int64{10, 20, 30}), vector.FromI64([]int64{1, 2, 3}))
+	b := batch(vector.FromI64([]int64{10, 20, 30}), vector.FromI64([]int64{1, 2, 3}))
 
 	colcol := Mul(&Col{Idx: 0}, &Col{Idx: 1}).Eval(ev, b)
 	if colcol.I64()[2] != 90 {
@@ -97,7 +100,7 @@ func TestEvalUnderSelection(t *testing.T) {
 func TestWiden(t *testing.T) {
 	sch := vector.Schema{{Name: "x", Type: vector.I32}}
 	_, ev := testEval(t, sch)
-	b := vector.NewBatch(vector.FromI32([]int32{-7, 8}))
+	b := batch(vector.FromI32([]int32{-7, 8}))
 	res := ToI64(&Col{Idx: 0}).Eval(ev, b)
 	if res.Type() != vector.I64 || res.I64()[0] != -7 {
 		t.Error("widen wrong")
@@ -124,7 +127,7 @@ func TestCastF64(t *testing.T) {
 func TestSubstrAndCases(t *testing.T) {
 	sch := vector.Schema{{Name: "s", Type: vector.Str}}
 	_, ev := testEval(t, sch)
-	b := vector.NewBatch(vector.FromStr([]string{"25-xyz", "9", ""}))
+	b := batch(vector.FromStr([]string{"25-xyz", "9", ""}))
 	sub := (&Substr{Child: &Col{Idx: 0}, From: 0, Len: 2}).Eval(ev, b)
 	if sub.Str()[0] != "25" || sub.Str()[1] != "9" || sub.Str()[2] != "" {
 		t.Errorf("substr = %v", sub.Str()[:3])
@@ -147,7 +150,7 @@ func TestSubstrAndCases(t *testing.T) {
 func TestMapI64(t *testing.T) {
 	sch := vector.Schema{{Name: "x", Type: vector.I32}}
 	_, ev := testEval(t, sch)
-	b := vector.NewBatch(vector.FromI32([]int32{700, 1100}))
+	b := batch(vector.FromI32([]int32{700, 1100}))
 	res := (&MapI64{Child: ToI64(&Col{Idx: 0}), Fn: func(v int64) int64 { return v / 365 }}).Eval(ev, b)
 	if res.I64()[0] != 1 || res.I64()[1] != 3 {
 		t.Errorf("mapfn = %v", res.I64()[:2])
@@ -195,7 +198,7 @@ func TestTypeResolution(t *testing.T) {
 func TestEvalAllocFree(t *testing.T) {
 	sch := vector.Schema{{Name: "x", Type: vector.I64}, {Name: "d", Type: vector.I32}, {Name: "s", Type: vector.Str}}
 	_, ev := testEval(t, sch)
-	b := vector.NewBatch(
+	b := batch(
 		vector.FromI64([]int64{4, 5, 6, 7}),
 		vector.FromI32([]int32{1, 2, 3, 4}),
 		vector.FromStr([]string{"ab", "cd", "ab", "ef"}))

@@ -1,6 +1,7 @@
 package heuristics
 
 import (
+	"slices"
 	"testing"
 
 	"microadapt/internal/bloom"
@@ -19,11 +20,16 @@ func testInstance(t *testing.T, o primitive.Options, sig string) (*core.Session,
 	return s, inst, sel
 }
 
+// armByTag is the first flavor of p whose tag key equals val, or -1.
+func armByTag(p *core.Primitive, key, val string) int {
+	return slices.IndexFunc(p.Flavors, func(f *core.Flavor) bool { return f.Tag(key) == val })
+}
+
 func TestSelectionRule(t *testing.T) {
 	s, inst, sel := testInstance(t, primitive.BranchSet(), "select_<_sint_col_sint_val")
 	prim := inst.Prim
-	branchArm := prim.FlavorByTag("branch", "y")
-	noBranchArm := prim.FlavorByTag("branch", "n")
+	branchArm := armByTag(prim, "branch", "y")
+	noBranchArm := armByTag(prim, "branch", "n")
 
 	// Cold start: the shipped (branching) build.
 	c := &core.Call{N: 100}
@@ -51,8 +57,8 @@ func TestSelectionRule(t *testing.T) {
 func TestFullComputationRule(t *testing.T) {
 	_, inst, sel := testInstance(t, primitive.ComputeSet(), "map_*_slng_col_slng_col")
 	prim := inst.Prim
-	fullArm := prim.FlavorByTag("full", "y")
-	selArm := prim.FlavorByTag("full", "n")
+	fullArm := armByTag(prim, "full", "y")
+	selArm := armByTag(prim, "full", "n")
 
 	dense := &core.Call{N: 100, Sel: mkSel(80)}
 	if got := sel.Choose(core.ChooseContext{Inst: inst, Call: dense}); got != fullArm {
@@ -79,8 +85,8 @@ func mkSel(n int) []int32 {
 func TestFissionRule(t *testing.T) {
 	_, inst, sel := testInstance(t, primitive.FissionSet(), "sel_bloomfilter_slng_col")
 	prim := inst.Prim
-	fis := prim.FlavorByTag("fission", "y")
-	nofis := prim.FlavorByTag("fission", "n")
+	fis := armByTag(prim, "fission", "y")
+	nofis := armByTag(prim, "fission", "n")
 	m := hw.Machine1()
 
 	small := &core.Call{N: 100, Aux: bloom.New(m.BloomEffCache/4, 2)}

@@ -67,17 +67,6 @@ func (c *Cache) Access(addr uint64) (miss bool) {
 	return true
 }
 
-// Stats returns total accesses and misses so far.
-func (c *Cache) Stats() (accesses, misses uint64) { return c.accesses, c.misses }
-
-// MissRate returns misses/accesses, or 0 before any access.
-func (c *Cache) MissRate() float64 {
-	if c.accesses == 0 {
-		return 0
-	}
-	return float64(c.misses) / float64(c.accesses)
-}
-
 // Flush empties the cache and zeroes the statistics.
 func (c *Cache) Flush() {
 	clear(c.ways)

@@ -151,12 +151,11 @@ func TestCacheBasics(t *testing.T) {
 	if miss := c.Access(64); !miss {
 		t.Error("next line must miss")
 	}
-	acc, misses := c.Stats()
-	if acc != 4 || misses != 2 {
-		t.Errorf("stats = %d/%d, want 4/2", acc, misses)
+	if c.accesses != 4 || c.misses != 2 {
+		t.Errorf("stats = %d/%d, want 4/2", c.accesses, c.misses)
 	}
 	c.Flush()
-	if acc, _ := c.Stats(); acc != 0 {
+	if c.accesses != 0 {
 		t.Error("flush must clear stats")
 	}
 	if !c.Access(0) {
@@ -190,8 +189,8 @@ func TestCacheWorkingSetMissRates(t *testing.T) {
 	for i := 0; i < 200000; i++ {
 		c2.Access(uint64(rng.Intn(1 << 20))) // 16x cache
 	}
-	small := c.MissRate()
-	big := c2.MissRate()
+	small := float64(c.misses) / float64(c.accesses)
+	big := float64(c2.misses) / float64(c2.accesses)
 	if small > 0.01 {
 		t.Errorf("fitting working set miss rate = %v, want ~0", small)
 	}

@@ -61,9 +61,6 @@ type FragmentSite struct {
 	aggs      []aggMerge
 }
 
-// Merge returns how this site's partials combine.
-func (s *FragmentSite) Merge() MergeKind { return s.merge }
-
 // hasScalarPred reports whether any conjunct of a select defers its
 // constant to a scalar subplan (which a shard cannot resolve).
 func hasScalarPred(n *Node) bool {

@@ -228,8 +228,8 @@ func TestAggPushdownGates(t *testing.T) {
 			if len(sites) != 1 {
 				t.Fatalf("%d sites, want 1", len(sites))
 			}
-			if sites[0].Merge() != tc.want {
-				t.Errorf("merge kind %v, want %v", sites[0].Merge(), tc.want)
+			if sites[0].merge != tc.want {
+				t.Errorf("merge kind %v, want %v", sites[0].merge, tc.want)
 			}
 			// Whatever the gate decided, the distributed result must match.
 			mk := func(tab *engine.Table) *Builder {

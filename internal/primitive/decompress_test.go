@@ -45,15 +45,15 @@ func TestDecompressBaselineAlwaysRegistered(t *testing.T) {
 // families the storage scenario competes over.
 func TestDecompressSetShape(t *testing.T) {
 	d := NewDictionary(DecompressSet())
-	if n := d.NumFlavors(DecompressSig(vector.I32)); n != 2 {
+	if n := len(d.MustLookup(DecompressSig(vector.I32)).Flavors); n != 2 {
 		t.Errorf("scan_decompress flavors = %d, want 2 (eager, lazy)", n)
 	}
-	if n := d.NumFlavors(EncSelSig(">=", vector.Str)); n != 2 {
+	if n := len(d.MustLookup(EncSelSig(">=", vector.Str)).Flavors); n != 2 {
 		t.Errorf("selenc flavors = %d, want 2 (decode, oncompressed)", n)
 	}
 	// The default build keeps the family single-flavored.
 	d = NewDictionary(Defaults())
-	if n := d.NumFlavors(DecompressSig(vector.I32)); n != 1 {
+	if n := len(d.MustLookup(DecompressSig(vector.I32)).Flavors); n != 1 {
 		t.Errorf("default scan_decompress flavors = %d, want 1", n)
 	}
 }

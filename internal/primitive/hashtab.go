@@ -33,9 +33,6 @@ func (t *GroupTableI64) init(slots int) {
 // Groups returns the number of distinct keys inserted.
 func (t *GroupTableI64) Groups() int { return len(t.keys) }
 
-// Key returns the key of a group id.
-func (t *GroupTableI64) Key(gid int32) int64 { return t.keys[gid] }
-
 // ByteSize approximates the resident size of the table, the quantity that
 // drives the cache-miss growth of Figure 4(e).
 func (t *GroupTableI64) ByteSize() int { return len(t.slots)*4 + len(t.keys)*8 }
@@ -98,9 +95,6 @@ func (t *GroupTableStr) init(slots int) {
 
 // Groups returns the number of distinct keys inserted.
 func (t *GroupTableStr) Groups() int { return len(t.keys) }
-
-// Key returns the key of a group id.
-func (t *GroupTableStr) Key(gid int32) string { return t.keys[gid] }
 
 // ByteSize approximates the resident size of the table.
 func (t *GroupTableStr) ByteSize() int { return len(t.slots)*4 + len(t.keys)*16 + t.bytes }
@@ -291,9 +285,6 @@ func (t *SortedTable) Lookup(key int64) int32 {
 
 // Entries returns the number of build rows in the table.
 func (t *SortedTable) Entries() int { return len(t.keys) }
-
-// ByteSize approximates the resident size of the table.
-func (t *SortedTable) ByteSize() int { return len(t.keys)*8 + len(t.rows)*4 }
 
 func nextPow2(n int) int {
 	p := 16

@@ -34,21 +34,21 @@ func runSel(s *core.Session, sig string, arm int, label string, c *core.Call) []
 func TestRegistrationCounts(t *testing.T) {
 	d := NewDictionary(Defaults())
 	for _, sig := range d.Sigs() {
-		if n := d.NumFlavors(sig); n != 1 {
+		if n := len(d.MustLookup(sig).Flavors); n != 1 {
 			t.Errorf("%s: defaults registered %d flavors, want 1", sig, n)
 		}
 	}
 	dAll := NewDictionary(Everything())
 	// Selection comparisons: 2 branch x 3 compilers x 2 unroll = 12.
-	if n := dAll.NumFlavors("select_<_sint_col_sint_val"); n != 12 {
+	if n := len(dAll.MustLookup("select_<_sint_col_sint_val").Flavors); n != 12 {
 		t.Errorf("selection flavors = %d, want 12", n)
 	}
 	// Maps: 2 compute x 3 compilers x 2 unroll = 12.
-	if n := dAll.NumFlavors("map_*_slng_col_slng_col"); n != 12 {
+	if n := len(dAll.MustLookup("map_*_slng_col_slng_col").Flavors); n != 12 {
 		t.Errorf("map flavors = %d, want 12", n)
 	}
 	// Bloom: 2 fission x 3 compilers = 6.
-	if n := dAll.NumFlavors("sel_bloomfilter_slng_col"); n != 6 {
+	if n := len(dAll.MustLookup("sel_bloomfilter_slng_col").Flavors); n != 6 {
 		t.Errorf("bloom flavors = %d, want 6", n)
 	}
 	if len(dAll.Sigs()) < 120 {
@@ -72,7 +72,7 @@ func TestFlavorSetAxes(t *testing.T) {
 	}
 	for _, c := range cases {
 		d := NewDictionary(c.o)
-		if n := d.NumFlavors(c.sig); n != c.want {
+		if n := len(d.MustLookup(c.sig).Flavors); n != c.want {
 			t.Errorf("%s: flavors = %d, want %d", c.sig, n, c.want)
 		}
 	}
@@ -321,7 +321,7 @@ func TestGroupTables(t *testing.T) {
 	if gids[0] != gids[1] || gids[0] != gids[4] || gids[2] != gids[5] || gids[0] == gids[2] {
 		t.Errorf("gids = %v", gids)
 	}
-	if ti.Key(gids[3]) != 42 {
+	if ti.keys[gids[3]] != 42 {
 		t.Error("key recovery wrong")
 	}
 	// Growth: many keys force rehash.
@@ -344,7 +344,7 @@ func TestGroupTables(t *testing.T) {
 	if ts.InsertCheck("x") != a || a == b || ts.Groups() != 2 {
 		t.Error("string table wrong")
 	}
-	if ts.Key(b) != "y" {
+	if ts.keys[b] != "y" {
 		t.Error("string key recovery wrong")
 	}
 	for i := 0; i < 500; i++ {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -124,10 +123,6 @@ func (c *Client) WithRetry(p RetryPolicy) *Client {
 // change.
 func (c *Client) WithBinaryWire(bool) *Client { return c }
 
-// Retries reports how many shed answers the client retried (and so hid
-// from callers) since construction.
-func (c *Client) Retries() int64 { return c.retries.Load() }
-
 // jitter spreads d over [d/2, 3d/2) so retries from many clients decohere.
 func (c *Client) jitter(d time.Duration) time.Duration {
 	c.rngMu.Lock()
@@ -149,9 +144,6 @@ type Outcome struct {
 
 // Shed reports a 429 load-shed answer.
 func (o *Outcome) Shed() bool { return o.Status == http.StatusTooManyRequests }
-
-// Draining reports a 503 drain answer.
-func (o *Outcome) Draining() bool { return o.Status == http.StatusServiceUnavailable }
 
 // OK reports a 200 answer.
 func (o *Outcome) OK() bool { return o.Status == http.StatusOK }
@@ -259,23 +251,6 @@ func (c *Client) PushFlavors(snap service.KnowledgeSnapshot) (int, error) {
 		return 0, err
 	}
 	return pr.Accepted, nil
-}
-
-// Metrics fetches the server's metrics snapshot.
-func (c *Client) Metrics() (MetricsSnapshot, error) {
-	resp, err := c.http.Get(c.base + "/metrics")
-	if err != nil {
-		return MetricsSnapshot{}, err
-	}
-	defer resp.Body.Close()
-	var m MetricsSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		return MetricsSnapshot{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return MetricsSnapshot{}, errors.New("server: metrics: non-200")
-	}
-	return m, nil
 }
 
 // Healthy reports whether /healthz answers 200.

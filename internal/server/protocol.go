@@ -121,14 +121,6 @@ func (c *ColumnJSON) f64Len() int {
 	return len(c.F64)
 }
 
-// f64Bit is row r's raw bits in either representation.
-func (c *ColumnJSON) f64Bit(r int) uint64 {
-	if len(c.F64Bits) > 0 {
-		return c.F64Bits[r]
-	}
-	return math.Float64bits(c.F64[r])
-}
-
 // TableJSON is a result table in wire form.
 type TableJSON struct {
 	Name string       `json:"name"`
@@ -287,44 +279,4 @@ func typeByName(name string) (vector.Type, error) {
 		return vector.Str, nil
 	}
 	return 0, fmt.Errorf("unknown column type %q", name)
-}
-
-// Equal reports whether two wire tables hold bit-identical results.
-// Float comparison is over raw IEEE-754 bits (math.Float64bits), not ==:
-// the wire encoding preserves float64 bits exactly, so any bit
-// difference is a real divergence — and a NaN-bearing table must still
-// compare equal to itself, which == would deny (NaN != NaN). The bits
-// comparison also distinguishes +0 from -0, deliberately: those are
-// different bit patterns a correct round trip must preserve. A column in
-// F64Bits escape form compares equal to its plain-F64 twin.
-func (t *TableJSON) Equal(o *TableJSON) bool {
-	if t == nil || o == nil {
-		return t == o
-	}
-	if t.Rows != o.Rows || len(t.Cols) != len(o.Cols) {
-		return false
-	}
-	for i := range t.Cols {
-		a, b := &t.Cols[i], &o.Cols[i]
-		if a.Name != b.Name || a.Type != b.Type ||
-			len(a.I64) != len(b.I64) || a.f64Len() != b.f64Len() || len(a.Str) != len(b.Str) {
-			return false
-		}
-		for r := range a.I64 {
-			if a.I64[r] != b.I64[r] {
-				return false
-			}
-		}
-		for r := 0; r < a.f64Len(); r++ {
-			if a.f64Bit(r) != b.f64Bit(r) {
-				return false
-			}
-		}
-		for r := range a.Str {
-			if a.Str[r] != b.Str[r] {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"net/http"
 	"testing"
 	"time"
 )
@@ -59,7 +60,7 @@ func TestClientRetriesSheds(t *testing.T) {
 	if !out.OK() {
 		t.Fatalf("status %d after retries, want 200", out.Status)
 	}
-	if c.Retries() == 0 {
+	if c.retries.Load() == 0 {
 		t.Error("client reports zero retries despite a pinned worker")
 	}
 }
@@ -74,7 +75,7 @@ func TestClientDoesNotRetryDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Draining() {
+	if out.Status != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", out.Status)
 	}
 	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -26,6 +27,20 @@ func testService(warm bool) *service.Service {
 	cfg.WarmStart = warm
 	cfg.Seed = 7
 	return service.New(testDB, cfg)
+}
+
+// getMetrics reads the server's /metrics document over HTTP.
+func getMetrics(t *testing.T, run *Running) (m MetricsSnapshot) {
+	t.Helper()
+	resp, err := http.Get(run.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics: status %d, %v", resp.StatusCode, err)
+	}
+	return m
 }
 
 // startTestServer runs a real listening server with the shared lifecycle
@@ -140,7 +155,7 @@ func TestServerRejectsBadRequests(t *testing.T) {
 // adaptation stats each client adds up over its own responses must sum to
 // the server's totals exactly.
 func TestServerConcurrentClients(t *testing.T) {
-	_, c := startTestServer(t, Config{Workers: 4, QueueDepth: 256})
+	run, c := startTestServer(t, Config{Workers: 4, QueueDepth: 256})
 	queries := []int{1, 6, 12, 14}
 	want := make(map[int]string) // in process on a single-flavor build
 	for _, q := range queries {
@@ -186,10 +201,7 @@ func TestServerConcurrentClients(t *testing.T) {
 		t.Error(err)
 	}
 
-	m, err := c.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := getMetrics(t, run)
 	if m.Admission.Executed != clients*perClient {
 		t.Errorf("executed = %d, want %d", m.Admission.Executed, clients*perClient)
 	}
@@ -242,10 +254,7 @@ func TestServerWarmStartAcrossClients(t *testing.T) {
 		t.Errorf("warm client off-best = %d, want < cold %d",
 			warm.Response.Stats.OffBestCalls, cold.Response.Stats.OffBestCalls)
 	}
-	m, err := c.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := getMetrics(t, run)
 	if m.CacheSeededInsts == 0 {
 		t.Error("no instances seeded from the cache")
 	}
@@ -291,10 +300,7 @@ func TestServerShedsUnderSaturation(t *testing.T) {
 			t.Error("shed response missing Retry-After")
 		}
 	}
-	m, err := c.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := getMetrics(t, run)
 	if got := m.Admission.Shed - shedBefore; got != int64(n) {
 		t.Errorf("metrics shed = %d, want %d", got, n)
 	}
@@ -324,20 +330,17 @@ func TestServerDrainRejectsNew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Draining() {
+	if out.Status != http.StatusServiceUnavailable {
 		t.Errorf("post-drain query status = %d, want 503", out.Status)
 	}
 	out, err = c.PlanEncoded(planBody(t, PlanRequest{Plan: marshalQueryPlan(t, 6)}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Draining() {
+	if out.Status != http.StatusServiceUnavailable {
 		t.Errorf("post-drain plan status = %d, want 503", out.Status)
 	}
-	m, err := c.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := getMetrics(t, run)
 	if !m.Draining {
 		t.Error("metrics does not report draining")
 	}

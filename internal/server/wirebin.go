@@ -24,9 +24,10 @@
 //	                   string bytes
 //
 // The codec converts to and from the TableJSON wire form, so everything
-// downstream of it — DecodeTable's width narrowing, TableJSON.Equal,
-// PartialAccumulator folding, fingerprints — is shared with the JSON
-// endpoints and behaves identically over either body format.
+// downstream of it — DecodeTable's width narrowing, PartialAccumulator
+// folding, fingerprints — is shared with the JSON endpoints and behaves
+// identically over either body format. Two wire tables hold bit-identical
+// results exactly when their MWT1 bodies are equal byte for byte.
 package server
 
 import (

@@ -60,20 +60,23 @@ func TestWireBinRoundTrip(t *testing.T) {
 		if got.Name != tj.Name || got.Rows != tj.Rows || len(got.Cols) != len(tj.Cols) {
 			t.Fatalf("%s: shape changed: %+v", tj.Name, got)
 		}
-		if !got.Equal(tj) {
+		// MWT1 carries raw float bits, so re-packing the decoded table
+		// must give the same bytes (NaN payloads and -0 included).
+		if !bytes.Equal(mwt1(t, got), data) {
 			t.Errorf("%s: round trip not bit-identical", tj.Name)
 		}
-		// Equal compares float bits, but double-check the decoded F64
-		// values carry the exact bit patterns (incl. NaN payload, -0).
-		for ci := range tj.Cols {
-			want := &tj.Cols[ci]
-			for r := 0; r < want.f64Len(); r++ {
-				if gb, wb := got.Cols[ci].f64Bit(r), want.f64Bit(r); gb != wb {
-					t.Errorf("%s col %s row %d: bits %016x, want %016x", tj.Name, want.Name, r, gb, wb)
-				}
-			}
-		}
 	}
+}
+
+// mwt1 is tj's MWT1 body; bit identity of two wire tables is equality of
+// their bodies.
+func mwt1(t *testing.T, tj *TableJSON) []byte {
+	t.Helper()
+	data, err := MarshalTableBin(tj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // TestWireBinEscapedFormPacksIdentically: a table in F64Bits escape form
@@ -166,7 +169,7 @@ func FuzzWireBin(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-marshalled table does not decode: %v", err)
 		}
-		if !back.Equal(tj) {
+		if !bytes.Equal(mwt1(t, back), re) {
 			t.Fatal("marshal∘unmarshal is not idempotent")
 		}
 	})
@@ -203,38 +206,6 @@ func TestDecodeTableNarrowingBoundaries(t *testing.T) {
 		if !tc.ok && err == nil {
 			t.Errorf("%s %d: accepted out-of-range value", tc.typ, tc.val)
 		}
-	}
-}
-
-// TestTableJSONEqualNonFinite: Equal compares float bits, so a
-// NaN-bearing table equals itself (== would deny it), ±Inf round-trips,
-// the F64Bits escape form equals its plain twin, and +0 vs -0 — distinct
-// bit patterns — compare unequal.
-func TestTableJSONEqualNonFinite(t *testing.T) {
-	mk := func(vals ...float64) *TableJSON {
-		return &TableJSON{Name: "t", Rows: len(vals), Cols: []ColumnJSON{
-			{Name: "f", Type: "dbl", F64: vals},
-		}}
-	}
-	nonFinite := mk(math.NaN(), math.Inf(1), math.Inf(-1))
-	if !nonFinite.Equal(nonFinite) {
-		t.Error("NaN/Inf table unequal to itself")
-	}
-	if !nonFinite.Equal(mk(math.NaN(), math.Inf(1), math.Inf(-1))) {
-		t.Error("NaN/Inf table unequal to a bit-identical copy")
-	}
-	escaped := mk(math.NaN(), math.Inf(1), math.Inf(-1)).EscapeNonFinite()
-	if len(escaped.Cols[0].F64Bits) == 0 {
-		t.Fatal("EscapeNonFinite did not rewrite the column")
-	}
-	if !nonFinite.Equal(escaped) || !escaped.Equal(nonFinite) {
-		t.Error("escaped form unequal to its plain twin")
-	}
-	if mk(0).Equal(mk(math.Copysign(0, -1))) {
-		t.Error("+0 compares equal to -0; bit comparison must distinguish them")
-	}
-	if mk(1, 2).Equal(mk(1, 3)) {
-		t.Error("differing tables compare equal")
 	}
 }
 

@@ -150,9 +150,6 @@ func (svc *Service) policyEnv(seed int64) policy.Env {
 // Cache exposes the shared knowledge store (reports, tests).
 func (svc *Service) Cache() *FlavorCache { return svc.cache }
 
-// Config returns the active configuration.
-func (svc *Service) Config() Config { return svc.cfg }
-
 // SeededInstances returns how many multi-flavor instances were constructed
 // with at least one cached prior vs. completely cold.
 func (svc *Service) SeededInstances() (seeded, cold int64) {

@@ -255,7 +255,7 @@ func TestZeroValueConfigWorks(t *testing.T) {
 		t.Fatal(err)
 	}
 	// An entirely zero VW takes the full default, warmup/sweep included.
-	if vw := svc.Config().VW; vw != DefaultConfig().VW {
+	if vw := svc.cfg.VW; vw != DefaultConfig().VW {
 		t.Errorf("zero VW = %+v, want full default %+v", vw, DefaultConfig().VW)
 	}
 }
@@ -267,7 +267,7 @@ func TestZeroValueConfigWorks(t *testing.T) {
 func TestConfigKeepsCallerVWParams(t *testing.T) {
 	cfg := Config{VW: core.VWParams{ExploitPeriod: 5, ExploreLength: 3}}
 	svc := New(testDB, cfg)
-	vw := svc.Config().VW
+	vw := svc.cfg.VW
 	if vw.ExploitPeriod != 5 {
 		t.Errorf("caller-set ExploitPeriod clobbered: got %d, want 5", vw.ExploitPeriod)
 	}
@@ -284,7 +284,7 @@ func TestConfigKeepsCallerVWParams(t *testing.T) {
 	// Caller-set fields survive in the other direction too: ExplorePeriod
 	// set, the rest unset.
 	svc = New(testDB, Config{VW: core.VWParams{ExplorePeriod: 256}})
-	vw = svc.Config().VW
+	vw = svc.cfg.VW
 	if vw.ExplorePeriod != 256 {
 		t.Errorf("caller-set ExplorePeriod clobbered: got %d, want 256", vw.ExplorePeriod)
 	}

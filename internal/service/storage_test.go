@@ -138,7 +138,7 @@ func TestServiceEncodedStorage(t *testing.T) {
 		VectorSize: 128, Seed: 3,
 		EncodedStorage: true, WarmStart: true,
 	})
-	if !db.Encoded() {
+	if db.Lineitem.Enc == nil {
 		t.Fatal("EncodedStorage did not encode the database")
 	}
 	want := ""

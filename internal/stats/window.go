@@ -51,13 +51,6 @@ func (w *Window) Len() int {
 	return len(w.buf)
 }
 
-// Count returns how many samples were ever added.
-func (w *Window) Count() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.count
-}
-
 // Percentile returns the p-th percentile over the samples currently in the
 // window, with the same interpolation (and the same empty-input result, 0)
 // as the batch Percentile.

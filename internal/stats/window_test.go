@@ -13,8 +13,8 @@ func TestWindowEmpty(t *testing.T) {
 	if got := w.Max(); got != 0 {
 		t.Errorf("empty window max = %v, want 0", got)
 	}
-	if w.Len() != 0 || w.Count() != 0 {
-		t.Errorf("empty window len=%d count=%d", w.Len(), w.Count())
+	if w.Len() != 0 || w.count != 0 {
+		t.Errorf("empty window len=%d count=%d", w.Len(), w.count)
 	}
 }
 
@@ -65,8 +65,8 @@ func TestWindowEvictsOldest(t *testing.T) {
 	if w.Len() != 4 {
 		t.Errorf("len = %d, want 4", w.Len())
 	}
-	if w.Count() != 10 {
-		t.Errorf("count = %d, want 10", w.Count())
+	if w.count != 10 {
+		t.Errorf("count = %d, want 10", w.count)
 	}
 }
 
@@ -125,8 +125,8 @@ func TestWindowConcurrentAdd(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if w.Count() != 800 {
-		t.Errorf("count = %d, want 800", w.Count())
+	if w.count != 800 {
+		t.Errorf("count = %d, want 800", w.count)
 	}
 	if w.Len() != 64 {
 		t.Errorf("len = %d, want 64", w.Len())

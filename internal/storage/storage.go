@@ -202,12 +202,6 @@ func NewEncodedTable(name string, sch vector.Schema, cols []EncodedColumn) *Enco
 	return &EncodedTable{Name: name, Sch: sch, Cols: cols, rows: rows}
 }
 
-// Rows returns the row count.
-func (t *EncodedTable) Rows() int { return t.rows }
-
-// Col returns the named encoded column.
-func (t *EncodedTable) Col(name string) EncodedColumn { return t.Cols[t.Sch.MustIndexOf(name)] }
-
 // ResidentBytes sums the encoded sizes of all columns.
 func (t *EncodedTable) ResidentBytes() int {
 	total := 0

@@ -356,8 +356,8 @@ func TestEncodedTableAccounting(t *testing.T) {
 	}
 	tab := Encode("t", vector.Schema{{Name: "a", Type: vector.I32}, {Name: "b", Type: vector.Str}},
 		[]*vector.Vector{mkI32(a), vector.FromStr(b)})
-	if tab.Rows() != n {
-		t.Fatalf("rows = %d, want %d", tab.Rows(), n)
+	if tab.rows != n {
+		t.Fatalf("rows = %d, want %d", tab.rows, n)
 	}
 	if tab.ResidentBytes() >= tab.FlatBytes() {
 		t.Errorf("resident %d >= flat %d", tab.ResidentBytes(), tab.FlatBytes())
@@ -365,7 +365,7 @@ func TestEncodedTableAccounting(t *testing.T) {
 	if s := tab.Summary(); len(s) == 0 {
 		t.Error("empty summary")
 	}
-	if tab.Col("a").Len() != n {
+	if tab.Cols[tab.Sch.MustIndexOf("a")].Len() != n {
 		t.Error("Col lookup broken")
 	}
 }

@@ -34,9 +34,6 @@ func (db *DB) Encode() *DB {
 	return db
 }
 
-// Encoded reports whether the database is resident in compressed form.
-func (db *DB) Encoded() bool { return db.Lineitem.Enc != nil }
-
 // StorageFootprint returns the flat byte size of all base tables and the
 // resident size under the current storage form (equal when not encoded).
 func (db *DB) StorageFootprint() (flat, resident int) {

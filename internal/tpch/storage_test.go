@@ -26,7 +26,7 @@ func TestEncodeShrinksResidentBytes(t *testing.T) {
 	}
 	// The scenario needs non-flat encodings on the hot scan columns.
 	for _, col := range []string{"l_shipdate", "l_quantity", "l_discount"} {
-		if enc := db.Lineitem.Enc.Col(col); enc.Encoding() == storage.Flat {
+		if enc := db.Lineitem.Enc.Cols[db.Lineitem.Sch.MustIndexOf(col)]; enc.Encoding() == storage.Flat {
 			t.Errorf("lineitem %s stayed flat", col)
 		}
 	}

@@ -182,15 +182,17 @@ func TestQueriesJoinStrategyEquivalence(t *testing.T) {
 }
 
 // TestParallelMatchesSerial: a serial run spawns no fragments, and every
-// fragment session of a P=4 run carries its partition tag.
+// instance of a P=4 run's fragment sessions carries its partition tag.
 func TestParallelMatchesSerial(t *testing.T) {
 	eachQuery(t, 1, func(t *testing.T, q Spec) {
 		if n := len(runQuery(t, q, testDB).Fragments()); n != 0 {
 			t.Errorf("%s: serial run spawned %d fragments", q.Name, n)
 		}
 		for _, fs := range runQuery(t, q, testDB, core.WithParallelism(4)).Fragments() {
-			if fs.Partition() < 0 {
-				t.Errorf("%s: fragment session without partition tag", q.Name)
+			for _, inst := range fs.Instances() {
+				if core.BaseLabel(inst.Label) == inst.Label {
+					t.Errorf("%s: fragment instance %s without partition tag", q.Name, inst.Label)
+				}
 			}
 		}
 	})

@@ -46,18 +46,3 @@ func (b *Batch) Live() int {
 	}
 	return b.N
 }
-
-// NewBatch builds a batch over the given columns; all columns must have the
-// same length.
-func NewBatch(cols ...*Vector) *Batch {
-	n := 0
-	if len(cols) > 0 {
-		n = cols[0].Len()
-		for _, c := range cols[1:] {
-			if c.Len() != n {
-				panic("vector.NewBatch: column length mismatch")
-			}
-		}
-	}
-	return &Batch{N: n, Cols: cols}
-}

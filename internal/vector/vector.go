@@ -10,11 +10,6 @@ package vector
 
 import "fmt"
 
-// DefaultSize is the default number of tuples per vector. Vectorwise uses
-// roughly 1000; experiments at reduced TPC-H scale factors use smaller
-// vectors so primitive-instance call counts stay comparable to the paper.
-const DefaultSize = 1024
-
 // Type enumerates the value types supported by the engine. The names follow
 // the paper's nomenclature: schr (short, 16-bit), sint (int, 32-bit),
 // slng (long, 64-bit), plus float64 and string.

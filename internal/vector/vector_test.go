@@ -104,7 +104,7 @@ func TestConstVectors(t *testing.T) {
 }
 
 func TestBatchLiveAndSelectivity(t *testing.T) {
-	b := NewBatch(FromI32([]int32{1, 2, 3, 4}))
+	b := &Batch{N: 4, Cols: []*Vector{FromI32([]int32{1, 2, 3, 4})}}
 	if b.Live() != 4 {
 		t.Errorf("dense live = %d, want 4", b.Live())
 	}
