@@ -90,9 +90,6 @@ func benchFlags(fs *flag.FlagSet) (*bench.Config, func() error) {
 	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "generator seed")
 	fs.IntVar(&cfg.VectorSize, "vecsize", cfg.VectorSize, "tuples per vector")
 	machine := fs.String("machine", cfg.Machine.Name, "machine profile (machine1..machine4)")
-	fs.IntVar(&cfg.VW.ExplorePeriod, "explore-period", cfg.VW.ExplorePeriod, "vw-greedy EXPLORE_PERIOD")
-	fs.IntVar(&cfg.VW.ExploitPeriod, "exploit-period", cfg.VW.ExploitPeriod, "vw-greedy EXPLOIT_PERIOD")
-	fs.IntVar(&cfg.VW.ExploreLength, "explore-length", cfg.VW.ExploreLength, "vw-greedy EXPLORE_LENGTH")
 	return &cfg, func() error {
 		m := hw.MachineByName(*machine)
 		if m == nil {
@@ -106,6 +103,10 @@ func benchFlags(fs *flag.FlagSet) (*bench.Config, func() error) {
 func cmdExp(args []string) error {
 	fs := flag.NewFlagSet("exp", flag.ExitOnError)
 	cfg, finish := benchFlags(fs)
+	// Experiments take no policy spec; madapt tpch sets these in -policy.
+	fs.IntVar(&cfg.VW.ExplorePeriod, "explore-period", cfg.VW.ExplorePeriod, "vw-greedy EXPLORE_PERIOD")
+	fs.IntVar(&cfg.VW.ExploitPeriod, "exploit-period", cfg.VW.ExploitPeriod, "vw-greedy EXPLOIT_PERIOD")
+	fs.IntVar(&cfg.VW.ExploreLength, "explore-length", cfg.VW.ExploreLength, "vw-greedy EXPLORE_LENGTH")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -224,7 +225,6 @@ func cmdTPCH(args []string) error {
 		Machine:             cfg.Machine,
 		VectorSize:          cfg.VectorSize,
 		Policy:              *spec,
-		VW:                  cfg.VW,
 		PipelineParallelism: *pp,
 		EncodedStorage:      *encoded,
 		Seed:                cfg.Seed,

@@ -210,16 +210,16 @@ func TestDecisionKnowledgeFederation(t *testing.T) {
 		}
 	}
 	prefix := core.DecisionSig("join-strategy") + "@"
-	countDecisions := func(keys []string) (n int) {
-		for _, k := range keys {
+	countDecisions := func(snap service.KnowledgeSnapshot) (n int) {
+		for k := range snap.Entries {
 			if strings.HasPrefix(k, prefix) {
 				n++
 			}
 		}
 		return n
 	}
-	if countDecisions(c.Cache().Keys()) == 0 {
-		t.Fatalf("coordinator cache harvested no %s* entries; keys: %v", prefix, c.Cache().Keys())
+	if coord := c.Cache().Export(); countDecisions(coord) == 0 {
+		t.Fatalf("coordinator cache harvested no %s* entries; keys: %v", prefix, coord.Entries)
 	}
 
 	if _, err := c.GossipOnce(); err != nil {
@@ -231,12 +231,8 @@ func TestDecisionKnowledgeFederation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pull shard snapshot: %v", err)
 	}
-	var shardKeys []string
-	for k := range snap.Entries {
-		shardKeys = append(shardKeys, k)
-	}
-	if countDecisions(shardKeys) == 0 {
-		t.Fatalf("shard snapshot carries no %s* entries after gossip push; keys: %v", prefix, shardKeys)
+	if countDecisions(snap) == 0 {
+		t.Fatalf("shard snapshot carries no %s* entries after gossip push; keys: %v", prefix, snap.Entries)
 	}
 
 	cold := service.New(testDB.Shard(0, 2), service.DefaultConfig())

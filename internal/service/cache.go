@@ -12,7 +12,6 @@ package service
 
 import (
 	"math"
-	"sort"
 	"sync"
 
 	"microadapt/internal/core"
@@ -153,34 +152,4 @@ func (c *FlavorCache) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return len(c.entries)
-}
-
-// Keys returns the known instance keys, sorted (for reports and tests).
-func (c *FlavorCache) Keys() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.entries))
-	for k := range c.entries {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// BestFlavor returns the cheapest known flavor name for an instance key
-// and its cached cost, or ("", +Inf) when the key is unknown. Entries with
-// a non-finite stored cost are skipped.
-func (c *FlavorCache) BestFlavor(key string) (string, float64) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	best, bestCost := "", math.Inf(1)
-	for name, k := range c.entries[key] {
-		if !finiteCost(k.cost) {
-			continue
-		}
-		if k.cost < bestCost || (k.cost == bestCost && (best == "" || name < best)) {
-			best, bestCost = name, k.cost
-		}
-	}
-	return best, bestCost
 }

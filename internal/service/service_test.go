@@ -301,14 +301,18 @@ func TestConfigKeepsCallerVWParams(t *testing.T) {
 func TestParallelExecutionMatchesSerial(t *testing.T) {
 	// Every key — primitive instances and operator decisions alike — must
 	// match the serial plan's exactly.
-	keys := func(p int) []string {
+	keys := func(p int) (out []string) {
 		cfg := testConfig(true)
 		cfg.PipelineParallelism = p
 		svc := New(testDB, cfg)
 		if _, st, err := svc.Execute(3); err != nil || st.AdaptiveCalls == 0 {
 			t.Fatalf("P=%d: err %v, %d adaptive calls", p, err, st.AdaptiveCalls)
 		}
-		return svc.Cache().Keys()
+		for k := range svc.Cache().Export().Entries {
+			out = append(out, k)
+		}
+		slices.Sort(out)
+		return out
 	}
 	if serial, parallel := keys(1), keys(4); !slices.Equal(parallel, serial) {
 		t.Errorf("cache keys at P=4 differ from serial — partition tags leaked into keys?\n%v\nvs\n%v", parallel, serial)
@@ -360,6 +364,34 @@ func TestParallelWarmStartSeedsFragments(t *testing.T) {
 	}
 }
 
+// TestWarmStartCostsNoMoreCycles: a query stream warm-started from the
+// shared cache spends no more primitive cycles than the same stream run
+// cold. Off-best calls fall by more than half when warm, so a check on
+// them alone passes while the cycles rise.
+func TestWarmStartCostsNoMoreCycles(t *testing.T) {
+	t.Skip("warm start spends ~15% more primitive cycles than cold (ROADMAP item 18)")
+	db := tpch.Generate(0.01, 42)
+	mix := []int{1, 6, 12, 14}
+	const jobs = 48
+	cycles := func(svc *Service, jobs int) (sum float64) {
+		for i := 0; i < jobs; i++ {
+			_, st, err := svc.Execute(mix[i%len(mix)])
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum += st.PrimCycles
+		}
+		return sum
+	}
+	cold := cycles(New(db, testConfig(false)), jobs)
+	svc := New(db, testConfig(true))
+	cycles(svc, len(mix)) // priming pass
+	if warm := cycles(svc, jobs); warm > cold {
+		t.Errorf("%d warm jobs spent %.0f primitive cycles, %d cold ones %.0f (%.3fx)",
+			jobs, warm, jobs, cold, warm/cold)
+	}
+}
+
 // TestHarvestDoesNotEchoPriors: a warm-started session must publish only
 // costs it measured itself. If the snapshot leaked seeded priors back
 // through Harvest, the cache would EWMA-merge its own stale values on
@@ -372,12 +404,16 @@ func TestHarvestDoesNotEchoPriors(t *testing.T) {
 	cache := svc.Cache()
 	// Pick a cached multi-flavor instance and poison one of its flavors
 	// with an absurd cost the virtual hardware can never produce.
-	keys := cache.Keys()
-	if len(keys) == 0 {
+	var key string // the least key, so every run poisons the same one
+	for k := range cache.Export().Entries {
+		if key == "" || k < key {
+			key = k
+		}
+	}
+	if key == "" {
 		t.Fatal("no cached knowledge after a query")
 	}
 	const poison = 123456789.0
-	key := keys[0]
 	cache.mu.Lock()
 	var poisoned string
 	for name, k := range cache.entries[key] {
@@ -416,9 +452,6 @@ func TestFlavorCacheBasics(t *testing.T) {
 	if priors[0] != 4 || priors[1] != 2 || !math.IsInf(priors[2], 1) {
 		t.Errorf("priors = %v", priors)
 	}
-	if name, cost := c.BestFlavor("k"); name != "b" || cost != 2 {
-		t.Errorf("best = %s/%.1f, want b/2", name, cost)
-	}
 	// EWMA is recent-biased: a new observation moves the estimate halfway.
 	c.Observe("k", "a", 8)
 	priors, _ = c.Priors("k", []string{"a"})
@@ -433,8 +466,8 @@ func TestFlavorCacheBasics(t *testing.T) {
 	if priors[0] != 6 {
 		t.Errorf("junk observation changed cost to %v", priors[0])
 	}
-	if c.Len() != 1 || len(c.Keys()) != 1 {
-		t.Errorf("cache shape: len=%d keys=%v", c.Len(), c.Keys())
+	if c.Len() != 1 || c.Export().Len() != 1 {
+		t.Errorf("cache shape: len=%d exported=%d", c.Len(), c.Export().Len())
 	}
 }
 
@@ -451,7 +484,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				c.Observe(key, "a", float64(i%7+1))
 				c.Priors(key, []string{"a", "b"})
-				c.BestFlavor(key)
+				c.Export()
 				c.Len()
 			}
 		}(g)
@@ -462,7 +495,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 // TestCacheNeverStoresNonFiniteCosts is the regression test for the
 // finite-cost invariant: under concurrent observes mixing junk (Inf, NaN,
 // negative) with float64-horizon values like MaxFloat64, nothing the cache
-// hands back — priors or best flavor — may ever be non-finite, and EWMA
+// hands back — priors or exports — may ever be non-finite, and EWMA
 // merging at the horizon must not overflow into +Inf. Run with -race this
 // also guards the merge path itself.
 func TestCacheNeverStoresNonFiniteCosts(t *testing.T) {
@@ -481,7 +514,7 @@ func TestCacheNeverStoresNonFiniteCosts(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	for _, key := range c.Keys() {
+	for _, key := range []string{"k0", "k1"} {
 		priors, any := c.Priors(key, []string{"a", "b"})
 		if !any {
 			t.Fatalf("%s: finite observations were dropped entirely", key)
@@ -496,8 +529,8 @@ func TestCacheNeverStoresNonFiniteCosts(t *testing.T) {
 				t.Errorf("%s prior[%d] is +Inf after finite observes", key, i)
 			}
 		}
-		if name, cost := c.BestFlavor(key); name == "" || !finiteCost(cost) {
-			t.Errorf("%s best = %q/%v, want a finite best", key, name, cost)
+		if e := c.Export().Entries[key]; len(e) != 2 {
+			t.Errorf("%s exported %v, want both flavors finite", key, e)
 		}
 	}
 }
