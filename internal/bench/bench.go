@@ -18,7 +18,6 @@ import (
 	"microadapt/internal/service"
 	"microadapt/internal/stats"
 	"microadapt/internal/tpch"
-	"microadapt/internal/trace"
 )
 
 // Config parameterizes an experiment run. The defaults trade the paper's
@@ -145,9 +144,6 @@ func fixedArm(arm int) core.ChooserFactory {
 	return policy.MustFactory(fmt.Sprintf("fixed:arm=%d", arm), policy.Env{})
 }
 
-// RunTPCH executes all 22 queries in one session.
-func RunTPCH(db *tpch.DB, s *core.Session) error { return runQueries(db, s, tpch.Queries()) }
-
 func runQueries(db *tpch.DB, s *core.Session, queries []tpch.Spec) error {
 	for _, q := range queries {
 		if _, err := q.Run(db, s); err != nil {
@@ -159,12 +155,12 @@ func runQueries(db *tpch.DB, s *core.Session, queries []tpch.Spec) error {
 
 // pinnedSessions runs queries once per arm, each arm in its own session
 // pinned to it, and returns the sessions in arm order. Every pinned
-// instance records its per-call costs, so trace.Collect can replay the
+// instance records its per-call costs, so collectTraces can replay the
 // runs (Table 5 replays Table 7's).
 func (cfg Config) pinnedSessions(db *tpch.DB, o primitive.Options, arms int, queries ...tpch.Spec) ([]*core.Session, error) {
 	sessions := make([]*core.Session, arms)
 	for arm := range sessions {
-		sessions[arm] = cfg.TPCHSession(o, trace.Recording(fixedArm(arm)))
+		sessions[arm] = cfg.TPCHSession(o, recording(fixedArm(arm)))
 		if err := runQueries(db, sessions[arm], queries); err != nil {
 			return nil, err
 		}
@@ -172,18 +168,25 @@ func (cfg Config) pinnedSessions(db *tpch.DB, o primitive.Options, arms int, que
 	return sessions, nil
 }
 
-// flavorCalls calls flavor arm of inst calls times and returns the total
-// cycles; before each call, next refills the inputs and returns the call.
-func flavorCalls(s *core.Session, inst *core.Instance, arm, calls int, next func() *core.Call) float64 {
-	fl := inst.Prim.Flavors[arm]
-	var cycles float64
-	for i := 0; i < calls; i++ {
-		c := next()
-		c.Inst = inst
-		_, cyc := fl.Fn(s.Ctx, c)
-		cycles += cyc
+// armSessions builds one serial session per arm, each pinned to its arm;
+// the micro experiments run every flavor in the session of its arm.
+func (cfg Config) armSessions(o primitive.Options, arms int) []*core.Session {
+	sessions := make([]*core.Session, arms)
+	for arm := range sessions {
+		sessions[arm] = cfg.Session(o, fixedArm(arm))
 	}
-	return cycles
+	return sessions
+}
+
+// flavorCalls runs a fresh instance of sig, labelled label, calls times in
+// s and returns the cycles they cost; before each call, next refills the
+// inputs and returns the call.
+func flavorCalls(s *core.Session, sig, label string, calls int, next func() *core.Call) float64 {
+	inst := s.Instance(sig, label)
+	for i := 0; i < calls; i++ {
+		inst.Run(s.Ctx, next())
+	}
+	return inst.Cycles
 }
 
 // affectedCycles sums the cycles of instances with more than one flavor

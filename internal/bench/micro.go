@@ -50,16 +50,15 @@ func Table1(cfg Config) (*Report, error) {
 	return &Report{ID: "table1", Title: "Table 1: time spent in execution stages", Body: body}, nil
 }
 
-// selPrimBench runs one selection flavor over synthetic data at a target
-// selectivity, returning cycles/tuple.
-func selPrimBench(cfg Config, s *core.Session, arm int, label string, selPct int, calls int) float64 {
+// selPrimBench runs the selection flavor s is pinned to over synthetic
+// data at a target selectivity, returning cycles/tuple.
+func selPrimBench(cfg Config, s *core.Session, label string, selPct int, calls int) float64 {
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(selPct)))
-	inst := s.Instance(primitive.SelSig("<", vector.I32, false), label)
 	n := cfg.VectorSize
 	col := make([]int32, n)
 	out := make([]int32, n)
 	threshold := vector.ConstI32(int32(selPct))
-	cycles := flavorCalls(s, inst, arm, calls, func() *core.Call {
+	cycles := flavorCalls(s, primitive.SelSig("<", vector.I32, false), label, calls, func() *core.Call {
 		for i := range col {
 			col[i] = int32(rng.Intn(100))
 		}
@@ -71,12 +70,12 @@ func selPrimBench(cfg Config, s *core.Session, arm int, label string, selPct int
 // Fig1 reproduces Figure 1: branching vs no-branching selection cost as a
 // function of selectivity, with the misprediction hump at 50%.
 func Fig1(cfg Config) (*Report, error) {
-	s := cfg.Session(primitive.BranchSet(), fixedArm(0))
+	s := cfg.armSessions(primitive.BranchSet(), 2)
 	var xs []string
 	var branch, nobranch []float64
 	for sel := 0; sel <= 100; sel += 5 {
-		b := selPrimBench(cfg, s, 0, fmt.Sprintf("fig1/b%d", sel), sel, 400)
-		nb := selPrimBench(cfg, s, 1, fmt.Sprintf("fig1/n%d", sel), sel, 400)
+		b := selPrimBench(cfg, s[0], fmt.Sprintf("fig1/b%d", sel), sel, 400)
+		nb := selPrimBench(cfg, s[1], fmt.Sprintf("fig1/n%d", sel), sel, 400)
 		branch = append(branch, b)
 		nobranch = append(nobranch, nb)
 		xs = append(xs, fmt.Sprintf("%d", sel))
@@ -119,10 +118,9 @@ func Fig5(cfg Config) (*Report, error) {
 	for _, m := range machines {
 		mcfg := cfg
 		mcfg.Machine = m
-		s := mcfg.Session(primitive.CompilerSet(), fixedArm(0))
 		var cyc []float64
-		for arm := range compilers {
-			cyc = append(cyc, mergejoinBench(mcfg, s, arm, fmt.Sprintf("fig5/%s/%d", m.Name, arm)))
+		for arm, s := range mcfg.armSessions(primitive.CompilerSet(), len(compilers)) {
+			cyc = append(cyc, mergejoinBench(mcfg, s, fmt.Sprintf("fig5/%s/%d", m.Name, arm)))
 		}
 		best := compilers[argmin(cyc)]
 		rows = append(rows, []string{m.Name,
@@ -134,7 +132,9 @@ func Fig5(cfg Config) (*Report, error) {
 	return &Report{ID: "fig5", Title: "Figure 5: mergejoin — best compiler depends on machine", Body: body}, nil
 }
 
-func mergejoinBench(cfg Config, s *core.Session, arm int, label string) float64 {
+// mergejoinBench merge-joins two key columns with the flavor s is pinned
+// to and returns the cycles per consumed key.
+func mergejoinBench(cfg Config, s *core.Session, label string) float64 {
 	inst := s.Instance("mergejoin_slng_col_slng_col", label)
 	n := 200_000
 	lkeys := make([]int64, n)
@@ -146,15 +146,10 @@ func mergejoinBench(cfg Config, s *core.Session, arm int, label string) float64 
 	st := primitive.NewMergeState(lkeys, rkeys)
 	st.LOut = make([]int32, cfg.VectorSize)
 	st.ROut = make([]int32, cfg.VectorSize)
-	fl := inst.Prim.Flavors[arm]
-	var cycles float64
-	consumed := n * 2
 	for !st.Done() {
-		c := &core.Call{N: cfg.VectorSize, Aux: st, Inst: inst}
-		_, cyc := fl.Fn(s.Ctx, c)
-		cycles += cyc
+		inst.Run(s.Ctx, &core.Call{N: cfg.VectorSize, Aux: st})
 	}
-	return cycles / float64(consumed)
+	return inst.Cycles / float64(2*n)
 }
 
 func argmin(xs []float64) int {
@@ -178,11 +173,11 @@ func Fig6(cfg Config) (*Report, error) {
 	}
 	crossRows := [][]string{{"machine", "cross-over size", "max speedup"}}
 	machines := hw.Machines()
-	sessions := make([]*core.Session, len(machines))
+	sessions := make([][]*core.Session, len(machines)) // [machine][arm]
 	for mi, m := range machines {
 		mcfg := cfg
 		mcfg.Machine = m
-		sessions[mi] = mcfg.Session(primitive.FissionSet(), fixedArm(0))
+		sessions[mi] = mcfg.armSessions(primitive.FissionSet(), 2)
 	}
 	// The probe's cost depends only on the filter's size and the live
 	// tuples, so every machine and arm probes one filter per size.
@@ -190,8 +185,8 @@ func Fig6(cfg Config) (*Report, error) {
 	for i, sz := range sizes {
 		f, keys := bloomFilter(cfg, sz)
 		for mi, m := range machines {
-			nof := bloomBench(cfg, sessions[mi], 0, fmt.Sprintf("fig6/%s/n%d", m.Name, i), f, keys)
-			fis := bloomBench(cfg, sessions[mi], 1, fmt.Sprintf("fig6/%s/f%d", m.Name, i), f, keys)
+			nof := bloomBench(cfg, sessions[mi][0], fmt.Sprintf("fig6/%s/n%d", m.Name, i), f, keys)
+			fis := bloomBench(cfg, sessions[mi][1], fmt.Sprintf("fig6/%s/f%d", m.Name, i), f, keys)
 			bySize[mi] = append(bySize[mi], nof/fis)
 		}
 	}
@@ -260,14 +255,13 @@ func bloomFilter(cfg Config, sizeBytes int) (*bloom.Filter, []int64) {
 
 const bloomCalls = 200
 
-// bloomBench probes f with keys through flavor arm and returns the
-// cycles per tuple.
-func bloomBench(cfg Config, s *core.Session, arm int, label string, f *bloom.Filter, keys []int64) float64 {
-	inst := s.Instance("sel_bloomfilter_slng_col", label)
+// bloomBench probes f with keys through the flavor s is pinned to and
+// returns the cycles per tuple.
+func bloomBench(cfg Config, s *core.Session, label string, f *bloom.Filter, keys []int64) float64 {
 	n := cfg.VectorSize
 	out := make([]int32, n)
 	call := 0
-	cycles := flavorCalls(s, inst, arm, bloomCalls, func() *core.Call {
+	cycles := flavorCalls(s, "sel_bloomfilter_slng_col", label, bloomCalls, func() *core.Call {
 		batch := keys[call*n : (call+1)*n]
 		call++
 		return &core.Call{N: n, In: []*vector.Vector{vector.FromI64(batch)}, SelOut: out, Aux: f}
@@ -325,11 +319,11 @@ func Fig8(cfg Config) (*Report, error) {
 	for _, cv := range curves {
 		mcfg := cfg
 		mcfg.Machine = cv.m
-		s := mcfg.Session(primitive.ComputeSet(), fixedArm(0))
+		s := mcfg.armSessions(primitive.ComputeSet(), 2)
 		var sp []float64
 		for sel := 0; sel <= 100; sel += 10 {
-			selective := mapMulBench(mcfg, s, cv.t, 0, fmt.Sprintf("fig8/%s/s%d", cv.name, sel), sel)
-			full := mapMulBench(mcfg, s, cv.t, 1, fmt.Sprintf("fig8/%s/f%d", cv.name, sel), sel)
+			selective := mapMulBench(mcfg, s[0], cv.t, fmt.Sprintf("fig8/%s/s%d", cv.name, sel), sel)
+			full := mapMulBench(mcfg, s[1], cv.t, fmt.Sprintf("fig8/%s/f%d", cv.name, sel), sel)
 			sp = append(sp, selective/full)
 		}
 		series = append(series, stats.Series{Name: cv.name, Values: sp})
@@ -345,12 +339,10 @@ func Fig8(cfg Config) (*Report, error) {
 	return &Report{ID: "fig8", Title: "Figure 8: map_mul — full computation speedup", Body: body}, nil
 }
 
-// mapMulBench measures one compute flavor of map_mul at a given input
-// selectivity (percent), returning total cycles per call (so the speedup
-// ratio matches the paper's per-vector comparison).
-func mapMulBench(cfg Config, s *core.Session, t vector.Type, arm int, label string, selPct int) float64 {
-	sig := primitive.MapSig("*", t, "col_col")
-	inst := s.Instance(sig, label)
+// mapMulBench measures the compute flavor of map_mul s is pinned to at a
+// given input selectivity (percent), returning total cycles per call (so
+// the speedup ratio matches the paper's per-vector comparison).
+func mapMulBench(cfg Config, s *core.Session, t vector.Type, label string, selPct int) float64 {
 	n := cfg.VectorSize
 	a := vector.New(t, n)
 	b := vector.New(t, n)
@@ -360,7 +352,7 @@ func mapMulBench(cfg Config, s *core.Session, t vector.Type, arm int, label stri
 	res.SetLen(n)
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(selPct)))
 	const calls = 200
-	cycles := flavorCalls(s, inst, arm, calls, func() *core.Call {
+	cycles := flavorCalls(s, primitive.MapSig("*", t, "col_col"), label, calls, func() *core.Call {
 		sel := []int32{}
 		for i := 0; i < n; i++ {
 			if rng.Intn(100) < selPct {

@@ -179,14 +179,14 @@ func skewedComparison(cfg Config) (string, error) {
 }
 
 // skewedBestArms measures the ground-truth best arm per phase by running
-// every flavor directly (no policy in the loop) on phase-typical data.
+// every flavor pinned (no policy in the loop) on phase-typical data.
 func skewedBestArms(cfg Config) []int {
-	pin := cfg.Session(primitive.BranchSet(), fixedArm(0))
+	pin := cfg.armSessions(primitive.BranchSet(), 2)
 	best := make([]int, len(skewedPhases))
 	for pi, ph := range skewedPhases {
 		bestCost := 0.0
-		for arm := 0; arm < 2; arm++ {
-			c := selPrimBench(cfg, pin, arm, fmt.Sprintf("skew/pin%d/a%d", ph.selPct, arm), ph.selPct, 400)
+		for arm, s := range pin {
+			c := selPrimBench(cfg, s, fmt.Sprintf("skew/pin%d/a%d", ph.selPct, arm), ph.selPct, 400)
 			if arm == 0 || c < bestCost {
 				best[pi], bestCost = arm, c
 			}

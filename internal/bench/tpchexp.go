@@ -2,49 +2,42 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
-	"slices"
-	"sort"
 	"strings"
 
 	"microadapt/internal/aph"
 	"microadapt/internal/core"
-	"microadapt/internal/heuristics"
+	"microadapt/internal/policy"
 	"microadapt/internal/primitive"
 	"microadapt/internal/stats"
 	"microadapt/internal/tpch"
-	"microadapt/internal/trace"
 )
 
 // Fig2 reproduces Figure 2: the two (no-)branching flavors of the Q12
-// receiptdate selection. The date-clustered lineitem keeps the predicate's
-// selectivity near 100% for most of the query and drops it at the end,
-// where the branching flavor collapses.
+// receiptdate selection, read from Table 6's pinned runs. The
+// date-clustered lineitem keeps the predicate's selectivity near 100% for
+// most of the query and drops it at the end, where the branching flavor
+// collapses.
 func Fig2(cfg Config) (*Report, error) {
 	const label = "Q12/sel0/select_<_sint_col_sint_val#1" // l_receiptdate < 1995-01-01
 	names := []string{"branching", "no branching"}
-	sessions, err := cfg.pinnedSessions(cfg.DB(), primitive.BranchSet(), len(names), tpch.Query(12))
+	r, _, err := flavorSet(cfg, "table6")
 	if err != nil {
 		return nil, err
 	}
 	var series []stats.Series
 	var hists []*aph.History
-	for arm, s := range sessions {
+	for arm, s := range r.arms {
 		inst := mustInstance(s, label)
 		series = append(series, stats.Series{Name: names[arm], Values: inst.History().Series()})
 		hists = append(hists, inst.History())
 	}
 	body := chartAPH("avg cycles/tuple during Q12 ("+label+")", series)
-	bTot, nbTot := histCycles(hists[0]), histCycles(hists[1])
+	_, bTot := hists[0].Totals()
+	_, nbTot := hists[1].Totals()
 	body += fmt.Sprintf("\ntotal cycles: branching %.0f, no-branching %.0f; branching is faster for\n"+
 		"most of the query but collapses when the selectivity drops at the end —\n"+
 		"exactly the Figure 2 phenomenon that motivates intra-query adaptivity.\n", bTot, nbTot)
 	return &Report{ID: "fig2", Title: "Figure 2: (No-)Branching primitive cost in TPC-H Q12", Body: body}, nil
-}
-
-func histCycles(h *aph.History) float64 {
-	_, c := h.Totals()
-	return c
 }
 
 // fig4Panels maps the five sub-figures of Figure 4 to our instances.
@@ -130,7 +123,7 @@ func runFlavorSet(cfg Config, opts primitive.Options, armNames []string) (*flavo
 		}
 	}
 	r.adaptive = cfg.TPCHSession(opts, nil)
-	if err := RunTPCH(db, r.adaptive); err != nil {
+	if err := runQueries(db, r.adaptive, tpch.Queries()); err != nil {
 		return nil, err
 	}
 	r.adaptAffected, _ = affectedCycles(r.adaptive)
@@ -269,86 +262,6 @@ func Fig11(cfg Config) (*Report, error) {
 	return &Report{ID: "fig11", Title: "Figure 11: Micro Adaptive execution (sample APHs)", Body: body.String()}, nil
 }
 
-// Table5 reproduces the MAB-algorithm comparison: replay the per-call
-// costs of the three compiler flavors, recorded by Table 7's pinned runs
-// over the full TPC-H suite, through each algorithm and score against OPT.
-func Table5(cfg Config) (*Report, error) {
-	r, _, err := flavorSet(cfg, "table7")
-	if err != nil {
-		return nil, err
-	}
-	traces := trace.Collect(r.arms)
-	var calls int
-	for _, tr := range traces {
-		calls += tr.Calls()
-	}
-	horizon := calls / len(traces)
-
-	type algo struct {
-		name string
-		mk   func(n int) core.Chooser
-	}
-	rng := func() *rand.Rand { return rand.New(rand.NewSource(cfg.Seed)) }
-	vw := func(p, e, l int) algo {
-		return algo{
-			name: fmt.Sprintf("vw-greedy(%d,%d,%d)", p, e, l),
-			mk: func(n int) core.Chooser {
-				return core.NewVWGreedy(n, core.VWParams{
-					ExplorePeriod: p, ExploitPeriod: e, ExploreLength: l,
-					WarmupSkip: 2, InitialSweep: true,
-				}, rng())
-			},
-		}
-	}
-	algos := []algo{
-		vw(1024, 8, 2), vw(2048, 8, 1), vw(2048, 8, 2), vw(128, 8, 2), vw(256, 8, 2),
-		{"eps-first(0.001)", func(n int) core.Chooser { return core.NewEpsFirst(n, 0.001, horizon, rng()) }},
-		{"eps-first(0.05)", func(n int) core.Chooser { return core.NewEpsFirst(n, 0.05, horizon, rng()) }},
-		{"eps-first(0.1)", func(n int) core.Chooser { return core.NewEpsFirst(n, 0.1, horizon, rng()) }},
-		{"eps-greedy(0.001)", func(n int) core.Chooser { return core.NewEpsGreedy(n, 0.001, rng()) }},
-		{"eps-greedy(0.05)", func(n int) core.Chooser { return core.NewEpsGreedy(n, 0.05, rng()) }},
-		{"eps-greedy(0.1)", func(n int) core.Chooser { return core.NewEpsGreedy(n, 0.1, rng()) }},
-		{"eps-decreasing(1.0)", func(n int) core.Chooser { return core.NewEpsDecreasing(n, 1.0, rng()) }},
-		{"eps-decreasing(0.1)", func(n int) core.Chooser { return core.NewEpsDecreasing(n, 0.1, rng()) }},
-		{"eps-decreasing(5.0)", func(n int) core.Chooser { return core.NewEpsDecreasing(n, 5.0, rng()) }},
-	}
-	type scored struct {
-		name string
-		s    trace.Scores
-	}
-	var results []scored
-	for _, a := range algos {
-		results = append(results, scored{a.name, trace.Score(traces, a.mk)})
-	}
-	sort.Slice(results, func(i, j int) bool { return results[i].s.Average() < results[j].s.Average() })
-	rows := [][]string{{"Algorithm", "Absolute/OPT", "Relative/OPT", "Average"}}
-	for _, r := range results {
-		rows = append(rows, []string{r.name,
-			fmt.Sprintf("%.3f", r.s.AbsoluteOverOPT),
-			fmt.Sprintf("%.3f", r.s.RelativeOverOPT),
-			fmt.Sprintf("%.3f", r.s.Average())})
-	}
-	// Rows that tie the best vw-greedy row share its rank.
-	best := results[slices.IndexFunc(results, func(r scored) bool { return strings.HasPrefix(r.name, "vw-greedy") })]
-	rank := 1
-	for _, r := range results {
-		if r.s.Average() < best.s.Average() {
-			rank++
-		}
-	}
-	verdict := "does not hold at this scale"
-	if rank == 1 {
-		verdict = "holds here"
-	}
-	body := stats.FormatTable(rows)
-	body += fmt.Sprintf("\n%d primitive instances traced; %d calls on average (paper: >300 instances,\n"+
-		"16K-32K calls at SF-100). Scores are factors over the per-call oracle OPT;\n"+
-		"compiler flavors rarely cross over mid-query, so all algorithms land close\n"+
-		"to OPT. The best vw-greedy row ranks %d of %d, so Table 5's vw-greedy lead\n%s.\n",
-		len(traces), horizon, rank, len(results), verdict)
-	return &Report{ID: "table5", Title: "Table 5: MAB algorithms on recorded TPC-H traces (factor over OPT)", Body: body}, nil
-}
-
 // Table11 reproduces the end-to-end comparison: per-query times of the
 // baseline build, and improvement factors of the heuristics build and of
 // Micro Adaptivity, with the geometric mean (the TPC-H power score).
@@ -374,8 +287,9 @@ func Table11(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	heur, err := runAll(func() *core.Session {
-		scaled := cfg.Machine.ScaledCaches(cfg.cacheScale())
-		return cfg.TPCHSession(primitive.Everything(), heuristics.Factory(scaled, heuristics.Default()))
+		env := cfg.PolicyEnv()
+		env.Machine = cfg.Machine.ScaledCaches(cfg.cacheScale())
+		return cfg.TPCHSession(primitive.Everything(), policy.MustFactory("heuristics", env))
 	})
 	if err != nil {
 		return nil, err

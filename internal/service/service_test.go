@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"microadapt/internal/core"
 	"microadapt/internal/engine"
 	"microadapt/internal/hw"
+	"microadapt/internal/plan"
 	"microadapt/internal/primitive"
 	"microadapt/internal/tpch"
 )
@@ -389,6 +391,60 @@ func TestWarmStartCostsNoMoreCycles(t *testing.T) {
 	if warm := cycles(svc, jobs); warm > cold {
 		t.Errorf("%d warm jobs spent %.0f primitive cycles, %d cold ones %.0f (%.3fx)",
 			jobs, warm, jobs, cold, warm/cold)
+	}
+}
+
+// renamedQ6 returns Q6's wire plan over testDB with the plan name and
+// every node label's "Q6" prefix renamed to name, the way a client
+// chooses both.
+func renamedQ6(t *testing.T, name string) *plan.Builder {
+	t.Helper()
+	data, err := plan.MarshalPlan(tpch.Query(6).Plan(testDB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := plan.UnmarshalPlan([]byte(strings.ReplaceAll(string(data), `"Q6`, `"`+name)), testDB.TableByName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestRenamedPlansShareCacheKeys: the flavor cache keys knowledge by
+// client-chosen names, so every renamed copy of one plan adds its own
+// keys, and none is ever evicted. 1 000 copies of Q6 must leave no more
+// keys than one copy does; today they leave 1 000 times as many.
+func TestRenamedPlansShareCacheKeys(t *testing.T) {
+	t.Skip("the flavor cache keys by plan name and never evicts (ROADMAP item 19)")
+	svc := New(testDB, testConfig(true))
+	budget := 0 // the keys one copy leaves
+	for i := 0; i < 1000; i++ {
+		if _, _, err := svc.ExecutePlan(renamedQ6(t, fmt.Sprintf("Q6v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			budget = svc.Cache().Len()
+		}
+	}
+	if got := svc.Cache().Len(); got > budget {
+		t.Errorf("1000 renamed copies of Q6 left %d cache keys, want at most one copy's %d", got, budget)
+	}
+}
+
+// TestRenamedPlanIsWarmStarted: the same plan sent under a second name
+// does the same work, so it must warm-start from what the first learned.
+func TestRenamedPlanIsWarmStarted(t *testing.T) {
+	t.Skip("a renamed plan shares no cache keys with the original (ROADMAP item 19)")
+	svc := New(testDB, testConfig(true))
+	if _, _, err := svc.ExecutePlan(renamedQ6(t, "Q6a")); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := svc.SeededInstances()
+	if _, _, err := svc.ExecutePlan(renamedQ6(t, "Q6b")); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := svc.SeededInstances(); after == before {
+		t.Errorf("Q6 renamed Q6b seeded no instances from Q6a's run (seeded stays %d)", before)
 	}
 }
 
