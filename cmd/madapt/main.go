@@ -13,8 +13,10 @@
 //	madapt tpch -q 12 -flavors everything -policy ucb1:c=2
 //	madapt distverify -addr URL -mix all  # server results vs local execution
 //	madapt policies                    # list the policy registry
-//	madapt flavors                     # dump the primitive dictionary
+//	madapt flavors -flavors branch     # dump the primitive dictionary
 //	madapt list                        # list experiment ids
+//
+// The flags of madapt exp come before the experiment ids.
 package main
 
 import (
@@ -75,9 +77,11 @@ func usage() {
   madapt tpch [-sf F] [-q N] [-flavors defaults|everything|branch|compiler|fission|compute|unroll|decompress] [-policy SPEC] [-pipeline-parallel P] [-encoded]
   madapt distverify -addr URL [-sf F] [-seed N] [-mix 1,6,12|all]
   madapt policies
-  madapt flavors
+  madapt flavors [-flavors SET]
   madapt list
 
+exp flags come before the ids: an unknown id, or a flag after an id, fails
+before any experiment runs. SET is any madapt tpch -flavors value.
 policy SPEC is a registry name with optional parameters, e.g. vw-greedy,
 ucb1:c=2, eps-greedy:eps=0.05, fixed:arm=1 (see: madapt policies)`)
 }
@@ -117,21 +121,7 @@ func cmdExp(args []string) error {
 	if len(ids) == 0 {
 		return fmt.Errorf("no experiment ids (try: madapt list)")
 	}
-	if len(ids) == 1 && ids[0] == "all" {
-		return bench.RunAll(*cfg, os.Stdout)
-	}
-	for _, id := range ids {
-		e, ok := bench.ByID(id)
-		if !ok {
-			return fmt.Errorf("unknown experiment %q (try: madapt list)", id)
-		}
-		rep, err := e.Run(*cfg)
-		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
-		}
-		fmt.Println(rep.String())
-	}
-	return nil
+	return bench.Run(*cfg, ids, os.Stdout)
 }
 
 // cmdExplain prints the logical plan and the physical lowering — with
@@ -220,7 +210,7 @@ func cmdTPCH(args []string) error {
 		return err
 	}
 	// WarmStart stays off, so every query runs cold in its own session.
-	svc := service.New(cfg.DB(), service.Config{
+	svc := service.New(tpch.Generate(cfg.SF, cfg.Seed), service.Config{
 		Flavors:             opts,
 		Machine:             cfg.Machine,
 		VectorSize:          cfg.VectorSize,

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"microadapt/internal/core"
 	"microadapt/internal/hw"
@@ -53,74 +52,29 @@ func (cfg Config) cacheScale() float64 {
 	return s
 }
 
-// TPCHSession is Session with the machine's caches scaled for the TPC-H
+// tpchSession is session with the machine's caches scaled for the TPC-H
 // data volume; all whole-workload experiments use it.
-func (cfg Config) TPCHSession(o primitive.Options, chooser core.ChooserFactory) *core.Session {
+func (cfg Config) tpchSession(o primitive.Options, chooser core.ChooserFactory) *core.Session {
 	scaled := cfg
 	scaled.Machine = cfg.Machine.ScaledCaches(cfg.cacheScale())
-	return scaled.Session(o, chooser)
+	return scaled.session(o, chooser)
 }
 
-// Report is the rendered output of one experiment.
-type Report struct {
-	ID    string
-	Title string
-	Body  string
-}
-
-func (r *Report) String() string {
-	line := strings.Repeat("=", len(r.Title))
-	return fmt.Sprintf("%s\n%s\n%s\n", r.Title, line, r.Body)
-}
-
-// dbCache memoizes generated databases per (sf, seed); the mutex makes it
-// safe for concurrent experiment runs (generation may happen twice under a
-// race, but both results are identical — Generate is deterministic).
-var (
-	dbCacheMu sync.Mutex
-	dbCache   = map[[2]int64]*tpch.DB{}
-)
-
-// DB returns the (cached) database for the configuration.
-func (cfg Config) DB() *tpch.DB {
-	key := [2]int64{int64(cfg.SF * 1e6), cfg.Seed}
-	dbCacheMu.Lock()
-	db, ok := dbCache[key]
-	dbCacheMu.Unlock()
-	if ok {
-		return db
-	}
-	db = tpch.Generate(cfg.SF, cfg.Seed)
-	dbCacheMu.Lock()
-	dbCache[key] = db
-	dbCacheMu.Unlock()
-	return db
-}
-
-// EncodedDB generates a fresh database and makes it resident in compressed
-// columnar form. Encoded experiments must use this, never cfg.DB().Encode():
-// the cached DB is shared across every experiment in the process, and
-// encoding it in place would silently flip all later flat runs to encoded
-// scans.
-func (cfg Config) EncodedDB() *tpch.DB {
-	return tpch.Generate(cfg.SF, cfg.Seed).Encode()
-}
-
-// PolicyEnv is the registry environment of this configuration.
-func (cfg Config) PolicyEnv() policy.Env {
+// policyEnv is the registry environment of this configuration.
+func (cfg Config) policyEnv() policy.Env {
 	return policy.Env{Machine: cfg.Machine, VW: cfg.VW, Seed: cfg.Seed}
 }
 
-// Session builds a serial session over a fresh dictionary with the given
+// session builds a serial session over a fresh dictionary with the given
 // flavor options and chooser (nil = the registry's vw-greedy with cfg.VW).
 // Experiments stay serial because they read per-instance histories by
 // serial plan label (mustInstance, APH charts), which a partitioned plan
 // would split across fragment sessions.
-func (cfg Config) Session(o primitive.Options, chooser core.ChooserFactory) *core.Session {
+func (cfg Config) session(o primitive.Options, chooser core.ChooserFactory) *core.Session {
 	dict := primitive.NewDictionary(o)
 	opts := []core.SessionOption{core.WithVectorSize(cfg.VectorSize), core.WithSeed(cfg.Seed)}
 	if chooser == nil {
-		chooser = policy.MustFactory("vw-greedy", cfg.PolicyEnv())
+		chooser = policy.MustFactory("vw-greedy", cfg.policyEnv())
 	} else {
 		// An explicitly supplied factory pins (or traces) primitive
 		// flavors; operator-level decisions stay on their default arms so
@@ -160,7 +114,7 @@ func runQueries(db *tpch.DB, s *core.Session, queries []tpch.Spec) error {
 func (cfg Config) pinnedSessions(db *tpch.DB, o primitive.Options, arms int, queries ...tpch.Spec) ([]*core.Session, error) {
 	sessions := make([]*core.Session, arms)
 	for arm := range sessions {
-		sessions[arm] = cfg.TPCHSession(o, recording(fixedArm(arm)))
+		sessions[arm] = cfg.tpchSession(o, recording(fixedArm(arm)))
 		if err := runQueries(db, sessions[arm], queries); err != nil {
 			return nil, err
 		}
@@ -173,7 +127,7 @@ func (cfg Config) pinnedSessions(db *tpch.DB, o primitive.Options, arms int, que
 func (cfg Config) armSessions(o primitive.Options, arms int) []*core.Session {
 	sessions := make([]*core.Session, arms)
 	for arm := range sessions {
-		sessions[arm] = cfg.Session(o, fixedArm(arm))
+		sessions[arm] = cfg.session(o, fixedArm(arm))
 	}
 	return sessions
 }

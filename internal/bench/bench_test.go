@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,20 +20,35 @@ func tinyConfig() Config {
 }
 
 func TestExperimentRegistry(t *testing.T) {
-	exps := Experiments()
-	if len(exps) != 19 {
-		t.Errorf("experiments = %d, want 19 (every table and figure + policycmp + storage)", len(exps))
-	}
 	want := []string{"table1", "fig1", "fig2", "fig4", "fig5", "fig6", "table4",
 		"fig8", "fig10", "table5", "table6", "table7", "table8", "table9",
 		"table10", "fig11", "table11", "policycmp", "storage"}
-	for _, id := range want {
-		if _, ok := ByID(id); !ok {
-			t.Errorf("missing experiment %s", id)
-		}
+	exps, err := resolve([]string{"all"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := ByID("nope"); ok {
-		t.Error("unknown id should not resolve")
+	var got []string
+	for _, e := range exps {
+		got = append(got, e.ID)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("experiments = %v, want %v (every table and figure + policycmp + storage)", got, want)
+	}
+	if _, err := resolve(want); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestRunChecksEveryIDFirst pins Run's order: an unknown id fails the
+// whole run before any experiment prints a report.
+func TestRunChecksEveryIDFirst(t *testing.T) {
+	var buf bytes.Buffer
+	err := Run(tinyConfig(), []string{"table4", "nope"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), `"nope"`) {
+		t.Errorf("Run error = %v, want one naming \"nope\"", err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("Run printed before checking every id:\n%s", buf.String())
 	}
 }
 
@@ -39,10 +56,9 @@ func TestFig6CrossoverOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig6 sweeps four machines over nine filter sizes (~2s, ~20s under -race); skipped in -short mode")
 	}
-	rep := tinyReport(t, "fig6")
 	// The paper's headline: machine 1 crosses over at a smaller filter
 	// size than machine 4.
-	lines := strings.Split(rep.Body, "\n")
+	lines := strings.Split(tinyReport(t, "fig6"), "\n")
 	sizeLike := func(s string) bool {
 		return strings.HasSuffix(s, "M") || strings.HasSuffix(s, "K")
 	}
@@ -67,34 +83,23 @@ func TestFig6CrossoverOrdering(t *testing.T) {
 	}
 }
 
-func TestDBCaching(t *testing.T) {
-	cfg := tinyConfig()
-	if cfg.DB() != cfg.DB() {
-		t.Error("DB should be cached per configuration")
-	}
-	cfg2 := cfg
-	cfg2.Seed = 99
-	if cfg.DB() == cfg2.DB() {
-		t.Error("different seeds should generate different databases")
-	}
-}
-
-// TestFlavorSetMemoKeysOnMachine runs Table 7 on two machines in one
-// process: the second must get its own study run, not the first's row.
+// TestFlavorSetMemoKeysOnMachine runs Table 7 in labs on two machines:
+// each lab runs its own study on its own machine, so the second does not
+// print the first's row.
 func TestFlavorSetMemoKeysOnMachine(t *testing.T) {
-	cfg := tinyConfig()
 	var bodies []string
 	for _, m := range []*hw.Machine{hw.Machine1(), hw.Machine3()} {
+		cfg := tinyConfig()
 		cfg.Machine = m
-		rep, err := FlavorSetTable(cfg, "table7")
+		l := newLab(cfg)
+		body, err := flavorSetTable(l, "table7")
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, _, _ := flavorSet(cfg, "table7")
-		if got := r.adaptive.Machine.Name; got != m.Name {
+		if got := l.studies["table7"].adaptive.Machine.Name; got != m.Name {
 			t.Errorf("table7 on %s ran on %s", m.Name, got)
 		}
-		bodies = append(bodies, rep.Body)
+		bodies = append(bodies, body)
 	}
 	if bodies[0] == bodies[1] {
 		t.Errorf("table7 on machine3 printed machine1's table:\n%s", bodies[1])
@@ -146,20 +151,14 @@ func TestSkewedContextualBeatsContextFree(t *testing.T) {
 // selection flavor. That encoded results equal flat ones is the identity
 // oracle's enc-p rows (internal/dist).
 func TestStorageComparisonRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs 6 queries x 2 storage forms; skipped in -short mode")
-	}
-	rep, err := StorageComparison(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := tinyReport(t, "storage")
 	for _, want := range []string{"resident bytes", "Q01", "Q06", "Q17", "oncompressed", "lineitem"} {
-		if !strings.Contains(rep.Body, want) {
-			t.Errorf("report missing %q:\n%s", want, rep.Body)
+		if !strings.Contains(body, want) {
+			t.Errorf("report missing %q:\n%s", want, body)
 		}
 	}
-	if strings.Contains(rep.Body, "\n0 instances learned an operate-on-compressed") {
-		t.Errorf("no operate-on-compressed winner was learned:\n%s", rep.Body)
+	if strings.Contains(body, "\n0 instances learned an operate-on-compressed") {
+		t.Errorf("no operate-on-compressed winner was learned:\n%s", body)
 	}
 }
 
@@ -171,7 +170,7 @@ func TestFig4eIccSlowest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs four TPC-H queries per compiler build; skipped in -short mode")
 	}
-	sessions, err := fig4Sessions(tinyConfig())
+	sessions, err := fig4Sessions(tinyLab)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,26 +11,26 @@ import (
 	"microadapt/internal/hw"
 	"microadapt/internal/primitive"
 	"microadapt/internal/stats"
+	"microadapt/internal/tpch"
 	"microadapt/internal/vector"
 )
 
-// Table1 reproduces the stage breakdown of Table 1: almost all time of
+// table1 reproduces the stage breakdown of Table 1: almost all time of
 // "SELECT l_orderkey FROM lineitem WHERE l_quantity < 40" is spent in the
 // execute stage, and within it, in primitives.
-func Table1(cfg Config) (*Report, error) {
+func table1(l *lab) (string, error) {
 	// The stage shares depend on data volume (preprocessing is constant,
-	// execution scales), so this experiment uses 10x the configured SF.
-	t1cfg := cfg
-	t1cfg.SF = cfg.SF * 10
-	db := t1cfg.DB()
-	s := t1cfg.Session(primitive.Defaults(), nil)
+	// execution scales), so this experiment generates its own database at
+	// 10x the configured SF, freed once the table is rendered.
+	db := tpch.Generate(l.cfg.SF*10, l.cfg.Seed)
+	s := l.cfg.session(primitive.Defaults(), nil)
 	// Preprocess: parse + plan build, modelled as a fixed cost.
 	s.Ctx.PreCycles = 25_000
 	scan := engine.NewScan(s, db.Lineitem, "l_orderkey", "l_quantity")
 	sel := engine.NewSelect(s, scan, "T1", engine.CmpVal(1, "<", 40))
 	out, err := engine.Materialize(sel)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	s.Ctx.PostCycles = 0.3 * float64(out.Rows())
 
@@ -47,7 +47,7 @@ func Table1(cfg Config) (*Report, error) {
 		"(paper: 92.2%% of total at SF-100; shares of pre/post shrink with scale)\n",
 		100*s.Ctx.PrimCycles/s.Ctx.ExecuteCycles())
 	body += fmt.Sprintf("qualifying tuples: %d of %d\n", out.Rows(), db.Lineitem.Rows())
-	return &Report{ID: "table1", Title: "Table 1: time spent in execution stages", Body: body}, nil
+	return body, nil
 }
 
 // selPrimBench runs the selection flavor s is pinned to over synthetic
@@ -67,9 +67,10 @@ func selPrimBench(cfg Config, s *core.Session, label string, selPct int, calls i
 	return cycles / float64(calls*n)
 }
 
-// Fig1 reproduces Figure 1: branching vs no-branching selection cost as a
+// fig1 reproduces Figure 1: branching vs no-branching selection cost as a
 // function of selectivity, with the misprediction hump at 50%.
-func Fig1(cfg Config) (*Report, error) {
+func fig1(l *lab) (string, error) {
+	cfg := l.cfg
 	s := cfg.armSessions(primitive.BranchSet(), 2)
 	var xs []string
 	var branch, nobranch []float64
@@ -92,7 +93,7 @@ func Fig1(cfg Config) (*Report, error) {
 	lo, hi := crossovers(branch, nobranch)
 	body += fmt.Sprintf("\ncross-over points: ~%d%% and ~%d%% selectivity "+
 		"(paper: branching wins at the extremes, no-branching in between)\n", lo*5, hi*5)
-	return &Report{ID: "fig1", Title: "Figure 1: (No-)Branching primitive cost vs. selectivity", Body: body}, nil
+	return body, nil
 }
 
 // crossovers returns the first and last index where a rises above b.
@@ -109,9 +110,10 @@ func crossovers(a, b []float64) (int, int) {
 	return first, last
 }
 
-// Fig5 reproduces Figure 5: the best compiler for the merge-join kernel
+// fig5 reproduces Figure 5: the best compiler for the merge-join kernel
 // depends on the machine.
-func Fig5(cfg Config) (*Report, error) {
+func fig5(l *lab) (string, error) {
+	cfg := l.cfg
 	machines := []*hw.Machine{hw.Machine1(), hw.Machine3(), hw.Machine4()}
 	compilers := []string{"gcc", "icc", "clang"}
 	rows := [][]string{{"machine", "gcc", "icc", "clang", "best"}}
@@ -129,7 +131,7 @@ func Fig5(cfg Config) (*Report, error) {
 	body := stats.FormatTable(rows)
 	body += "\ncycles/tuple of mergejoin_slng_col_slng_col; the paper observes gcc ~90% slower\n" +
 		"on Intel machines and icc slower than clang on the AMD machine.\n"
-	return &Report{ID: "fig5", Title: "Figure 5: mergejoin — best compiler depends on machine", Body: body}, nil
+	return body, nil
 }
 
 // mergejoinBench merge-joins two key columns with the flavor s is pinned
@@ -162,9 +164,10 @@ func argmin(xs []float64) int {
 	return best
 }
 
-// Fig6 reproduces Figure 6: loop-fission speedup of the bloom-filter probe
+// fig6 reproduces Figure 6: loop-fission speedup of the bloom-filter probe
 // vs. filter size, per machine, with machine-dependent cross-over points.
-func Fig6(cfg Config) (*Report, error) {
+func fig6(l *lab) (string, error) {
+	cfg := l.cfg
 	sizes := []int{4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20, 128 << 20}
 	var series []stats.Series
 	rows := [][]string{{"size"}}
@@ -212,7 +215,7 @@ func Fig6(cfg Config) (*Report, error) {
 	body += "\n" + stats.FormatTable(crossRows)
 	body += "\npaper: cross-over at 1MB on machine 1 but 4MB on machine 4; fission up to\n" +
 		"~50% faster on large filters and ~15% slower on small ones.\n"
-	return &Report{ID: "fig6", Title: "Figure 6: sel_bloomfilter speedup with loop fission", Body: body}, nil
+	return body, nil
 }
 
 func sizeName(b int) string {
@@ -269,10 +272,10 @@ func bloomBench(cfg Config, s *core.Session, label string, f *bloom.Filter, keys
 	return cycles / float64(bloomCalls*n)
 }
 
-// Table4 reproduces Table 4: the interaction of hand unrolling with
+// table4 reproduces Table 4: the interaction of hand unrolling with
 // compiler SIMD and unrolling flags for dense integer multiplication, on
 // machines 1 and 3.
-func Table4(cfg Config) (*Report, error) {
+func table4(*lab) (string, error) {
 	rows := [][]string{{"machine", "hand", "compiler SIMD+unroll", "SIMD only", "unroll only", "neither"}}
 	for _, m := range []*hw.Machine{hw.Machine1(), hw.Machine3()} {
 		for _, hand := range []bool{true, false} {
@@ -292,12 +295,13 @@ func Table4(cfg Config) (*Report, error) {
 	body += "\ncycles/tuple of dense map_mul_sint_col_sint_col. Hand unrolling defeats\n" +
 		"auto-vectorization, so all four compiler columns agree (paper: 1.73/2.02);\n" +
 		"on machine 3 SIMD loses to unrolled scalar code (paper: 3.61 vs 2.02).\n"
-	return &Report{ID: "table4", Title: "Table 4: map_mul — hand vs compiler unrolling (cycles/tuple)", Body: body}, nil
+	return body, nil
 }
 
-// Fig8 reproduces Figure 8: full-computation speedup over selective
+// fig8 reproduces Figure 8: full-computation speedup over selective
 // computation as a function of input selectivity, by machine and type.
-func Fig8(cfg Config) (*Report, error) {
+func fig8(l *lab) (string, error) {
+	cfg := l.cfg
 	var series []stats.Series
 	type curve struct {
 		name string
@@ -336,7 +340,7 @@ func Fig8(cfg Config) (*Report, error) {
 	body += stats.FormatTable(rows)
 	body += "\npaper: int crosses over at ~30% on machine 1 but ~80% on machine 2; short\n" +
 		"benefits much earlier; long never benefits.\n"
-	return &Report{ID: "fig8", Title: "Figure 8: map_mul — full computation speedup", Body: body}, nil
+	return body, nil
 }
 
 // mapMulBench measures the compute flavor of map_mul s is pinned to at a
@@ -364,10 +368,10 @@ func mapMulBench(cfg Config, s *core.Session, t vector.Type, label string, selPc
 	return cycles / calls
 }
 
-// Fig10 reproduces Figure 10: vw-greedy on three synthetic non-stationary
+// fig10 reproduces Figure 10: vw-greedy on three synthetic non-stationary
 // flavors, with parameters (1024, 256, 32). One flavor is best at the
 // start and end of the query, another in the middle.
-func Fig10(cfg Config) (*Report, error) {
+func fig10(l *lab) (string, error) {
 	totalCalls := 100_000
 	costs := fig10Costs(totalCalls)
 	d := core.NewDictionary()
@@ -383,12 +387,12 @@ func Fig10(cfg Config) (*Report, error) {
 			},
 		})
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(l.cfg.Seed))
 	params := core.DemoVWParams()
-	s := core.NewSession(d, cfg.Machine,
+	s := core.NewSession(d, l.cfg.Machine,
 		core.WithVectorSize(1000),
 		core.WithChooser(func(n int) core.Chooser { return core.NewVWGreedy(n, params, rng) }))
 	inst := s.Instance("synthetic", "fig10/synthetic#0")
@@ -428,7 +432,7 @@ func Fig10(cfg Config) (*Report, error) {
 	if adaptive >= best {
 		body += "WARNING: adaptive did not beat the best single flavor on this run\n"
 	}
-	return &Report{ID: "fig10", Title: "Figure 10: vw-greedy in action on 3 flavors", Body: body}, nil
+	return body, nil
 }
 
 // fig10Costs builds the three cost curves of the demonstration.

@@ -11,32 +11,36 @@ import (
 
 var updatePaper = flag.Bool("update", false, "rewrite testdata/paper/<id>.golden")
 
+// tinyLab is the one lab at tinyConfig() that every test shares, so its
+// database and flavor-set studies are built once per test binary.
+var tinyLab = newLab(tinyConfig())
+
 type tinyRun struct {
-	rep *Report
-	err error
+	body string
+	err  error
 }
 
 var tinyRuns = map[string]tinyRun{}
 
-// tinyReport runs experiment id at tinyConfig() once per test binary and
-// hands every later caller the same report, so TestPaperGolden and
+// tinyReport runs experiment id in tinyLab once per test binary and
+// hands every later caller the same body, so TestPaperGolden and
 // TestFig6CrossoverOrdering do not pay for Figure 6 twice. Reports are
 // deterministic, so sharing one run changes nothing they check.
-func tinyReport(t *testing.T, id string) *Report {
+func tinyReport(t *testing.T, id string) string {
 	t.Helper()
 	r, ok := tinyRuns[id]
 	if !ok {
-		e, found := ByID(id)
-		if !found {
-			t.Fatalf("unknown experiment %s", id)
+		exps, err := resolve([]string{id})
+		if err != nil {
+			t.Fatal(err)
 		}
-		r.rep, r.err = e.Run(tinyConfig())
+		r.body, r.err = exps[0].run(tinyLab)
 		tinyRuns[id] = r
 	}
 	if r.err != nil {
 		t.Fatalf("%s: %v", id, r.err)
 	}
-	return r.rep
+	return r.body
 }
 
 // TestPaperGolden pins every registered experiment's report, byte for
@@ -54,11 +58,7 @@ func TestPaperGolden(t *testing.T) {
 			if e.ID == "fig6" && testing.Short() {
 				t.Skip("fig6 sweeps four machines over nine filter sizes (~2s, ~20s under -race); skipped in -short mode")
 			}
-			rep := tinyReport(t, e.ID)
-			if rep.ID != e.ID {
-				t.Errorf("report id %q, want %q", rep.ID, e.ID)
-			}
-			got := rep.String()
+			got := render(e.Title, tinyReport(t, e.ID))
 			path := filepath.Join("testdata", "paper", e.ID+".golden")
 			if *updatePaper {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

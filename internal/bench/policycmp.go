@@ -13,7 +13,7 @@ import (
 	"microadapt/internal/vector"
 )
 
-// PolicyComparison runs every warm-startable policy in the registry over
+// policyComparison runs every warm-startable policy in the registry over
 // the same TPC-H mix twice — cold sessions against an empty knowledge
 // cache, then sessions warm-started from a priming pass — and reports the
 // off-best-call rate (the exploration tax) of each phase. It is the
@@ -22,8 +22,9 @@ import (
 // capabilities, so one table covers vw-greedy, the ε-strategies, ucb1 and
 // thompson without a line of policy-specific harness code. Jobs run one
 // after another, so the table is the same on every run.
-func PolicyComparison(cfg Config) (*Report, error) {
-	db := cfg.DB()
+func policyComparison(l *lab) (string, error) {
+	cfg := l.cfg
+	db := l.tpchDB()
 	mix := []int{1, 6, 12}
 	const jobs = 18
 
@@ -54,7 +55,7 @@ func PolicyComparison(cfg Config) (*Report, error) {
 		coldCfg.WarmStart = false
 		cold, err := runPhase(service.New(db, coldCfg), mix, jobs)
 		if err != nil {
-			return nil, fmt.Errorf("policycmp %s cold: %w", def.Name, err)
+			return "", fmt.Errorf("policycmp %s cold: %w", def.Name, err)
 		}
 
 		warmCfg := pcfg
@@ -63,11 +64,11 @@ func PolicyComparison(cfg Config) (*Report, error) {
 		// Priming pass: one run of each mix query fills the cache the way
 		// earlier traffic would; excluded from the measured warm phase.
 		if _, err := runPhase(svc, mix, len(mix)); err != nil {
-			return nil, fmt.Errorf("policycmp %s prime: %w", def.Name, err)
+			return "", fmt.Errorf("policycmp %s prime: %w", def.Name, err)
 		}
 		warm, err := runPhase(svc, mix, jobs)
 		if err != nil {
-			return nil, fmt.Errorf("policycmp %s warm: %w", def.Name, err)
+			return "", fmt.Errorf("policycmp %s warm: %w", def.Name, err)
 		}
 
 		ratio := "inf"
@@ -100,15 +101,11 @@ func PolicyComparison(cfg Config) (*Report, error) {
 
 	skew, err := skewedComparison(cfg)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	b.WriteString(skew)
 
-	return &Report{
-		ID:    "policycmp",
-		Title: "Policy comparison: cold vs. warm-started exploration tax per registered policy",
-		Body:  b.String(),
-	}, nil
+	return b.String(), nil
 }
 
 // runPhase executes jobs queries, cycling through mix, one after another
@@ -198,11 +195,11 @@ func skewedBestArms(cfg Config) []int {
 // runSkewed drives the policy through the skewed workload and counts, per
 // phase, the calls that used an arm other than the phase's best.
 func runSkewed(cfg Config, spec string, best []int, blocks, blockCalls int) (off, calls []int, err error) {
-	factory, err := policy.NewFactory(spec, cfg.PolicyEnv())
+	factory, err := policy.NewFactory(spec, cfg.policyEnv())
 	if err != nil {
 		return nil, nil, err
 	}
-	s := cfg.Session(primitive.BranchSet(), factory)
+	s := cfg.session(primitive.BranchSet(), factory)
 	inst := s.Instance(primitive.SelSig("<", vector.I32, false), "skew/"+spec)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := cfg.VectorSize

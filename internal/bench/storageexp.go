@@ -19,7 +19,7 @@ import (
 // p_container) — the operate-on-compressed sweet spot.
 var storageQueries = []int{1, 6, 10, 12, 14, 17}
 
-// StorageComparison measures compressed columnar storage against flat: per
+// storageComparison measures compressed columnar storage against flat: per
 // query, primitive cycles and the off-best fraction under both storage
 // forms, plus the resident-bytes reduction of the analyzer's encodings and
 // the decompression flavors each instance's bandit learned — the paper's
@@ -28,9 +28,12 @@ var storageQueries = []int{1, 6, 10, 12, 14, 17}
 // cold session: at a fixed seed a repeat would measure the same cycles.
 // That encoded results equal flat ones is the identity oracle's enc-p rows
 // (internal/dist).
-func StorageComparison(cfg Config) (*Report, error) {
-	flatDB := cfg.DB()
-	encDB := cfg.EncodedDB()
+func storageComparison(l *lab) (string, error) {
+	flatDB := l.tpchDB()
+	// Encode a fresh database, never the lab's: the lab's database is
+	// shared by every experiment of the run, and encoding it in place would
+	// silently flip all later flat runs to encoded scans.
+	encDB := tpch.Generate(l.cfg.SF, l.cfg.Seed).Encode()
 	flatBytes, residentBytes := encDB.StorageFootprint()
 
 	opts := primitive.Everything()
@@ -42,9 +45,9 @@ func StorageComparison(cfg Config) (*Report, error) {
 			name string
 			db   *tpch.DB
 		}{{"flat", flatDB}, {"encoded", encDB}} {
-			s := cfg.TPCHSession(opts, nil)
+			s := l.cfg.tpchSession(opts, nil)
 			if _, err := q.Run(mode.db, s); err != nil {
-				return nil, fmt.Errorf("storage %s %s: %w", q.Name, mode.name, err)
+				return "", fmt.Errorf("storage %s %s: %w", q.Name, mode.name, err)
 			}
 			if mode.name == "encoded" {
 				winners = append(winners, collectDecompressWinners(s, q.Name)...)
@@ -77,11 +80,7 @@ func StorageComparison(cfg Config) (*Report, error) {
 	}
 	fmt.Fprintf(&b, "\n%d instances learned an operate-on-compressed selection; one cold session\nper cell (policy vw-greedy). Lineitem encodings:\n%s",
 		onCompressed, encDB.Lineitem.Enc.Summary())
-	return &Report{
-		ID:    "storage",
-		Title: "Compressed storage: flavor-adaptive scans vs. flat",
-		Body:  b.String(),
-	}, nil
+	return b.String(), nil
 }
 
 // decompressWinner is one instance's measured-cheapest flavor.

@@ -11,20 +11,20 @@ import (
 	"microadapt/internal/stats"
 )
 
-// Table5 reproduces the MAB-algorithm comparison by the simulation on
+// table5 reproduces the MAB-algorithm comparison by the simulation on
 // traces of §3.2: every pinned instance of Table 7's runs over the full
 // TPC-H suite records what its compiler flavor cost per call,
 // collectTraces lines the three runs up into one cost matrix per
 // instance, and score replays the matrices through each algorithm against
 // OPT, the per-call oracle.
-func Table5(cfg Config) (*Report, error) {
-	r, _, err := flavorSet(cfg, "table7")
+func table5(l *lab) (string, error) {
+	r, err := l.flavorSet("table7")
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	traces, err := collectTraces(r.arms)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	var calls int
 	for _, tr := range traces {
@@ -36,7 +36,7 @@ func Table5(cfg Config) (*Report, error) {
 		name string
 		mk   func(n int) core.Chooser
 	}
-	rng := func() *rand.Rand { return rand.New(rand.NewSource(cfg.Seed)) }
+	rng := func() *rand.Rand { return rand.New(rand.NewSource(l.cfg.Seed)) }
 	vw := func(p, e, l int) algo {
 		return algo{
 			name: fmt.Sprintf("vw-greedy(%d,%d,%d)", p, e, l),
@@ -90,7 +90,7 @@ func Table5(cfg Config) (*Report, error) {
 		"compiler flavors rarely cross over mid-query, so all algorithms land close\n"+
 		"to OPT. The best vw-greedy row ranks %d of %d, so Table 5's vw-greedy lead\n%s.\n",
 		len(traces), horizon, rank, len(results), verdict)
-	return &Report{ID: "table5", Title: "Table 5: MAB algorithms on recorded TPC-H traces (factor over OPT)", Body: body}, nil
+	return body, nil
 }
 
 // instanceTrace holds the recorded per-call costs of one primitive

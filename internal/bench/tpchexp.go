@@ -12,17 +12,17 @@ import (
 	"microadapt/internal/tpch"
 )
 
-// Fig2 reproduces Figure 2: the two (no-)branching flavors of the Q12
+// fig2 reproduces Figure 2: the two (no-)branching flavors of the Q12
 // receiptdate selection, read from Table 6's pinned runs. The
 // date-clustered lineitem keeps the predicate's selectivity near 100% for
 // most of the query and drops it at the end, where the branching flavor
 // collapses.
-func Fig2(cfg Config) (*Report, error) {
+func fig2(l *lab) (string, error) {
 	const label = "Q12/sel0/select_<_sint_col_sint_val#1" // l_receiptdate < 1995-01-01
 	names := []string{"branching", "no branching"}
-	r, _, err := flavorSet(cfg, "table6")
+	r, err := l.flavorSet("table6")
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	var series []stats.Series
 	var hists []*aph.History
@@ -37,7 +37,7 @@ func Fig2(cfg Config) (*Report, error) {
 	body += fmt.Sprintf("\ntotal cycles: branching %.0f, no-branching %.0f; branching is faster for\n"+
 		"most of the query but collapses when the selectivity drops at the end —\n"+
 		"exactly the Figure 2 phenomenon that motivates intra-query adaptivity.\n", bTot, nbTot)
-	return &Report{ID: "fig2", Title: "Figure 2: (No-)Branching primitive cost in TPC-H Q12", Body: body}, nil
+	return body, nil
 }
 
 // fig4Panels maps the five sub-figures of Figure 4 to our instances.
@@ -51,13 +51,13 @@ var fig4Panels = []struct {
 	{"e", "Q16", "Q16/agg0/hash_insertcheck_slng_col#0", "(e) Q16: Aggregation(hash_insertcheck_slng_col)"},
 }
 
-// Fig4 reproduces Figure 4: compiler-flavor APHs of five primitive
+// fig4 reproduces Figure 4: compiler-flavor APHs of five primitive
 // instances across TPC-H queries, showing levels, reversals and mid-query
 // cross-overs.
-func Fig4(cfg Config) (*Report, error) {
-	sessions, err := fig4Sessions(cfg)
+func fig4(l *lab) (string, error) {
+	sessions, err := fig4Sessions(l)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	var body strings.Builder
 	for _, panel := range fig4Panels {
@@ -72,7 +72,7 @@ func Fig4(cfg Config) (*Report, error) {
 	body.WriteString("paper: no single best compiler even within one query — gcc wins (a),\n" +
 		"icc wins (b) until clang crosses over, gcc is ~90% slower on (c), gcc and\n" +
 		"clang alternate on (d), icc is 2x slower on (e).\n")
-	return &Report{ID: "fig4", Title: "Figure 4: compiler differences (sample APHs, TPC-H)", Body: body.String()}, nil
+	return body.String(), nil
 }
 
 // fig4Compilers names Figure 4's builds, in fixed-arm order.
@@ -80,13 +80,13 @@ var fig4Compilers = []string{"gcc", "icc", "clang"}
 
 // fig4Sessions runs Figure 4's queries once per compiler build, each
 // session pinned to that build's arm.
-func fig4Sessions(cfg Config) ([]*core.Session, error) {
+func fig4Sessions(l *lab) ([]*core.Session, error) {
 	// Figure 4 measures whole builds (one binary per compiler), so the
 	// hash primitives carry compiler flavors here even though the
 	// evaluator-level flavor sets of Tables 5/7 do not reach them.
 	opts := primitive.CompilerSet()
 	opts.FullCompilerCoverage = true
-	return cfg.pinnedSessions(cfg.DB(), opts, len(fig4Compilers),
+	return l.cfg.pinnedSessions(l.tpchDB(), opts, len(fig4Compilers),
 		tpch.Query(1), tpch.Query(7), tpch.Query(12), tpch.Query(16))
 }
 
@@ -108,8 +108,8 @@ type flavorSetRun struct {
 // adaptively, then computes the Table 6-10 aggregates. OPT is computed per
 // instance from the per-arm APHs (minimum per aligned bucket), as §4.1
 // describes.
-func runFlavorSet(cfg Config, opts primitive.Options, armNames []string) (*flavorSetRun, error) {
-	db := cfg.DB()
+func runFlavorSet(l *lab, opts primitive.Options, armNames []string) (*flavorSetRun, error) {
+	cfg, db := l.cfg, l.tpchDB()
 	arms, err := cfg.pinnedSessions(db, opts, len(armNames), tpch.Queries()...)
 	if err != nil {
 		return nil, err
@@ -122,7 +122,7 @@ func runFlavorSet(cfg Config, opts primitive.Options, armNames []string) (*flavo
 			r.defaultAffected, r.totalDefault = aff, tot
 		}
 	}
-	r.adaptive = cfg.TPCHSession(opts, nil)
+	r.adaptive = cfg.tpchSession(opts, nil)
 	if err := runQueries(db, r.adaptive, tpch.Queries()); err != nil {
 		return nil, err
 	}
@@ -192,52 +192,39 @@ var flavorSetSpecs = []struct {
 	{"table10", "Table 10: Hand-Unrolling flavors", primitive.UnrollSet, []string{"unroll 8", "no unroll"}},
 }
 
-// flavorSetKey names one study run: its id and the whole configuration,
-// the machine by name (cfg.Machine is cleared).
-type flavorSetKey struct {
-	id, machine string
-	cfg         Config
-}
-
-// flavorSetCache shares the expensive runs between the table and figure
-// experiments within one process.
-var flavorSetCache = map[flavorSetKey]*flavorSetRun{}
-
-func flavorSet(cfg Config, id string) (*flavorSetRun, string, error) {
-	for _, spec := range flavorSetSpecs {
-		if spec.id != id {
-			continue
-		}
-		key := flavorSetKey{id: id, machine: cfg.Machine.Name, cfg: cfg}
-		key.cfg.Machine = nil
-		if r, ok := flavorSetCache[key]; ok {
-			return r, spec.title, nil
-		}
-		r, err := runFlavorSet(cfg, spec.opts(), spec.armNames)
-		if err != nil {
-			return nil, "", err
-		}
-		flavorSetCache[key] = r
-		return r, spec.title, nil
+// flavorSet returns the lab's run of study id, running it on first use.
+func (l *lab) flavorSet(id string) (*flavorSetRun, error) {
+	if r, ok := l.studies[id]; ok {
+		return r, nil
 	}
-	return nil, "", fmt.Errorf("bench: unknown flavor set %q", id)
+	for _, spec := range flavorSetSpecs {
+		if spec.id == id {
+			r, err := runFlavorSet(l, spec.opts(), spec.armNames)
+			if err != nil {
+				return nil, err
+			}
+			l.studies[id] = r
+			return r, nil
+		}
+	}
+	return nil, fmt.Errorf("bench: unknown flavor set %q", id)
 }
 
-// FlavorSetTable generates one of Tables 6-10.
-func FlavorSetTable(cfg Config, id string) (*Report, error) {
-	r, title, err := flavorSet(cfg, id)
+// flavorSetTable generates one of Tables 6-10.
+func flavorSetTable(l *lab, id string) (string, error) {
+	r, err := l.flavorSet(id)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	body := r.report()
 	body += "\ncycles in affected primitives over the full TPC-H run (% of all primitive\n" +
 		"cycles); columns are improvement factors over the default flavor.\n"
-	return &Report{ID: id, Title: title, Body: body}, nil
+	return body, nil
 }
 
-// Fig11 reproduces Figure 11: adaptive APHs tracking the lower envelope of
+// fig11 reproduces Figure 11: adaptive APHs tracking the lower envelope of
 // the flavor curves, one panel per flavor set.
-func Fig11(cfg Config) (*Report, error) {
+func fig11(l *lab) (string, error) {
 	panels := []struct {
 		setID, title, label string
 	}{
@@ -249,9 +236,9 @@ func Fig11(cfg Config) (*Report, error) {
 	}
 	var body strings.Builder
 	for _, p := range panels {
-		r, _, err := flavorSet(cfg, p.setID)
+		r, err := l.flavorSet(p.setID)
 		if err != nil {
-			return nil, err
+			return "", err
 		}
 		body.WriteString(r.fig11Panel(p.title, p.label))
 		body.WriteString("\n")
@@ -259,14 +246,15 @@ func Fig11(cfg Config) (*Report, error) {
 	body.WriteString("micro adaptivity tracks the lower bound of the flavors, switching when\n" +
 		"beneficial; detecting deterioration (EXPLOIT_PERIOD) is faster than\n" +
 		"discovering improvement (EXPLORE_PERIOD), as the paper notes for (a).\n")
-	return &Report{ID: "fig11", Title: "Figure 11: Micro Adaptive execution (sample APHs)", Body: body.String()}, nil
+	return body.String(), nil
 }
 
-// Table11 reproduces the end-to-end comparison: per-query times of the
+// table11 reproduces the end-to-end comparison: per-query times of the
 // baseline build, and improvement factors of the heuristics build and of
 // Micro Adaptivity, with the geometric mean (the TPC-H power score).
-func Table11(cfg Config) (*Report, error) {
-	db := cfg.DB()
+func table11(l *lab) (string, error) {
+	cfg := l.cfg
+	db := l.tpchDB()
 	const cyclesPerSec = 2.8e9 // nominal 2.8GHz clock for the seconds column
 
 	type runResult struct{ cycles []float64 }
@@ -282,21 +270,21 @@ func Table11(cfg Config) (*Report, error) {
 		return rr, nil
 	}
 
-	base, err := runAll(func() *core.Session { return cfg.TPCHSession(primitive.Defaults(), nil) })
+	base, err := runAll(func() *core.Session { return cfg.tpchSession(primitive.Defaults(), nil) })
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	heur, err := runAll(func() *core.Session {
-		env := cfg.PolicyEnv()
+		env := cfg.policyEnv()
 		env.Machine = cfg.Machine.ScaledCaches(cfg.cacheScale())
-		return cfg.TPCHSession(primitive.Everything(), policy.MustFactory("heuristics", env))
+		return cfg.tpchSession(primitive.Everything(), policy.MustFactory("heuristics", env))
 	})
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	adapt, err := runAll(func() *core.Session { return cfg.TPCHSession(primitive.Everything(), nil) })
+	adapt, err := runAll(func() *core.Session { return cfg.tpchSession(primitive.Everything(), nil) })
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 
 	rows := [][]string{{"Query", "No Heuristics (sec)", "Heuristics", "Micro Adaptive"}}
@@ -318,5 +306,5 @@ func Table11(cfg Config) (*Report, error) {
 		"the baseline build. Paper (SF-100, machine 1): heuristics 1.05, Micro\n"+
 		"Adaptivity 1.09 — adaptivity should beat the hand-tuned heuristics here too\n"+
 		"(measured: heuristics %.2f, micro adaptive %.2f).\n", cyclesPerSec/1e9, hGeo, aGeo)
-	return &Report{ID: "table11", Title: "Table 11: TPC-H overall — heuristics vs Micro Adaptivity", Body: body}, nil
+	return body, nil
 }
